@@ -47,6 +47,8 @@ _PARAM_COUNT = {
     GateKind.XXPLUSYY: 2,
 }
 
+_TARGET_COUNT = {GateKind.SWAP: 2, GateKind.XXPLUSYY: 2}
+
 _ADJOINT_SWAP = {
     GateKind.S: GateKind.SDG,
     GateKind.SDG: GateKind.S,
@@ -134,7 +136,6 @@ class Circuit:
         # simulator's debug mode to assert the |0> contract.
         self.dealloc_events: list[tuple[int, int]] = []
         self.alloc_events: list[tuple[int, int]] = []
-        self.alloc_log: list[int] = []
 
     # -- allocation ---------------------------------------------------------
 
@@ -146,7 +147,6 @@ class Circuit:
             q = self.num_qubits
             self.num_qubits += 1
             self.wire_map.append(q)
-        self.alloc_log.append(q)
         self.alloc_events.append((len(self.gates), q))
         return q
 
@@ -271,10 +271,10 @@ class Circuit:
         return tuple(self.gates[mark:])
 
     def alloc_mark(self) -> int:
-        return len(self.alloc_log)
+        return len(self.alloc_events)
 
     def allocs_since(self, mark: int) -> tuple[int, ...]:
-        return tuple(self.alloc_log[mark:])
+        return tuple(q for _, q in self.alloc_events[mark:])
 
     def _reserve_freed(self, gates) -> list[int]:
         """Pull currently-free qubits referenced by a replayed fragment back
@@ -286,7 +286,6 @@ class Circuit:
             self._free_set.difference_update(reserved)
             self._free = [q for q in self._free if q in self._free_set]
             heapq.heapify(self._free)
-            self.alloc_log.extend(reserved)
             self.alloc_events.extend((len(self.gates), q) for q in reserved)
         return reserved
 
@@ -356,7 +355,7 @@ def to_text(circuit: Circuit) -> str:
     lines = [f"QUBITS {circuit.num_qubits}"]
     for g in circuit.gates:
         params = ",".join(f"{p!r}" for p in g.params) or "-"
-        targets = ",".join(str(t) for t in g.targets)
+        targets = ",".join(str(t) for t in g.targets) or "-"
         controls = ",".join(str(c) for c in g.controls) or "-"
         state = ",".join(str(s) for s in g.control_state) or "-"
         lines.append(f"GATE {g.kind.value} {params} {targets} {controls} {state}")
@@ -367,17 +366,25 @@ def from_text(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("QUBITS "):
         raise UsageError("missing QUBITS header")
-    circ = Circuit(int(lines[0].split()[1]))
+    num_qubits = int(lines[0].split()[1])
+    if num_qubits < 0:
+        raise UsageError(f"negative qubit count {num_qubits}")
+    circ = Circuit(num_qubits)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 6 or parts[0] != "GATE":
             raise UsageError(f"malformed gate line: {ln!r}")
         _, kind, params, targets, controls, state = parts
-        circ.gates.append(Gate(
+        gate = Gate(
             GateKind(kind),
             tuple(int(t) for t in targets.split(",")) if targets != "-" else (),
             tuple(float(p) for p in params.split(",")) if params != "-" else (),
             tuple(int(c) for c in controls.split(",")) if controls != "-" else (),
             tuple(int(s) for s in state.split(",")) if state != "-" else (),
-        ))
+        )
+        if (set(gate.control_state) - {0, 1} or gate.kind is not GateKind.BARRIER
+                and len(gate.targets) != _TARGET_COUNT.get(gate.kind, 1)):
+            raise UsageError(f"malformed gate line: {ln!r}")
+        circ._check_live(gate)
+        circ.gates.append(gate)
     return circ

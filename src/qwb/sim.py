@@ -4,6 +4,11 @@ State is a map from basis index to complex amplitude, stored internally as a
 sorted int64 key array plus a complex128 amplitude array so gate application
 vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 
+Every gate kind is one 2x2 matrix (``gate_matrix``) acting on pairs of basis
+states, and one kernel applies it: a diagonal matrix scales amplitudes in
+place, X swaps the pair by flipping key bits, and any other matrix mixes each
+pair once.
+
 Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate.
 """
 
@@ -20,20 +25,18 @@ PRUNE_EPSILON = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+_FIXED = {
+    GateKind.X: _X,
+    GateKind.SWAP: _X,
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
+    GateKind.S: np.diag([1, 1j]),
+    GateKind.SDG: np.diag([1, -1j]),
+    GateKind.T: np.diag([1, np.exp(1j * math.pi / 4)]),
+    GateKind.TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
+    GateKind.MCZ: np.diag([1, -1]).astype(complex),
 }
-
-_PHASE_1Q = {
-    GateKind.S: 1j,
-    GateKind.SDG: -1j,
-    GateKind.T: np.exp(1j * math.pi / 4),
-    GateKind.TDG: np.exp(-1j * math.pi / 4),
-}
-
-
-SINGLE_QUBIT_MIXING = frozenset({GateKind.H, GateKind.RY, GateKind.U3})
 
 
 class ResourceLimitError(RuntimeError):
@@ -44,14 +47,19 @@ class ResourceLimitError(RuntimeError):
         self.qubit_count = qubit_count
 
 
-def gate_matrix_1q(gate: Gate) -> np.ndarray:
-    """Exact 2x2 matrix of a single-qubit gate kind (no global phase slack)."""
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Exact 2x2 matrix of a gate kind (no global phase slack), ignoring controls.
+
+    It acts on the gate's basis pair (lo, hi): |0>, |1> of the target for
+    one-target kinds (MCZ's target included), and |a=1,b=0>, |a=0,b=1> of
+    targets (a, b) for SWAP and XXPLUSYY, which leave |00> and |11> alone.
+    """
     kind = gate.kind
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
-    if kind in _PHASE_1Q:
-        return np.array([[1, 0], [0, _PHASE_1Q[kind]]], dtype=complex)
-    if kind is GateKind.RY:
+    if kind in _FIXED:
+        return _FIXED[kind]
+    if kind is GateKind.XXPLUSYY and abs(gate.params[1] - math.pi / 2) > 1e-12:
+        raise UsageError("XXPLUSYY is only supported at beta = pi/2")
+    if kind in (GateKind.RY, GateKind.XXPLUSYY):
         th = gate.params[0]
         c, s = math.cos(th / 2), math.sin(th / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -60,7 +68,7 @@ def gate_matrix_1q(gate: Gate) -> np.ndarray:
         c, s = math.cos(th / 2), math.sin(th / 2)
         return np.array([[c, -np.exp(1j * lam) * s],
                          [np.exp(1j * ph) * s, np.exp(1j * (ph + lam)) * c]])
-    raise UsageError(f"{kind.value} is not a single-qubit kind")
+    raise UsageError(f"cannot simulate gate kind {kind.value}")
 
 
 @dataclass
@@ -127,42 +135,9 @@ def _control_mask(gate: Gate):
     return np.int64(cmask), np.int64(cval)
 
 
-def _merge(keys_a, amps_a, keys_b, amps_b):
-    """Merge two (sorted-or-not) sparse chunks, summing duplicate keys."""
-    keys = np.concatenate([keys_a, keys_b])
-    amps = np.concatenate([amps_a, amps_b])
-    order = np.argsort(keys, kind="stable")
-    keys, amps = keys[order], amps[order]
-    uniq, start = np.unique(keys, return_index=True)
-    summed = np.add.reduceat(amps, start) if len(keys) else amps
-    return uniq, summed
-
-
-def _apply_permutation(keys, amps, sel, flip_mask):
-    keys = keys.copy()
-    keys[sel] ^= np.int64(flip_mask)
+def _sort(keys, amps):
     order = np.argsort(keys, kind="stable")
     return keys[order], amps[order]
-
-
-def _apply_mix_pairs(keys, amps, sel, bit_lo, bit_hi, m):
-    """Apply a 2x2 mix between the pair of basis states that differ in the
-    given one-hot bit masks, over selected entries.  ``m`` maps (lo, hi)
-    occupancy amplitudes: new_lo = m00*lo + m01*hi ; new_hi = m10*lo + m11*hi.
-    """
-    base = np.unique(keys[sel] & ~np.int64(bit_lo | bit_hi))
-    lo_keys = base | np.int64(bit_lo)
-    hi_keys = base | np.int64(bit_hi)
-    a_lo = _lookup(keys, amps, lo_keys)
-    a_hi = _lookup(keys, amps, hi_keys)
-    new_lo = m[0, 0] * a_lo + m[0, 1] * a_hi
-    new_hi = m[1, 0] * a_lo + m[1, 1] * a_hi
-    # Untouched part: everything not in the affected pair set.
-    affected = np.concatenate([lo_keys, hi_keys])
-    touched = np.isin(keys, affected, assume_unique=False)
-    return _merge(keys[~touched], amps[~touched],
-                  np.concatenate([lo_keys, hi_keys]),
-                  np.concatenate([new_lo, new_hi]))
 
 
 def _lookup(keys, amps, query):
@@ -203,6 +178,9 @@ def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
             dealloc_by_pos.setdefault(pos, []).append(q)
 
     for pos, gate in enumerate(circuit.gates):
+        if any(not 0 <= q < state.num_qubits for q in gate.qubits):
+            raise UsageError(f"{gate.display_name()} on {gate.qubits} is outside "
+                             f"the {state.num_qubits}-qubit state")
         if debug and pos in dealloc_by_pos:
             _assert_zero(keys, amps, dealloc_by_pos[pos])
         keys, amps = _apply_gate(keys, amps, gate)
@@ -227,69 +205,45 @@ def _assert_zero(keys, amps, qubits):
 
 
 def _apply_gate(keys, amps, gate: Gate):
-    kind = gate.kind
-    if kind is GateKind.BARRIER:
+    """Apply ``gate_matrix(gate)`` to every control-satisfied (lo, hi) pair.
+
+    Updates ``keys`` and ``amps`` in place where it can; ``apply`` owns them.
+    The path is chosen from exact tests on the matrix entries.
+    """
+    if gate.kind is GateKind.BARRIER:
         return keys, amps
+    m = gate_matrix(gate)
     cmask, cval = _control_mask(gate)
     sel = (keys & cmask) == cval if cmask else np.ones(len(keys), dtype=bool)
+    if len(gate.targets) == 1:
+        lo, hi = 0, 1 << gate.targets[0]
+    else:
+        a, b = gate.targets
+        lo, hi = 1 << a, 1 << b
+        sel &= ((keys >> a) ^ (keys >> b)) & 1 == 1
+    if not sel.any():
+        return keys, amps
+    pair = np.int64(lo | hi)
 
-    if kind is GateKind.MCZ:
-        t = gate.targets[0]
-        hit = sel & (((keys >> t) & 1) == 1)
-        amps = amps.copy()
-        amps[hit] = -amps[hit]
+    if m[0, 1] == 0 and m[1, 0] == 0:
+        for half, factor in ((lo, m[0, 0]), (hi, m[1, 1])):
+            if factor != 1:
+                amps[sel & ((keys & pair) == half)] *= factor
         return keys, amps
 
-    if kind in _PHASE_1Q:
-        t = gate.targets[0]
-        hit = sel & (((keys >> t) & 1) == 1)
-        amps = amps.copy()
-        amps[hit] *= _PHASE_1Q[kind]
-        return keys, amps
+    if m[0, 0] == 0 and m[1, 1] == 0 and m[0, 1] == 1 and m[1, 0] == 1:
+        keys[sel] ^= pair
+        return _sort(keys, amps)
 
-    if kind is GateKind.X:
-        bit = 1 << gate.targets[0]
-        return _apply_permutation(keys, amps, sel, bit)
-
-    if kind is GateKind.SWAP:
-        a, b = gate.targets
-        differ = sel & ((((keys >> a) & 1) != ((keys >> b) & 1)))
-        return _apply_permutation(keys, amps, differ, (1 << a) | (1 << b))
-
-    if kind is GateKind.XXPLUSYY:
-        phi, beta = gate.params
-        if abs(beta - math.pi / 2) > 1e-12:
-            raise UsageError("XXPLUSYY is only supported at beta = pi/2")
-        a, b = gate.targets
-        bit_a, bit_b = 1 << a, 1 << b
-        differ = sel & ((((keys >> a) & 1) != ((keys >> b) & 1)))
-        if not np.any(differ):
-            return keys, amps
-        c, s = math.cos(phi / 2), math.sin(phi / 2)
-        # |a=1,b=0> -> c|a=1,b=0> + s|a=0,b=1>;  |a=0,b=1> -> -s .. + c ..
-        m = np.array([[c, -s], [s, c]], dtype=complex)
-        return _apply_mix_pairs(keys, amps, differ, bit_a, bit_b, m)
-
-    if kind in SINGLE_QUBIT_MIXING:
-        # Pair-mixing only among control-satisfied entries; controls never
-        # involve the target, so both pair members share the control pattern.
-        t = gate.targets[0]
-        bit = 1 << t
-        if not np.any(sel):
-            return keys, amps
-        m = gate_matrix_1q(gate)
-        base = np.unique(keys[sel] & ~np.int64(bit))
-        k0 = base
-        k1 = base | np.int64(bit)
-        a0 = _lookup(keys, amps, k0)
-        a1 = _lookup(keys, amps, k1)
-        n0 = m[0, 0] * a0 + m[0, 1] * a1
-        n1 = m[1, 0] * a0 + m[1, 1] * a1
-        touched = np.isin(keys, np.concatenate([k0, k1]))
-        return _merge(keys[~touched], amps[~touched],
-                      np.concatenate([k0, k1]), np.concatenate([n0, n1]))
-
-    raise UsageError(f"cannot simulate gate kind {kind.value}")
+    # Controls never involve the targets, so both members of a pair share
+    # the control pattern and ``sel`` is exactly the set of touched entries.
+    base = np.unique(keys[sel] & ~pair)
+    lo_keys, hi_keys = base | np.int64(lo), base | np.int64(hi)
+    a_lo = _lookup(keys, amps, lo_keys)
+    a_hi = _lookup(keys, amps, hi_keys)
+    return _sort(np.concatenate([keys[~sel], lo_keys, hi_keys]),
+                 np.concatenate([amps[~sel], m[0, 0] * a_lo + m[0, 1] * a_hi,
+                                 m[1, 0] * a_lo + m[1, 1] * a_hi]))
 
 
 @dataclass
@@ -334,12 +288,6 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     return MeasurementCounts(shots, counts)
 
 
-def sample_values(state: SparseState, measured_qubits, shots: int, seed) -> dict[int, int]:
-    """Like ``sample`` but keyed by integer outcome (bit i = measured[i])."""
-    mc = sample(state, measured_qubits, shots, seed)
-    return {int(k, 2): v for k, v in mc.counts.items()}
-
-
 def dense_unitary(circuit: Circuit) -> np.ndarray:
     """2^n x 2^n matrix assembled column-by-column by simulating basis inputs."""
     n = circuit.num_qubits
@@ -363,10 +311,20 @@ def dump_state(state: SparseState) -> str:
 
 
 def load_state(text: str, num_qubits: int) -> SparseState:
+    """Parse ``dump_state`` text: one ``num_qubits``-wide bit string per line,
+    no basis state twice, norm 1 within 1e-9."""
     amplitudes = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         bits, re_s, im_s = line.split()
-        amplitudes[int(bits, 2)] = complex(float(re_s), float(im_s))
-    return SparseState.from_dict(num_qubits, amplitudes)
+        if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+            raise UsageError(f"{bits!r} is not a {num_qubits}-bit basis state")
+        key = int(bits, 2)
+        if key in amplitudes:
+            raise UsageError(f"basis state {bits} appears twice")
+        amplitudes[key] = complex(float(re_s), float(im_s))
+    state = SparseState.from_dict(num_qubits, amplitudes)
+    if abs(state.norm() - 1.0) > 1e-9:
+        raise UsageError(f"state norm {state.norm():.12g} is not 1")
+    return state

@@ -204,10 +204,6 @@ def accept_builder(tree: BacktrackingTree, circ: Circuit) -> int:
     return res
 
 
-def build_accept(tree: BacktrackingTree):
-    return accept_builder
-
-
 def make_reject_builder(plan: CheckPlan):
     """Reject oracle: one phase-tolerant comparison per cq batch and qq pair,
     each controlled on the height qubit of its most recent assignment,
@@ -236,12 +232,6 @@ def make_reject_builder(plan: CheckPlan):
         return res
 
     return builder
-
-
-def build_reject(tree: BacktrackingTree, plan: CheckPlan):
-    if tree.max_depth != len(plan.assignment_order) + 1:
-        raise UsageError("tree depth must be (number of empty cells) + 1")
-    return make_reject_builder(plan)
 
 
 def tree_for_board(board: SudokuBoard, subspace_optimization: bool = False

@@ -284,11 +284,6 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray",
     raise UsageError(f"unknown mcx method {method!r}")
 
 
-def mcz(circ: Circuit, qubits, control_state=None) -> None:
-    """Phase -1 on the basis state matching ``control_state``; symmetric."""
-    circ.mcz(qubits, control_state)
-
-
 # Lowering networks used by the transpiler -----------------------------------
 
 

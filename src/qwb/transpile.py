@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS, UsageError
-from .sim import gate_matrix_1q
+from .sim import gate_matrix
 from .synthesis import emit_mcx_network, emit_mcz_network, emit_xxyy_decomposition
 
 _ID2 = np.eye(2, dtype=complex)
@@ -47,17 +47,9 @@ def _u3_of_matrix(m: np.ndarray) -> tuple[float, float, float]:
 
 
 def _is_identity(m: np.ndarray, tol=1e-10) -> bool:
-    if abs(abs(m[0, 0]) - 1.0) > tol:
-        return False
-    return bool(abs(m[0, 1]) < tol and abs(m[1, 0]) < tol
-                and abs(m[1, 1] - m[0, 0] * cmath.exp(0j)) < tol
-                and abs(m[1, 1] / m[0, 0] - 1.0) < tol)
-
-
-def _u3_matrix(theta, phi, lam):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -cmath.exp(1j * lam) * s],
-                     [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c]])
+    """True when ``m`` is a global phase times the identity."""
+    return bool(abs(abs(m[0, 0]) - 1.0) <= tol and abs(m[0, 1]) < tol
+                and abs(m[1, 0]) < tol and abs(m[1, 1] - m[0, 0]) < tol)
 
 
 def _sqrtm_2x2_unitary(m: np.ndarray) -> np.ndarray:
@@ -110,7 +102,7 @@ class _Lowerer:
             if gate.kind is GateKind.U3:
                 self.circ.u3(*gate.params, target)
             else:
-                self.circ.u3(*_u3_of_matrix(gate_matrix_1q(gate)), target)
+                self.circ.u3(*_u3_of_matrix(gate_matrix(gate)), target)
             return
         if gate.kind is GateKind.X:
             flipped = [c for c, s in zip(gate.controls, gate.control_state) if not s]
@@ -130,8 +122,7 @@ class _Lowerer:
         flipped = [c for c, s in zip(gate.controls, gate.control_state) if not s]
         for c in flipped:
             self._x(c)
-        m = gate_matrix_1q(replace(gate, controls=(), control_state=()))
-        self._controlled_unitary(list(gate.controls), target, m)
+        self._controlled_unitary(list(gate.controls), target, gate_matrix(gate))
         for c in flipped:
             self._x(c)
 
@@ -198,7 +189,7 @@ def _fuse(gates, num_qubits: int) -> list[Gate]:
     for g in gates:
         if g.kind is GateKind.U3 and not g.controls:
             q = g.targets[0]
-            pending[q] = _u3_matrix(*g.params) @ pending.get(q, _ID2)
+            pending[q] = gate_matrix(g) @ pending.get(q, _ID2)
         else:
             for q in g.qubits:
                 flush(q)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .circuit import Circuit, UsageError
 from .sim import SparseState, apply, sample
-from .synthesis import controlled_h, fredkin, mcz, xx_plus_yy
+from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ class BacktrackingTree:
         amark, gmark = circ.alloc_mark(), circ.mark()
         accept_q = self.accept_builder(self, circ)
         accept_gates = circ.gates_since(gmark)
-        mcz(circ, (oddity, accept_q) + ctrl, (1, 0) + (1,) * len(ctrl))
+        circ.mcz((oddity, accept_q) + ctrl, (1, 0) + (1,) * len(ctrl))
         circ.extend_inverted(accept_gates)
         _release(circ, amark)
 
@@ -292,7 +292,7 @@ class BacktrackingTree:
         amark, gmark = circ.alloc_mark(), circ.mark()
         reject_q = self.reject_builder(self, circ)
         reject_gates = circ.gates_since(gmark)
-        mcz(circ, (reject_q, oddity) + ctrl, (1, 0) + (1,) * len(ctrl))
+        circ.mcz((reject_q, oddity) + ctrl, (1, 0) + (1,) * len(ctrl))
         circ.extend_inverted(reject_gates)
         _release(circ, amark)
 

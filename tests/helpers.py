@@ -96,11 +96,17 @@ def definitional_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
+_CONTROLLABLE = [(GateKind.H, 0), (GateKind.S, 0), (GateKind.SDG, 0), (GateKind.T, 0),
+                 (GateKind.TDG, 0), (GateKind.RY, 1), (GateKind.U3, 3)]
+
+
 def random_circuit(rng, num_qubits: int, num_gates: int,
                    mixing_only: bool = False) -> Circuit:
+    """Random gates of every kind, including controlled and open-controlled
+    single-qubit gates and ``Circuit.phase``."""
     circ = Circuit(num_qubits)
     kinds = ["x", "h", "s", "sdg", "t", "tdg", "ry", "u3", "cx", "swap",
-             "xxyy", "mcz", "mcx"]
+             "xxyy", "mcz", "mcx", "phase", "cu"]
     if mixing_only:
         kinds = ["h", "ry", "u3", "cx"]
     for _ in range(num_gates):
@@ -135,6 +141,14 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
             w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
             circ.mcx([int(q) for q in qs[:w]], int(qs[w]),
                      [int(b) for b in rng.integers(0, 2, w)])
+        elif kind == "phase":
+            circ.phase(rng.uniform(-3, 3), int(qs[0]))
+        elif kind == "cu":
+            base, nparams = _CONTROLLABLE[rng.integers(len(_CONTROLLABLE))]
+            w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
+            circ.extend_verbatim([Gate(
+                base, (int(qs[w]),), tuple(float(p) for p in rng.uniform(-3, 3, nparams)),
+                tuple(int(q) for q in qs[:w]), tuple(int(b) for b in rng.integers(0, 2, w)))])
     return circ
 
 

@@ -152,6 +152,8 @@ def test_mcz_requires_two_qubits():
 def test_serialization_round_trip():
     rng = np.random.default_rng(4)
     c = random_circuit(rng, 4, 30)
+    c.barrier()
+    c.barrier([0, 2])
     text = to_text(c)
     back = from_text(text)
     assert back.num_qubits == c.num_qubits
@@ -164,6 +166,19 @@ def test_serialization_rejects_garbage():
         from_text("GATE X - 0 - -")
     with pytest.raises(UsageError):
         from_text("QUBITS 2\nnot a gate line at all")
+
+
+@pytest.mark.parametrize("line", ["GATE X - 5 - -", "GATE X - 0 2 1", "GATE X - -1 - -"])
+def test_from_text_rejects_qubits_off_the_register(line):
+    with pytest.raises(UsageError):
+        from_text("QUBITS 2\n" + line)
+
+
+@pytest.mark.parametrize("text", ["QUBITS 2\nGATE X - 0,1 - -", "QUBITS 2\nGATE SWAP - 0 - -",
+                                  "QUBITS 2\nGATE X - 0 1 2", "QUBITS -1"])
+def test_from_text_rejects_malformed_gates(text):
+    with pytest.raises(UsageError):
+        from_text(text)
 
 
 def test_no_gate_references_free_pool_structurally():

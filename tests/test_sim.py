@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwb.circuit import Circuit, UsageError
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import (ResourceLimitError, SparseState, apply, dense_unitary,
                      dump_state, load_state, sample)
 
@@ -66,6 +67,47 @@ def test_apply_on_random_states_matches_dense():
         assert np.max(np.abs(out - want)) < 1e-9
 
 
+def _vector(amplitudes, n):
+    vec = np.zeros(2 ** n, dtype=complex)
+    for k, v in amplitudes.items():
+        vec[k] = v
+    return vec
+
+
+random_circuits = given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+                        num_gates=st.integers(1, 25))
+
+
+@settings(max_examples=60, deadline=None)
+@random_circuits
+def test_property_apply_matches_definitional_unitary(seed, n, num_gates):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, num_gates)
+    amps = random_sparse_dict(rng, n, int(rng.integers(1, 2 ** n + 1)))
+    got = apply(SparseState.from_dict(n, amps), c)
+    want = definitional_unitary(c) @ _vector(amps, n)
+    assert np.max(np.abs(_vector(got.amplitudes, n) - want)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@random_circuits
+def test_property_circuit_then_invert_is_identity(seed, n, num_gates):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, num_gates)
+    amps = random_sparse_dict(rng, n, int(rng.integers(1, 2 ** n + 1)))
+    back = apply(apply(SparseState.from_dict(n, amps), c), invert(c))
+    assert np.max(np.abs(_vector(back.amplitudes, n) - _vector(amps, n))) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@random_circuits
+def test_property_text_round_trip_is_exact(seed, n, num_gates):
+    c = random_circuit(np.random.default_rng(seed), n, num_gates)
+    back = from_text(to_text(c))
+    assert back.num_qubits == c.num_qubits
+    assert back.gates == c.gates
+
+
 def test_norm_preserved_over_many_gates():
     rng = np.random.default_rng(12)
     c = random_circuit(rng, 6, 10_000)
@@ -83,6 +125,13 @@ def test_controls_with_polarity():
 def test_gate_out_of_range_is_error():
     c = Circuit(3)
     c.x(2)
+    with pytest.raises(UsageError):
+        apply(SparseState.zero(2), c)
+
+
+def test_gate_outside_state_is_error():
+    c = Circuit(2)
+    c.gates.append(Gate(GateKind.X, (5,)))
     with pytest.raises(UsageError):
         apply(SparseState.zero(2), c)
 
@@ -154,6 +203,19 @@ def test_dump_and_load_round_trip():
     back = load_state(text, 3)
     for k, v in st.amplitudes.items():
         assert back.amplitude(k) == pytest.approx(v)
+
+
+@pytest.mark.parametrize("text", [
+    "00 1 0\n00 1 0\n111 5 0\n",     # duplicate state, wrong width
+    "00 1 0\n10 0.6 0\n00 0.8 0\n",  # duplicate state
+    "001 1 0\n",                     # wrong width
+    "0a 1 0\n",                      # not a bit string
+    "00 1 0\n11 1 0\n",              # norm sqrt(2)
+    "",                              # norm 0
+])
+def test_load_state_rejects_malformed_dumps(text):
+    with pytest.raises(UsageError):
+        load_state(text, 2)
 
 
 def test_pruning_drops_tiny_amplitudes():

@@ -4,9 +4,8 @@ import pytest
 
 from qwb.circuit import UsageError
 from qwb.sim import SparseState, apply
-from qwb.sudoku import (FIG1_BOARD, ParseError, SudokuBoard, accept_builder,
-                        board_with_path, branch_bits_for, build_accept,
-                        build_check_plan, build_reject, classical_solve,
+from qwb.sudoku import (FIG1_BOARD, ParseError, SudokuBoard, board_with_path,
+                        branch_bits_for, build_check_plan, classical_solve,
                         format_board, parse_board, peers, restrict_board,
                         to_coloring_graph, tree_for_board, violates)
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
@@ -244,17 +243,6 @@ def test_uncomputation_hygiene_and_pool_reuse():
     st = apply(SparseState.zero(circ.num_qubits), circ)
     for q in range(tree.num_tree_qubits, circ.num_qubits):
         assert st.probability(q, 1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_build_accept_and_reject_validate_depth():
-    board = restrict_board(parse_board(FIG1_BOARD), 2)
-    tree, plan = tree_for_board(board)
-    assert build_accept(tree) is accept_builder
-    assert callable(build_reject(tree, plan))
-    from qwb.walk import BacktrackingTree, trivial_oracle
-    wrong = BacktrackingTree(2, 2, trivial_oracle, trivial_oracle)
-    with pytest.raises(UsageError):
-        build_reject(wrong, plan)
 
 
 def test_sibling_leaves_never_trigger_contract_violation():

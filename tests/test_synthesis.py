@@ -7,7 +7,7 @@ import pytest
 from qwb.circuit import Circuit, UsageError, control_generic, invert
 from qwb.sim import SparseState, apply, dense_unitary
 from qwb.synthesis import (TruthTable, cq_in_set, controlled_h, fredkin, mcx,
-                           mcz, qq_equal, synth_truth_table, xx_plus_yy)
+                           qq_equal, synth_truth_table, xx_plus_yy)
 from qwb.transpile import metrics, transpile
 
 def cx_count(circ):
@@ -103,29 +103,29 @@ def test_balauca_pool_growth_guard():
 
 def test_mcz_two_qubits_is_cz():
     c = Circuit(2)
-    mcz(c, [0, 1])
+    c.mcz([0, 1])
     assert np.allclose(dense_unitary(c), np.diag([1, 1, 1, -1]), atol=1e-12)
 
 
 def test_mcz_zero_polarity_entry():
     c = Circuit(2)
-    mcz(c, [0, 1], [0, 1])   # flips the |q0=0, q1=1| state
+    c.mcz([0, 1], [0, 1])   # flips the |q0=0, q1=1| state
     assert np.allclose(dense_unitary(c), np.diag([1, 1, -1, 1]), atol=1e-12)
 
 
 def test_mcz_symmetric_under_reordering():
     a = Circuit(3)
-    mcz(a, [0, 1, 2], [1, 0, 1])
+    a.mcz([0, 1, 2], [1, 0, 1])
     b = Circuit(3)
-    mcz(b, [2, 0, 1], [1, 1, 0])
+    b.mcz([2, 0, 1], [1, 1, 0])
     assert np.allclose(dense_unitary(a), dense_unitary(b), atol=1e-12)
 
 
 def test_mcz_extra_control_is_one_more_qubit():
     base = Circuit(3)
-    mcz(base, [0, 1, 2], [1, 0, 1])
+    base.mcz([0, 1, 2], [1, 0, 1])
     ext = Circuit(4)
-    mcz(ext, [0, 1, 2, 3], [1, 0, 1, 1])
+    ext.mcz([0, 1, 2, 3], [1, 0, 1, 1])
     assert np.allclose(dense_unitary(control_generic(base, 3)), dense_unitary(ext),
                        atol=1e-12)
 
