@@ -78,6 +78,9 @@ class Gate:
         want = _PARAM_COUNT.get(self.kind, 0)
         if len(self.params) != want:
             raise UsageError(f"{self.kind.value} expects {want} params, got {len(self.params)}")
+        want = _TARGET_COUNT.get(self.kind, 1)
+        if len(self.targets) != want and self.kind is not GateKind.BARRIER:
+            raise UsageError(f"{self.kind.value} expects {want} targets, got {len(self.targets)}")
         seen = set(self.targets) | set(self.controls)
         if len(seen) != len(self.targets) + len(self.controls):
             raise UsageError("targets and controls must be disjoint and unique")
@@ -262,64 +265,49 @@ class Circuit:
     def barrier(self, qubits=()):
         self._emit(GateKind.BARRIER, tuple(qubits))
 
-    # -- fragment handling --------------------------------------------------
+    # -- fragments ----------------------------------------------------------
 
-    def mark(self) -> int:
-        return len(self.gates)
-
-    def gates_since(self, mark: int) -> tuple[Gate, ...]:
-        return tuple(self.gates[mark:])
-
-    def alloc_mark(self) -> int:
-        return len(self.alloc_events)
-
-    def allocs_since(self, mark: int) -> tuple[int, ...]:
-        return tuple(q for _, q in self.alloc_events[mark:])
-
-    def _reserve_freed(self, gates) -> list[int]:
-        """Pull currently-free qubits referenced by a replayed fragment back
-        out of the pool (a fragment may have allocated and released ancillae
-        internally; its mirror re-uses the same wires and re-releases them)."""
-        refs = {q for g in gates for q in g.qubits}
-        reserved = sorted(q for q in refs if q in self._free_set)
+    def extend(self, gates) -> None:
+        """Append already-mapped gates (``wire_map`` is not applied).  Wires
+        the fragment used that are free now (ancillae it allocated and
+        released itself) are claimed for the replay and released after it."""
+        gates = tuple(gates)
+        reserved = sorted({q for g in gates for q in g.qubits} & self._free_set)
         if reserved:
             self._free_set.difference_update(reserved)
             self._free = [q for q in self._free if q in self._free_set]
             heapq.heapify(self._free)
             self.alloc_events.extend((len(self.gates), q) for q in reserved)
-        return reserved
-
-    def extend_verbatim(self, gates) -> None:
-        """Append already-mapped gates without applying wire_map."""
-        gates = tuple(gates)
-        reserved = self._reserve_freed(gates)
         for g in gates:
             self._check_live(g)
-            self.gates.append(g)
+        self.gates.extend(gates)
         for q in reversed(reserved):
             self.deallocate(q)
 
-    def extend_inverted(self, gates) -> None:
-        """Append the adjoint of an already-mapped gate sequence."""
-        gates = tuple(gates)
-        reserved = self._reserve_freed(gates)
-        for g in reversed(gates):
-            if g.kind is GateKind.BARRIER:
-                continue
-            inv = g.adjoint()
-            self._check_live(inv)
-            self.gates.append(inv)
-        for q in reversed(reserved):
-            self.deallocate(q)
+    def within(self, compute, action):
+        """Emit ``compute()``, then ``action(result)``, then the adjoint of
+        what ``compute`` emitted; finally free every qubit allocated since
+        the call began that is still allocated, newest first."""
+        start, allocs = len(self.gates), len(self.alloc_events)
+        result = compute()
+        fragment = self.gates[start:]
+        action(result)
+        self.extend(adjoint(fragment))
+        for _, q in reversed(self.alloc_events[allocs:]):
+            if q not in self._free_set:
+                self.deallocate(q)
+
+
+def adjoint(gates) -> list[Gate]:
+    """The inverse of a gate sequence: reversed, barriers dropped, every gate
+    replaced by its adjoint."""
+    return [g.adjoint() for g in reversed(gates) if g.kind is not GateKind.BARRIER]
 
 
 def invert(circuit: Circuit) -> Circuit:
     """Reversed circuit with every gate replaced by its adjoint."""
     out = Circuit(circuit.num_qubits)
-    for g in reversed(circuit.gates):
-        if g.kind is GateKind.BARRIER:
-            continue
-        out.gates.append(g.adjoint())
+    out.gates = adjoint(circuit.gates)
     return out
 
 
@@ -382,8 +370,7 @@ def from_text(text: str) -> Circuit:
             tuple(int(c) for c in controls.split(",")) if controls != "-" else (),
             tuple(int(s) for s in state.split(",")) if state != "-" else (),
         )
-        if (set(gate.control_state) - {0, 1} or gate.kind is not GateKind.BARRIER
-                and len(gate.targets) != _TARGET_COUNT.get(gate.kind, 1)):
+        if set(gate.control_state) - {0, 1}:
             raise UsageError(f"malformed gate line: {ln!r}")
         circ._check_live(gate)
         circ.gates.append(gate)

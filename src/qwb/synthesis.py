@@ -259,24 +259,20 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray",
                 f"balauca_logdepth needs {len(controls) - 2} free ancillae, "
                 f"pool has {len(circ.free_pool)}")
         flipped = _fold_polarity(circ, controls, control_state)
-        ancillae = []
-        mark = circ.mark()
-        layer = list(controls)
-        while len(layer) > 2:
-            nxt = []
-            for i in range(0, len(layer) - 1, 2):
-                anc = circ.allocate()
-                ancillae.append(anc)
-                _rccx(circ, layer[i], layer[i + 1], anc)
-                nxt.append(anc)
-            if len(layer) % 2:
-                nxt.append(layer[-1])
-            layer = nxt
-        compute = circ.gates_since(mark)
-        circ.mcx(layer, target)
-        circ.extend_inverted(compute)
-        for anc in reversed(ancillae):
-            circ.deallocate(anc)
+
+        def ladder():
+            layer = list(controls)
+            while len(layer) > 2:
+                nxt = []
+                for i in range(0, len(layer) - 1, 2):
+                    nxt.append(circ.allocate())
+                    _rccx(circ, layer[i], layer[i + 1], nxt[-1])
+                if len(layer) % 2:
+                    nxt.append(layer[-1])
+                layer = nxt
+            return layer
+
+        circ.within(ladder, lambda layer: circ.mcx(layer, target))
         for c in flipped:
             circ.x(c)
         return

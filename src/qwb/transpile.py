@@ -206,7 +206,7 @@ def transpile(circuit: Circuit) -> Circuit:
         lw.lower_gate(g)
     fused = _fuse(lw.circ.gates, circuit.num_qubits)
     out = Circuit(circuit.num_qubits)
-    out.extend_verbatim(fused)
+    out.extend(fused)
     return out
 
 

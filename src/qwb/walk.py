@@ -24,8 +24,10 @@ state, and the diffusers never map them onto algorithmic states.
 
 Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 ``circuit.allocate``, emit gates, and return the result qubit.  The diffuser
-records the fragment, applies its phase, replays the exact inverse and
-returns every allocated qubit to the pool, so builders never uncompute.
+runs each builder as the compute step of ``Circuit.within``, which applies
+the phase, emits the builder's adjoint and returns every allocated qubit to
+the pool, so builders never uncompute.  Phase estimation builds each
+controlled step once and replays its gates with ``Circuit.extend``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, UsageError
+from .circuit import Circuit, UsageError, adjoint
 from .sim import SparseState, apply, sample
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
@@ -62,6 +64,10 @@ class WalkConfig:
             raise UsageError("precision_bits must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise UsageError("delta must lie in (0, 1)")
+        if self.shots < 1:
+            raise UsageError("shots must be >= 1")
+        if self.beta_const <= 0.0 or self.gamma_const <= 0.0:
+            raise UsageError("beta and gamma must be positive")
 
 
 @dataclass
@@ -211,14 +217,8 @@ class BacktrackingTree:
 
     # -- walk emitters ------------------------------------------------------
 
-    def _psi_prep_gates(self, circ: Circuit, even: bool):
-        """Build the child-superposition preparation as a mapped gate list."""
-        shadow = Circuit(circ.num_qubits)
-        shadow.wire_map = list(circ.wire_map)
-        self._emit_psi_prep(shadow, even)
-        return tuple(shadow.gates)
-
-    def _emit_psi_prep(self, circ: Circuit, even: bool) -> None:
+    def psi_prep(self, circ: Circuit, even: bool) -> None:
+        """Child-superposition preparation for parents of the given parity."""
         n = self.effective_depth
         ev = int(even)
         phi = 2.0 * math.atan(math.sqrt(self.deg))
@@ -240,9 +240,6 @@ class BacktrackingTree:
         for i in range(ev, n - 1, 2):
             pair(phi, i)
 
-    def psi_prep(self, circ: Circuit, even: bool) -> None:
-        circ.extend_verbatim(self._psi_prep_gates(circ, even))
-
     def qstep_diffuser(self, circ: Circuit, even: bool, ctrl=()) -> None:
         """One diffuser: reflections about the child superpositions over all
         parent subspaces of the selected height parity (identity on marked
@@ -251,66 +248,48 @@ class BacktrackingTree:
         ev = int(even)
         ctrl = tuple(ctrl)
 
-        prep = self._psi_prep_gates(circ, even)
-        circ.extend_inverted(prep)
+        def unprep():
+            start = len(circ.gates)
+            self.psi_prep(circ, even)
+            circ.gates[start:] = adjoint(circ.gates[start:])
 
-        oddity = circ.allocate()
-        for i in range(n + 1):
-            if i % 2 != ev:
-                circ.cx(self.h[i], oddity)
+        def phase(first, second):
+            circ.mcz((first, second) + ctrl, (1, 0) + (1,) * len(ctrl))
 
-        # Phase the non-accepted parents.
-        amark, gmark = circ.alloc_mark(), circ.mark()
-        accept_q = self.accept_builder(self, circ)
-        accept_gates = circ.gates_since(gmark)
-        circ.mcz((oddity, accept_q) + ctrl, (1, 0) + (1,) * len(ctrl))
-        circ.extend_inverted(accept_gates)
-        _release(circ, amark)
-
-        # Lifting.  The height increment would read the root as a leaf; when
-        # the root has child parity, flipping its oddity masks it from the
-        # reject phase below.
-        root_fix = (n % 2) == ev
-        if root_fix:
-            circ.cx(self.h[n], oddity)
-
-        temp = []
-        swap_gates = ()
-        if not self.subspace_optimization:
-            temp = circ.allocate_register(self.branch_bits)
-            smark = circ.mark()
-            for i in range(n):
-                if i % 2 == ev:
-                    reg = self.branch_reg(i)
-                    for j, q in enumerate(reg):
+        def lift():
+            if not self.subspace_optimization:
+                temp = circ.allocate_register(self.branch_bits)
+                for i in range(ev, n, 2):
+                    for j, q in enumerate(self.branch_reg(i)):
                         fredkin(circ, temp[j], q, ctrl=self.h[i])
-            swap_gates = circ.gates_since(smark)
+            circ.permute_wires(self._increment_perm())
 
-        circ.permute_wires(self._increment_perm())
-
-        # Phase the children of rejected parents, evaluated on the lift.
-        amark, gmark = circ.alloc_mark(), circ.mark()
-        reject_q = self.reject_builder(self, circ)
-        reject_gates = circ.gates_since(gmark)
-        circ.mcz((reject_q, oddity) + ctrl, (1, 0) + (1,) * len(ctrl))
-        circ.extend_inverted(reject_gates)
-        _release(circ, amark)
-
-        circ.permute_wires(self._decrement_perm())
-
-        if not self.subspace_optimization:
-            circ.extend_inverted(swap_gates)
-            for q in reversed(temp):
-                circ.deallocate(q)
-
-        if root_fix:
-            circ.cx(self.h[n], oddity)
-        for i in range(n + 1):
-            if i % 2 != ev:
+        def reflection(_):
+            oddity = circ.allocate()
+            for i in range(1 - ev, n + 1, 2):
                 circ.cx(self.h[i], oddity)
-        circ.deallocate(oddity)
+            # Phase the non-accepted parents.
+            circ.within(lambda: self.accept_builder(self, circ),
+                        lambda acc: phase(oddity, acc))
+            # The height increment would read the root as a leaf; when the
+            # root has child parity, flipping its oddity masks it from the
+            # reject phase.
+            root_fix = (n % 2) == ev
+            if root_fix:
+                circ.cx(self.h[n], oddity)
+            # Phase the children of rejected parents, evaluated on the lift.
+            # The lift's swaps are undone by gates; its relabeling is not.
+            circ.within(lift, lambda _: circ.within(
+                lambda: self.reject_builder(self, circ),
+                lambda rej: phase(rej, oddity)))
+            circ.permute_wires(self._decrement_perm())
+            if root_fix:
+                circ.cx(self.h[n], oddity)
+            for i in range(1 - ev, n + 1, 2):
+                circ.cx(self.h[i], oddity)
+            circ.deallocate(oddity)
 
-        circ.extend_verbatim(prep)
+        circ.within(unprep, reflection)
 
     def _increment_perm(self) -> dict[int, int]:
         n = self.effective_depth
@@ -331,25 +310,21 @@ class BacktrackingTree:
     def estimate_phase(self, circ: Circuit, precision_bits: int) -> list[int]:
         """Standard phase estimation on the walk step; returns the ancilla
         register.  The all-zero outcome witnesses an eigenvalue-1 component.
-        Controlled powers are literal repetitions of the controlled step."""
+        The controlled power 2^k is the controlled step built once and its
+        gates replayed 2^k - 1 more times."""
         if precision_bits < 1:
             raise UsageError("precision_bits must be >= 1")
         anc = circ.allocate_register(precision_bits)
         for a in anc:
             circ.h(a)
         for k, a in enumerate(anc):
-            for _ in range(2 ** k):
-                self.quantum_step(circ, ctrl=(a,))
+            start = len(circ.gates)
+            self.quantum_step(circ, ctrl=(a,))
+            step = circ.gates[start:]
+            for _ in range(2 ** k - 1):
+                circ.extend(step)
         _inverse_qft(circ, anc)
         return anc
-
-
-def _release(circ, alloc_mark):
-    """Return every qubit a fragment allocated (and has not itself released)
-    to the pool, newest first."""
-    for q in reversed(circ.allocs_since(alloc_mark)):
-        if q not in circ.free_pool:
-            circ.deallocate(q)
 
 
 def _cphase(circ, theta, a, b):

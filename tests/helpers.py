@@ -146,7 +146,7 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
         elif kind == "cu":
             base, nparams = _CONTROLLABLE[rng.integers(len(_CONTROLLABLE))]
             w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
-            circ.extend_verbatim([Gate(
+            circ.extend([Gate(
                 base, (int(qs[w]),), tuple(float(p) for p in rng.uniform(-3, 3, nparams)),
                 tuple(int(q) for q in qs[:w]), tuple(int(b) for b in rng.integers(0, 2, w)))])
     return circ

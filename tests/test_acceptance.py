@@ -280,7 +280,7 @@ def test_criterion_8_property_suite():
     # phase-tolerant cancellation
     c = Circuit(4)
     mcx(c, [0, 1, 2], 3, method="gray_pt")
-    c.extend_verbatim(invert(c).gates)
+    c.extend(invert(c).gates)
     assert np.allclose(dense_unitary(c), np.eye(16), atol=1e-9)
 
     # oracle contract and uncomputation hygiene on a Sudoku instance
@@ -296,9 +296,7 @@ def test_criterion_8_property_suite():
             assert not (sst.probability(acc, 1) > 0.5 and sst.probability(rej, 1) > 0.5)
     hc = stree.new_circuit()
     stree.init_node(hc, (1,))
-    mark = hc.mark()
-    stree.reject_builder(stree, hc)
-    hc.extend_inverted(hc.gates_since(mark))
+    hc.within(lambda: stree.reject_builder(stree, hc), lambda _: None)
     hst = apply(SparseState.zero(hc.num_qubits), hc)
     for q in range(stree.num_tree_qubits, hc.num_qubits):
         assert hst.probability(q, 1) <= 1e-12

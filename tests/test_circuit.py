@@ -97,8 +97,8 @@ def test_circuit_then_inverse_is_identity_on_random_states():
     for _ in range(100):
         c = random_circuit(rng, 5, 20)
         c2 = Circuit(5)
-        c2.extend_verbatim(c.gates)
-        c2.extend_verbatim(invert(c).gates)
+        c2.extend(c.gates)
+        c2.extend(invert(c).gates)
         st = SparseState.from_dict(5, random_sparse_dict(rng, 5, 8))
         out = apply(st, c2)
         diff = dict(st.amplitudes)
@@ -141,6 +141,12 @@ def test_gate_validation():
     c = Circuit(1)
     with pytest.raises(UsageError):
         c.cx(0, 1)
+
+
+@pytest.mark.parametrize("kind, targets", [(GateKind.X, (0, 1)), (GateKind.SWAP, (0,))])
+def test_gate_rejects_wrong_target_count(kind, targets):
+    with pytest.raises(UsageError):
+        Gate(kind, targets)
 
 
 def test_mcz_requires_two_qubits():

@@ -134,3 +134,12 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith(SOLVED_TEXT)
+
+
+@pytest.mark.parametrize("argv", [["detect", "--beta", "0"], ["detect", "--beta", "-1"],
+                                  ["detect", "--gamma", "-5"], ["solve", "--shots", "0"]])
+def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
+    assert main([argv[0], k2_board] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwb.circuit import UsageError
 from qwb.sim import SparseState, apply
@@ -55,6 +56,28 @@ def test_parse_whitespace_separated_9x9():
 def test_format_round_trip():
     board = parse_board(FIG1_BOARD)
     assert format_board(parse_board(format_board(board))) == format_board(board)
+
+
+@st.composite
+def _blanked_boards(draw):
+    # A fixed solved grid (the standard shifted pattern), its digits
+    # relabelled by a random permutation, with random cells blanked.
+    block = draw(st.sampled_from([2, 3]))
+    size = block * block
+    relabel = draw(st.permutations(range(size)))
+    blank = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+    cells = tuple(
+        tuple(None if blank[r * size + c]
+              else relabel[(block * (r % block) + r // block + c) % size]
+              for c in range(size))
+        for r in range(size))
+    return SudokuBoard(block, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blanked_boards())
+def test_parse_format_round_trip_property(board):
+    assert parse_board(format_board(board)) == board
 
 
 # -- classical solver -----------------------------------------------------------
@@ -221,26 +244,30 @@ def test_reject_ignores_unassigned_fields():
 def test_uncomputation_hygiene_and_pool_reuse():
     board = restrict_board(parse_board(FIG1_BOARD), 3)
     tree, plan = tree_for_board(board)
+    # Five comparisons: the reject oracle aggregates them with a
+    # balauca_logdepth MCX, a within nested inside the ones below.
+    assert len(plan.cq_batches) + len(plan.qq_pairs) >= 4
     circ = tree.new_circuit()
     tree.init_node(circ, (1, 0))
 
     def run_pair():
-        mark, amark = circ.mark(), circ.alloc_mark()
-        tree.reject_builder(tree, circ)
-        circ.extend_inverted(circ.gates_since(mark))
-        for q in reversed(circ.allocs_since(amark)):
-            if q not in circ.free_pool:
-                circ.deallocate(q)
+        circ.within(lambda: tree.reject_builder(tree, circ), lambda _: None)
         return circ.free_pool, circ.num_qubits
 
     pool1, qubits1 = run_pair()
     pool2, qubits2 = run_pair()
-    # a compute/uncompute pair leaves the pool exactly as it found it, and a
-    # second invocation recycles the same wires without growing the circuit
-    assert pool1 == pool2
-    assert qubits1 == qubits2
-    # every workspace qubit measures |0> afterwards
-    st = apply(SparseState.zero(circ.num_qubits), circ)
+    # a compute/uncompute pair returns every wire it allocated to the pool,
+    # and a second invocation recycles the same wires without growing the
+    # circuit
+    assert pool1 == frozenset(range(tree.num_tree_qubits, qubits1))
+    assert (pool2, qubits2) == (pool1, qubits1)
+    # nested: the reject pair runs inside an accept pair
+    circ.within(lambda: tree.accept_builder(tree, circ),
+                lambda acc: circ.within(lambda: tree.reject_builder(tree, circ),
+                                        lambda rej: circ.cz(acc, rej)))
+    assert circ.free_pool == frozenset(range(tree.num_tree_qubits, circ.num_qubits))
+    # every workspace qubit measures |0> at each release and afterwards
+    st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
     for q in range(tree.num_tree_qubits, circ.num_qubits):
         assert st.probability(q, 1) == pytest.approx(0.0, abs=1e-12)
 

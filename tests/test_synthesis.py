@@ -63,7 +63,7 @@ def test_gray_pt_followed_by_inverse_is_identity():
     for k in (2, 3):
         c = Circuit(k + 1)
         mcx(c, list(range(k)), k, method="gray_pt")
-        c.extend_verbatim(invert(c).gates)
+        c.extend(invert(c).gates)
         assert np.allclose(dense_unitary(c), np.eye(2 ** (k + 1)), atol=1e-9)
 
 
@@ -168,7 +168,7 @@ def test_truth_table_pt_unit_modulus_and_cancellation():
         u = dense_unitary(c)
         for x, fx in enumerate(rows):
             assert abs(u[x | (fx << 3), x]) == pytest.approx(1.0, abs=1e-9)
-        c.extend_verbatim(invert(c).gates)
+        c.extend(invert(c).gates)
         assert np.allclose(dense_unitary(c), np.eye(16), atol=1e-9)
 
 

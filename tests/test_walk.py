@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qwb.circuit import GateKind, UsageError
+from qwb.circuit import GateKind, UsageError, to_text
 from qwb.sim import SparseState, apply, dense_unitary, sample
+from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import metrics, transpile
-from qwb.walk import (BacktrackingTree, WalkConfig, classically_accepted,
+from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_accepted,
                       decode_tree_state, demo_tree, detect_marked,
                       detection_precision, find_solution, oracle_from_paths,
                       to_dot, trivial_oracle)
@@ -89,9 +90,7 @@ def test_psi_prep_inverse_round_trip():
     rng = np.random.default_rng(40)
     tree = BacktrackingTree(3, 1, trivial_oracle, trivial_oracle)
     circ = tree.new_circuit()
-    gates = tree._psi_prep_gates(circ, even=True)
-    circ.extend_verbatim(gates)
-    circ.extend_inverted(gates)
+    circ.within(lambda: tree.psi_prep(circ, even=True), lambda _: None)
     st = _random_tree_superposition(tree, rng)
     out = apply(st, circ)
     for k, v in st.amplitudes.items():
@@ -306,6 +305,44 @@ def test_estimate_phase_structure():
     assert len(circ.gates) == 3 + 7 * gates_per_step + (3 + 3 * 5)
     with pytest.raises(UsageError):
         tree.estimate_phase(tree.new_circuit(), 0)
+
+
+def _literal_phase_estimation(tree, precision):
+    """Phase estimation written out: 2^k separately built controlled steps on
+    ancilla k."""
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    anc = circ.allocate_register(precision)
+    for a in anc:
+        circ.h(a)
+    for k, a in enumerate(anc):
+        for _ in range(2 ** k):
+            tree.quantum_step(circ, ctrl=(a,))
+    _inverse_qft(circ, anc)
+    return circ
+
+
+@pytest.mark.parametrize("subspace_opt", [False, True])
+@pytest.mark.parametrize("instance", ["fig1_k2", "demo3"])
+def test_estimate_phase_replays_built_steps(instance, subspace_opt, monkeypatch):
+    if instance == "demo3":
+        tree = demo_tree(3, subspace_opt)
+    else:
+        board = restrict_board(parse_board(FIG1_BOARD), 2)
+        tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+    want = to_text(_literal_phase_estimation(tree, 3))
+
+    built = []
+    step = BacktrackingTree.quantum_step
+    monkeypatch.setattr(BacktrackingTree, "quantum_step",
+                        lambda self, circ, ctrl=(): built.append(ctrl) or step(self, circ, ctrl))
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    tree.estimate_phase(circ, 3)
+    assert len(built) == 3
+    assert to_text(circ) == want
+    # every release of a workspace qubit, replayed copies included, finds |0>
+    apply(SparseState.zero(circ.num_qubits), circ, debug=True)
 
 
 def test_walk_config_validation():
