@@ -354,7 +354,10 @@ def from_text(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("QUBITS "):
         raise UsageError("missing QUBITS header")
-    num_qubits = int(lines[0].split()[1])
+    try:
+        num_qubits = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise UsageError(f"malformed QUBITS header: {lines[0]!r}") from None
     if num_qubits < 0:
         raise UsageError(f"negative qubit count {num_qubits}")
     circ = Circuit(num_qubits)
@@ -363,13 +366,17 @@ def from_text(text: str) -> Circuit:
         if len(parts) != 6 or parts[0] != "GATE":
             raise UsageError(f"malformed gate line: {ln!r}")
         _, kind, params, targets, controls, state = parts
-        gate = Gate(
-            GateKind(kind),
-            tuple(int(t) for t in targets.split(",")) if targets != "-" else (),
-            tuple(float(p) for p in params.split(",")) if params != "-" else (),
-            tuple(int(c) for c in controls.split(",")) if controls != "-" else (),
-            tuple(int(s) for s in state.split(",")) if state != "-" else (),
-        )
+        try:
+            fields = (
+                GateKind(kind),
+                tuple(int(t) for t in targets.split(",")) if targets != "-" else (),
+                tuple(float(p) for p in params.split(",")) if params != "-" else (),
+                tuple(int(c) for c in controls.split(",")) if controls != "-" else (),
+                tuple(int(s) for s in state.split(",")) if state != "-" else (),
+            )
+        except ValueError:
+            raise UsageError(f"malformed gate line: {ln!r}") from None
+        gate = Gate(*fields)
         if set(gate.control_state) - {0, 1}:
             raise UsageError(f"malformed gate line: {ln!r}")
         circ._check_live(gate)

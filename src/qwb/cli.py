@@ -76,10 +76,7 @@ def cmd_solve(args) -> int:
     timings["search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bench = tree.new_circuit()
-    tree.init_node(bench, ())
-    tree.estimate_phase(bench, args.precision)
-    m = metrics(transpile(bench))
+    m = root_metrics(tree, args.precision)
     timings["metrics"] = time.perf_counter() - t0
 
     config_echo = {"precision": args.precision, "shots": args.shots,
@@ -120,6 +117,15 @@ def cmd_detect(args) -> int:
     return 0 if result.marked else 2
 
 
+def root_metrics(tree, precision: int):
+    """Metrics of the transpiled phase-estimation circuit at the tree's root
+    (circuit construction only, no simulation)."""
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    tree.estimate_phase(circ, precision)
+    return metrics(transpile(circ))
+
+
 def bench_row(board, k: int, precision: int, subspace_opt: bool = False):
     """Metrics of the phase-estimation circuit for the instance restricted to
     its first k empty cells (circuit construction only, no simulation)."""
@@ -130,10 +136,7 @@ def bench_row(board, k: int, precision: int, subspace_opt: bool = False):
         raise UsageError(f"board has only {len(empties)} empty cells")
     restricted = restrict_board(board, k)
     tree, _ = tree_for_board(restricted, subspace_optimization=subspace_opt)
-    circ = tree.new_circuit()
-    tree.init_node(circ, ())
-    tree.estimate_phase(circ, precision)
-    return metrics(transpile(circ))
+    return root_metrics(tree, precision)
 
 
 def cmd_bench(args) -> int:
@@ -153,6 +156,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
     t0 = time.perf_counter()
     if args.demo_tree is not None:
         tree = demo_tree(args.demo_tree)

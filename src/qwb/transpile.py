@@ -1,9 +1,16 @@
 """Transpilation to the {U3, CX} basis and resource metrics.
 
-Lowering is exact up to a global phase.  Adjacent single-qubit gates on one
-wire are fused into a single U3 (identities are dropped); this fusion is what
-keeps the CX-dominant counts meaningful.  Depth counts the longest
-gate-dependency chain at unit cost per gate; barriers are ignored.
+Lowering and fusion are one pass, exact up to a global phase.  The lowerer
+keeps one pending 2x2 matrix per wire: each uncontrolled single-qubit gate,
+whether it comes from the input or from lowering a controlled gate (the MCX
+and MCZ networks, the X conjugation of open controls, the ABC factors of a
+controlled unitary), multiplies into its wire's matrix.  A CX first flushes
+its two wires; the end of the circuit flushes the rest in ascending wire
+order.  A flush drops a global phase times the identity and otherwise emits
+one U3 from one ``zyz`` call, so each wire carries at most one U3 between
+CXs; this fusion is what keeps the CX-dominant counts meaningful.  Depth
+counts the longest gate-dependency chain at unit cost per gate; barriers are
+ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .circuit import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS, UsageError
 from .sim import gate_matrix
 from .synthesis import emit_mcx_network, emit_mcz_network, emit_xxyy_decomposition
 
-_ID2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _arg(z) -> float:
@@ -41,11 +48,6 @@ def zyz(m: np.ndarray):
     return alpha, theta, phi, lam
 
 
-def _u3_of_matrix(m: np.ndarray) -> tuple[float, float, float]:
-    _, theta, phi, lam = zyz(m)
-    return theta, phi, lam
-
-
 def _is_identity(m: np.ndarray, tol=1e-10) -> bool:
     """True when ``m`` is a global phase times the identity."""
     return bool(abs(abs(m[0, 0]) - 1.0) <= tol and abs(m[0, 1]) < tol
@@ -58,10 +60,12 @@ def _sqrtm_2x2_unitary(m: np.ndarray) -> np.ndarray:
 
 
 class _Lowerer:
-    """Rewrites arbitrary gates into U3 (no controls) and CX."""
+    """Rewrites arbitrary gates into CX and fused U3 (no controls)."""
 
     def __init__(self, num_qubits: int):
-        self.circ = Circuit(num_qubits)
+        self.num_qubits = num_qubits
+        self.gates: list[Gate] = []
+        self.pending: dict[int, np.ndarray] = {}
 
     def lower_gate(self, gate: Gate) -> None:
         kind = gate.kind
@@ -73,7 +77,7 @@ class _Lowerer:
         if kind is GateKind.MCZ:
             qubits = gate.targets + gate.controls
             state = (1,) + gate.control_state
-            sub = Circuit(self.circ.num_qubits)
+            sub = Circuit(self.num_qubits)
             emit_mcz_network(sub, qubits, state)
             for g in sub.gates:
                 self.lower_gate(g)
@@ -88,7 +92,7 @@ class _Lowerer:
             phi, beta = gate.params
             if abs(beta - math.pi / 2) > 1e-12:
                 raise UsageError("XXPLUSYY transpilation fixed at beta = pi/2")
-            sub = Circuit(self.circ.num_qubits)
+            sub = Circuit(self.num_qubits)
             emit_xxyy_decomposition(sub, phi, *gate.targets)
             for g in sub.gates:
                 self.lower_gate(replace(g, controls=g.controls + gate.controls,
@@ -99,32 +103,22 @@ class _Lowerer:
     def _lower_1q(self, gate: Gate) -> None:
         target = gate.targets[0]
         if not gate.controls:
-            if gate.kind is GateKind.U3:
-                self.circ.u3(*gate.params, target)
-            else:
-                self.circ.u3(*_u3_of_matrix(gate_matrix(gate)), target)
+            self._mul(target, gate_matrix(gate))
             return
-        if gate.kind is GateKind.X:
-            flipped = [c for c, s in zip(gate.controls, gate.control_state) if not s]
-            for c in flipped:
-                self._x(c)
-            if len(gate.controls) == 1:
-                self.circ.cx(gate.controls[0], target)
-            else:
-                sub = Circuit(self.circ.num_qubits)
-                emit_mcx_network(sub, gate.controls, (1,) * len(gate.controls), target)
-                for g in sub.gates:
-                    self.lower_gate(g)
-            for c in flipped:
-                self._x(c)
-            return
-        # Controlled single-qubit unitary.
         flipped = [c for c, s in zip(gate.controls, gate.control_state) if not s]
         for c in flipped:
-            self._x(c)
-        self._controlled_unitary(list(gate.controls), target, gate_matrix(gate))
+            self._mul(c, _X)
+        if gate.kind is not GateKind.X:
+            self._controlled_unitary(list(gate.controls), target, gate_matrix(gate))
+        elif len(gate.controls) == 1:
+            self._cx(gate.controls[0], target)
+        else:
+            sub = Circuit(self.num_qubits)
+            emit_mcx_network(sub, gate.controls, (1,) * len(gate.controls), target)
+            for g in sub.gates:
+                self.lower_gate(g)
         for c in flipped:
-            self._x(c)
+            self._mul(c, _X)
 
     def _controlled_unitary(self, controls: list[int], target: int, m: np.ndarray) -> None:
         """C^k-U via ABC (k=1) or the sqrt recursion (k>=2); exact up to
@@ -134,17 +128,13 @@ class _Lowerer:
         if len(controls) == 1:
             alpha, theta, phi, lam = zyz(m)
             alpha = alpha + (phi + lam) / 2  # block phase relative to U3's det
-            a = _rz(phi) @ _ry(theta / 2)
-            b = _ry(-theta / 2) @ _rz(-(phi + lam) / 2)
-            c = _rz((lam - phi) / 2)
             ctrl = controls[0]
-            self._emit_u3_if(c, target)
-            self.circ.cx(ctrl, target)
-            self._emit_u3_if(b, target)
-            self.circ.cx(ctrl, target)
-            self._emit_u3_if(a, target)
-            if abs(alpha) > 1e-12:
-                self.circ.phase(alpha, ctrl)
+            self._mul(target, _rz((lam - phi) / 2))
+            self._cx(ctrl, target)
+            self._mul(target, _ry(-theta / 2) @ _rz(-(phi + lam) / 2))
+            self._cx(ctrl, target)
+            self._mul(target, _rz(phi) @ _ry(theta / 2))
+            self._mul(ctrl, np.diag([1.0, cmath.exp(1j * alpha)]))
             return
         v = _sqrtm_2x2_unitary(m)
         vdg = v.conj().T
@@ -158,12 +148,25 @@ class _Lowerer:
                              control_state=(1,) * len(rest)))
         self._controlled_unitary(rest, target, v)
 
-    def _emit_u3_if(self, m: np.ndarray, q: int) -> None:
-        if not _is_identity(m):
-            self.circ.u3(*_u3_of_matrix(m), q)
+    def _mul(self, q: int, m: np.ndarray) -> None:
+        prev = self.pending.get(q)
+        self.pending[q] = m if prev is None else m @ prev
 
-    def _x(self, q: int) -> None:
-        self.circ.u3(math.pi, 0.0, math.pi, q)
+    def _flush(self, q: int) -> None:
+        m = self.pending.pop(q, None)
+        if m is not None and not _is_identity(m):
+            _, theta, phi, lam = zyz(m)
+            self.gates.append(Gate(GateKind.U3, (q,), (theta, phi, lam)))
+
+    def _cx(self, ctrl: int, target: int) -> None:
+        self._flush(target)
+        self._flush(ctrl)
+        self.gates.append(Gate(GateKind.X, (target,), controls=(ctrl,), control_state=(1,)))
+
+    def finish(self) -> list[Gate]:
+        for q in sorted(self.pending):
+            self._flush(q)
+        return self.gates
 
 
 def _rz(a):
@@ -175,38 +178,13 @@ def _ry(a):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _fuse(gates, num_qubits: int) -> list[Gate]:
-    """Fuse adjacent single-qubit U3 runs per wire; drop identities."""
-    pending: dict[int, np.ndarray] = {}
-    out: list[Gate] = []
-
-    def flush(q):
-        m = pending.pop(q, None)
-        if m is None or _is_identity(m):
-            return
-        out.append(Gate(GateKind.U3, (q,), _u3_of_matrix(m)))
-
-    for g in gates:
-        if g.kind is GateKind.U3 and not g.controls:
-            q = g.targets[0]
-            pending[q] = gate_matrix(g) @ pending.get(q, _ID2)
-        else:
-            for q in g.qubits:
-                flush(q)
-            out.append(g)
-    for q in sorted(pending):
-        flush(q)
-    return out
-
-
 def transpile(circuit: Circuit) -> Circuit:
     """Rewrite into {U3, CX}; equal to the input up to global phase."""
     lw = _Lowerer(circuit.num_qubits)
     for g in circuit.gates:
         lw.lower_gate(g)
-    fused = _fuse(lw.circ.gates, circuit.num_qubits)
     out = Circuit(circuit.num_qubits)
-    out.extend(fused)
+    out.extend(lw.finish())
     return out
 
 

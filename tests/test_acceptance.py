@@ -8,7 +8,9 @@ frequencies, and the classical backtracking solver for Sudoku.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,12 @@ def test_criterion_7_bench_rows():
         prev = m
     assert rows[1][0] <= 2 * 15
     assert rows[1][0] >= 15 // 2
+    # The rows recorded when the benchmark was defined; a row may fall but not rise.
+    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
+    for k in range(1, 10):
+        r = recorded["rows"][str(k)]
+        want = (r["qubit_count"], r["u3_count"], r["cx_count"], r["depth"])
+        assert all(got <= top for got, top in zip(rows[k], want)), (k, rows[k], want)
     _ok(7, f"bench rows monotone; k=1 row {rows[1]} vs published (15, 1434, 1157, 1396)")
 
 

@@ -168,10 +168,11 @@ def test_serialization_round_trip():
 
 
 def test_serialization_rejects_garbage():
-    with pytest.raises(UsageError):
-        from_text("GATE X - 0 - -")
-    with pytest.raises(UsageError):
-        from_text("QUBITS 2\nnot a gate line at all")
+    for text in ("GATE X - 0 - -", "QUBITS 2\nnot a gate line at all", "QUBITS x", "QUBITS ",
+                 "QUBITS 2\nGATE FOO - 0 - -", "QUBITS 2\nGATE X a 0 - -",
+                 "QUBITS 2\nGATE X - a - -", "QUBITS 2\nGATE X - 0 a 1"):
+        with pytest.raises(UsageError):
+            from_text(text)
 
 
 @pytest.mark.parametrize("line", ["GATE X - 5 - -", "GATE X - 0 2 1", "GATE X - -1 - -"])
@@ -181,7 +182,9 @@ def test_from_text_rejects_qubits_off_the_register(line):
 
 
 @pytest.mark.parametrize("text", ["QUBITS 2\nGATE X - 0,1 - -", "QUBITS 2\nGATE SWAP - 0 - -",
-                                  "QUBITS 2\nGATE X - 0 1 2", "QUBITS -1"])
+                                  "QUBITS 2\nGATE X - 0 1 2", "QUBITS -1",
+                                  "QUBITS 2\nGATE FOO - 0 - -", "QUBITS 2\nGATE X a 0 - -",
+                                  "QUBITS 2\nGATE X - a - -", "QUBITS x"])
 def test_from_text_rejects_malformed_gates(text):
     with pytest.raises(UsageError):
         from_text(text)

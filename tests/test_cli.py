@@ -137,7 +137,8 @@ def test_console_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["detect", "--beta", "0"], ["detect", "--beta", "-1"],
-                                  ["detect", "--gamma", "-5"], ["solve", "--shots", "0"]])
+                                  ["detect", "--gamma", "-5"], ["solve", "--shots", "0"],
+                                  ["viz", "--steps", "-1"]])
 def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
     assert main([argv[0], k2_board] + argv[1:]) == 1
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwb.circuit import Circuit, GateKind, UsageError, control_generic
-from qwb.sim import dense_unitary
+from qwb.sim import dense_unitary, gate_matrix
 from qwb.transpile import ResourceMetrics, metrics, transpile
 
 from helpers import equal_up_to_global_phase, random_circuit
@@ -29,12 +29,29 @@ def test_transpile_h_is_single_u3():
     assert g.params == pytest.approx((math.pi / 2, 0.0, math.pi))
 
 
+def _assert_fusion_maximal(circ):
+    """No wire carries two U3 gates without a CX on it in between, and no
+    U3 is a global phase times the identity."""
+    last_u3 = {}
+    for pos, g in enumerate(circ.gates):
+        for q in g.qubits:
+            if g.kind is GateKind.U3:
+                assert last_u3.get(q) is None, f"U3 at {last_u3[q]} and {pos} on wire {q}"
+                last_u3[q] = pos
+            else:
+                last_u3[q] = None
+        if g.kind is GateKind.U3:
+            m = gate_matrix(g)
+            assert not np.allclose(m, m[0, 0] * np.eye(2), atol=1e-10), f"identity U3 at {pos}"
+
+
 def test_round_trip_random_circuits():
     rng = np.random.default_rng(20)
     for _ in range(20):
         c = random_circuit(rng, 5, 25)
         t = transpile(c)
         _only_basis(t)
+        _assert_fusion_maximal(t)
         assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
 
 
