@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .circuit import UsageError
 from .sim import ResourceLimitError, SparseState, apply
@@ -47,13 +48,23 @@ def _report(command: str, config: dict, outcome: dict, timings: dict,
     return report
 
 
+def _read_board(path: str):
+    """Parse the board file at ``path``; a file that cannot be read as UTF-8
+    text is a usage error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read board {path!r}: {exc}") from None
+    return parse_board(text)
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_solve(args) -> int:
     seed = _seed_from(args)
-    board = parse_board(open(args.board).read())
+    board = _read_board(args.board)
     config = WalkConfig(precision_bits=args.precision, shots=args.shots)
     timings = {}
 
@@ -99,7 +110,7 @@ def cmd_solve(args) -> int:
 
 def cmd_detect(args) -> int:
     seed = _seed_from(args)
-    board = parse_board(open(args.board).read())
+    board = _read_board(args.board)
     config = WalkConfig(delta=args.delta, beta_const=args.beta,
                         gamma_const=args.gamma)
     t0 = time.perf_counter()
@@ -140,7 +151,7 @@ def bench_row(board, k: int, precision: int, subspace_opt: bool = False):
 
 
 def cmd_bench(args) -> int:
-    board = parse_board(open(args.board).read())
+    board = _read_board(args.board)
     t0 = time.perf_counter()
     m = bench_row(board, args.missing, args.precision, args.subspace_opt)
     timings = {"bench": time.perf_counter() - t0}
@@ -164,7 +175,7 @@ def cmd_viz(args) -> int:
     else:
         if args.board is None:
             raise UsageError("viz needs a board path or --demo-tree")
-        board = parse_board(open(args.board).read())
+        board = _read_board(args.board)
         tree, _ = tree_for_board(board)
 
     n = tree.effective_depth

@@ -289,15 +289,20 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """2^n x 2^n matrix assembled column-by-column by simulating basis inputs."""
+    """2^n x 2^n matrix from one run on the 2n-qubit state sum_c |c>|c>.
+
+    The circuit acts on the low n qubits; the high n qubits keep a copy of
+    each input column c, so basis index (c << n) | r holds entry (r, c).
+    """
     n = circuit.num_qubits
     if n > 12:
         raise UsageError(f"dense_unitary supports at most 12 qubits, got {n}")
     dim = 2 ** n
+    cols = np.arange(dim, dtype=np.int64)
+    start = SparseState(2 * n, (cols << n) | cols, np.ones(dim, dtype=complex), dim)
+    st = apply(start, circuit, prune_epsilon=0.0)
     out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        st = apply(SparseState.basis_state(n, col), circuit, prune_epsilon=0.0)
-        out[st.keys, col] = st.amps
+    out[st.keys & (dim - 1), st.keys >> n] = st.amps
     return out
 
 
@@ -317,14 +322,20 @@ def load_state(text: str, num_qubits: int) -> SparseState:
     for line in text.splitlines():
         if not line.strip():
             continue
-        bits, re_s, im_s = line.split()
+        fields = line.split()
+        if len(fields) != 3:
+            raise UsageError(f"malformed state line: {line!r}")
+        bits, re_s, im_s = fields
         if len(bits) != num_qubits or set(bits) - {"0", "1"}:
             raise UsageError(f"{bits!r} is not a {num_qubits}-bit basis state")
         key = int(bits, 2)
         if key in amplitudes:
             raise UsageError(f"basis state {bits} appears twice")
-        amplitudes[key] = complex(float(re_s), float(im_s))
+        try:
+            amplitudes[key] = complex(float(re_s), float(im_s))
+        except ValueError:
+            raise UsageError(f"malformed amplitude in state line: {line!r}") from None
     state = SparseState.from_dict(num_qubits, amplitudes)
-    if abs(state.norm() - 1.0) > 1e-9:
+    if not abs(state.norm() - 1.0) <= 1e-9:
         raise UsageError(f"state norm {state.norm():.12g} is not 1")
     return state

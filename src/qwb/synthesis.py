@@ -1,6 +1,6 @@
 """Reusable gate constructions.
 
-Multi-controlled X/Z, truth-table logic synthesis (exact and phase-tolerant,
+Multi-controlled X methods, truth-table logic synthesis (exact and phase-tolerant,
 with controlled variants), the XX+YY interaction used to shift one-hot
 registers, controlled-H, custom-controlled swap, and equality comparators.
 
@@ -84,7 +84,7 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gray_transitions(n: int) -> list[int]:
+def gray_transitions(n: int) -> list[int]:
     """Bit positions of a cyclic reflected-Gray walk over n bits (2^n steps)."""
     seq = [(i & -i).bit_length() - 1 for i in range(1, 2 ** n)]
     seq.append(n - 1)
@@ -105,7 +105,7 @@ def _emit_phase_walk(circ: Circuit, inputs, wire, angles, *, start_phase=True):
     if start_phase and abs(angles[0]) > 1e-15:
         circ.phase(angles[0], wire)
     subset = 0
-    for t in _gray_transitions(n):
+    for t in gray_transitions(n):
         circ.cx(inputs[t], wire)
         subset ^= 1 << t
         if subset and abs(angles[subset]) > 1e-15:
@@ -169,7 +169,7 @@ def synth_truth_table(circ: Circuit, table: TruthTable, input_qubits,
 
 
 # ---------------------------------------------------------------------------
-# multi-controlled X / Z
+# multi-controlled X
 
 
 def _fold_polarity(circ: Circuit, controls, control_state):
@@ -280,43 +280,6 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray",
     raise UsageError(f"unknown mcx method {method!r}")
 
 
-# Lowering networks used by the transpiler -----------------------------------
-
-
-def emit_mcz_network(circ: Circuit, qubits, control_state) -> None:
-    """Exact C^(w-1)Z phase network over w qubits: 2^w - 2 CX.
-
-    Decomposes the all-ones AND phase pi into rotations over every nonempty
-    parity, walked level by level in Gray order.
-    """
-    qubits = list(qubits)
-    w = len(qubits)
-    flipped = _fold_polarity(circ, qubits, control_state)
-    theta = PI / 2 ** (w - 1)
-    for q in qubits:
-        circ.phase(theta, q)
-    for j in range(1, w):
-        subset = 0
-        for t in _gray_transitions(j):
-            circ.cx(qubits[t], qubits[j])
-            subset ^= 1 << t
-            if subset:
-                sign = -1.0 if bin(subset).count("1") % 2 else 1.0
-                circ.phase(sign * theta, qubits[j])
-    for q in flipped:
-        circ.x(q)
-
-
-def emit_mcx_network(circ: Circuit, controls, control_state, target) -> None:
-    """Exact multi-controlled X: H-conjugated MCZ network, 2^(k+1) - 2 CX."""
-    if len(controls) == 1 and tuple(control_state) == (1,):
-        circ.cx(controls[0], target)
-        return
-    circ.h(target)
-    emit_mcz_network(circ, list(controls) + [target], tuple(control_state) + (1,))
-    circ.h(target)
-
-
 # ---------------------------------------------------------------------------
 # XX+YY, controlled H, Fredkin
 
@@ -330,16 +293,6 @@ def controlled_h(circ: Circuit, ctrl, target) -> None:
     circ.tdg(target)
     circ.h(target)
     circ.sdg(target)
-
-
-def emit_xxyy_decomposition(circ: Circuit, phi, q0, q1) -> None:
-    """Exact CX/RY/H form of XX+YY(phi, beta=pi/2) on targets (q0, q1)."""
-    circ.h(q1)
-    circ.cx(q1, q0)
-    circ.ry(-phi / 2, q0)
-    circ.ry(-phi / 2, q1)
-    circ.cx(q1, q0)
-    circ.h(q1)
 
 
 def xx_plus_yy(circ: Circuit, phi, q0, q1, ctrl_qubits=None, ctrl_state=None) -> None:

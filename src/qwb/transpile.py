@@ -1,14 +1,16 @@
 """Transpilation to the {U3, CX} basis and resource metrics.
 
 Lowering and fusion are one pass, exact up to a global phase.  The lowerer
-keeps one pending 2x2 matrix per wire: each uncontrolled single-qubit gate,
-whether it comes from the input or from lowering a controlled gate (the MCX
-and MCZ networks, the X conjugation of open controls, the ABC factors of a
-controlled unitary), multiplies into its wire's matrix.  A CX first flushes
-its two wires; the end of the circuit flushes the rest in ascending wire
-order.  A flush drops a global phase times the identity and otherwise emits
-one U3 from one ``zyz`` call, so each wire carries at most one U3 between
-CXs; this fusion is what keeps the CX-dominant counts meaningful.  Depth
+keeps one pending 2x2 matrix per wire and writes every network straight into
+it: the MCZ phase network (``_mcz``), the MCX as one CX or an H-conjugated
+MCZ (``_mcx``), the X conjugation of open controls, the ABC factors and sqrt
+recursion of a controlled unitary, and XX+YY as V^dag (RY x RY) V.  Each
+uncontrolled single-qubit factor multiplies into its wire's matrix.  A CX
+first flushes its two wires; the end of the circuit flushes the rest in
+ascending wire order.  A flush drops a global phase times the identity and
+otherwise emits one U3 from one ``zyz`` call, so each wire carries at most
+one U3 between CXs; this fusion is what keeps the CX-dominant counts
+meaningful.  The only gates built are the U3s and CXs of the output.  Depth
 counts the longest gate-dependency chain at unit cost per gate; barriers are
 ignored.
 """
@@ -17,15 +19,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS, UsageError
 from .sim import gate_matrix
-from .synthesis import emit_mcx_network, emit_mcz_network, emit_xxyy_decomposition
+from .synthesis import gray_transitions
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / math.sqrt(2.0))
 
 
 def _arg(z) -> float:
@@ -62,8 +65,7 @@ def _sqrtm_2x2_unitary(m: np.ndarray) -> np.ndarray:
 class _Lowerer:
     """Rewrites arbitrary gates into CX and fused U3 (no controls)."""
 
-    def __init__(self, num_qubits: int):
-        self.num_qubits = num_qubits
+    def __init__(self):
         self.gates: list[Gate] = []
         self.pending: dict[int, np.ndarray] = {}
 
@@ -71,60 +73,50 @@ class _Lowerer:
         kind = gate.kind
         if kind is GateKind.BARRIER:
             return
-        if kind in SINGLE_QUBIT_KINDS:
-            self._lower_1q(gate)
-            return
-        if kind is GateKind.MCZ:
-            qubits = gate.targets + gate.controls
-            state = (1,) + gate.control_state
-            sub = Circuit(self.num_qubits)
-            emit_mcz_network(sub, qubits, state)
-            for g in sub.gates:
-                self.lower_gate(g)
-            return
-        if kind is GateKind.SWAP:
+        if kind is GateKind.X and gate.controls:
+            self._mcx(gate.controls, gate.control_state, gate.targets[0])
+        elif kind in SINGLE_QUBIT_KINDS:
+            self._controlled(gate.controls, gate.control_state, gate.targets[0],
+                             gate_matrix(gate))
+        elif kind is GateKind.MCZ:
+            self._mcz(gate.targets + gate.controls, (1,) + gate.control_state)
+        elif kind is GateKind.SWAP:
             a, b = gate.targets
             for c, t in ((a, b), (b, a), (a, b)):
-                self.lower_gate(Gate(GateKind.X, (t,), controls=(c,) + gate.controls,
-                                     control_state=(1,) + gate.control_state))
-            return
-        if kind is GateKind.XXPLUSYY:
+                self._mcx((c,) + gate.controls, (1,) + gate.control_state, t)
+        elif kind is GateKind.XXPLUSYY:
             phi, beta = gate.params
             if abs(beta - math.pi / 2) > 1e-12:
                 raise UsageError("XXPLUSYY transpilation fixed at beta = pi/2")
-            sub = Circuit(self.num_qubits)
-            emit_xxyy_decomposition(sub, phi, *gate.targets)
-            for g in sub.gates:
-                self.lower_gate(replace(g, controls=g.controls + gate.controls,
-                                        control_state=g.control_state + gate.control_state))
-            return
-        raise UsageError(f"cannot lower gate kind {kind.value}")
-
-    def _lower_1q(self, gate: Gate) -> None:
-        target = gate.targets[0]
-        if not gate.controls:
-            self._mul(target, gate_matrix(gate))
-            return
-        flipped = [c for c, s in zip(gate.controls, gate.control_state) if not s]
-        for c in flipped:
-            self._mul(c, _X)
-        if gate.kind is not GateKind.X:
-            self._controlled_unitary(list(gate.controls), target, gate_matrix(gate))
-        elif len(gate.controls) == 1:
-            self._cx(gate.controls[0], target)
+            # V^dag (RY x RY) V with V = CX(q1->q0) H(q1): only the RYs need
+            # the gate's controls, since V^dag V = I when they are off.
+            q0, q1 = gate.targets
+            ry = _ry(-phi / 2)
+            self._mul(q1, _H)
+            self._cx(q1, q0)
+            self._controlled(gate.controls, gate.control_state, q0, ry)
+            self._controlled(gate.controls, gate.control_state, q1, ry)
+            self._cx(q1, q0)
+            self._mul(q1, _H)
         else:
-            sub = Circuit(self.num_qubits)
-            emit_mcx_network(sub, gate.controls, (1,) * len(gate.controls), target)
-            for g in sub.gates:
-                self.lower_gate(g)
-        for c in flipped:
-            self._mul(c, _X)
+            raise UsageError(f"cannot lower gate kind {kind.value}")
 
-    def _controlled_unitary(self, controls: list[int], target: int, m: np.ndarray) -> None:
-        """C^k-U via ABC (k=1) or the sqrt recursion (k>=2); exact up to
-        a global phase."""
+    def _flip(self, qubits, state) -> None:
+        """X on every qubit whose control state is 0."""
+        for q, s in zip(qubits, state):
+            if not s:
+                self._mul(q, _X)
+
+    def _controlled(self, controls, state, target: int, m: np.ndarray) -> None:
+        """``m`` on ``target`` under ``controls`` matching ``state``, open
+        controls conjugated with X: ABC for one control, the sqrt recursion
+        for more; exact up to a global phase."""
+        if not controls:
+            self._mul(target, m)
+            return
         if _is_identity(m):
             return
+        self._flip(controls, state)
         if len(controls) == 1:
             alpha, theta, phi, lam = zyz(m)
             alpha = alpha + (phi + lam) / 2  # block phase relative to U3's det
@@ -134,19 +126,51 @@ class _Lowerer:
             self._mul(target, _ry(-theta / 2) @ _rz(-(phi + lam) / 2))
             self._cx(ctrl, target)
             self._mul(target, _rz(phi) @ _ry(theta / 2))
-            self._mul(ctrl, np.diag([1.0, cmath.exp(1j * alpha)]))
+            self._mul(ctrl, _phase(alpha))
+        else:
+            v = _sqrtm_2x2_unitary(m)
+            *rest, last = controls
+            ones = (1,) * len(rest)
+            self._controlled((last,), (1,), target, v)
+            self._mcx(rest, ones, last)
+            self._controlled((last,), (1,), target, v.conj().T)
+            self._mcx(rest, ones, last)
+            self._controlled(rest, ones, target, v)
+        self._flip(controls, state)
+
+    def _mcx(self, controls, state, target: int) -> None:
+        """Exact multi-controlled X: one CX for one control (open ones
+        conjugated with X), else the H-conjugated MCZ network, 2^(k+1) - 2 CX."""
+        if len(controls) > 1:
+            self._mul(target, _H)
+            self._mcz(tuple(controls) + (target,), tuple(state) + (1,))
+            self._mul(target, _H)
             return
-        v = _sqrtm_2x2_unitary(m)
-        vdg = v.conj().T
-        last = controls[-1]
-        rest = controls[:-1]
-        self._controlled_unitary([last], target, v)
-        self.lower_gate(Gate(GateKind.X, (last,), controls=tuple(rest),
-                             control_state=(1,) * len(rest)))
-        self._controlled_unitary([last], target, vdg)
-        self.lower_gate(Gate(GateKind.X, (last,), controls=tuple(rest),
-                             control_state=(1,) * len(rest)))
-        self._controlled_unitary(rest, target, v)
+        self._flip(controls, state)
+        self._cx(controls[0], target)
+        self._flip(controls, state)
+
+    def _mcz(self, qubits, state) -> None:
+        """Exact C^(w-1)Z phase network over w qubits: 2^w - 2 CX.
+
+        Decomposes the all-ones AND phase pi into rotations over every
+        nonempty parity, walked level by level in Gray order; open qubits
+        are conjugated with X.
+        """
+        w = len(qubits)
+        theta = math.pi / 2 ** (w - 1)
+        plus, minus = _phase(theta), _phase(-theta)
+        self._flip(qubits, state)
+        for q in qubits:
+            self._mul(q, plus)
+        for j in range(1, w):
+            subset = 0
+            for t in gray_transitions(j):
+                self._cx(qubits[t], qubits[j])
+                subset ^= 1 << t
+                if subset:
+                    self._mul(qubits[j], minus if bin(subset).count("1") % 2 else plus)
+        self._flip(qubits, state)
 
     def _mul(self, q: int, m: np.ndarray) -> None:
         prev = self.pending.get(q)
@@ -178,9 +202,13 @@ def _ry(a):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _phase(a):
+    return np.diag([1.0, cmath.exp(1j * a)])
+
+
 def transpile(circuit: Circuit) -> Circuit:
     """Rewrite into {U3, CX}; equal to the input up to global phase."""
-    lw = _Lowerer(circuit.num_qubits)
+    lw = _Lowerer()
     for g in circuit.gates:
         lw.lower_gate(g)
     out = Circuit(circuit.num_qubits)

@@ -187,18 +187,21 @@ class BacktrackingTree:
                     idx |= 1 << q
         return idx
 
-    def decode_outcome(self, h_value: int, branch_values) -> NodePath | None:
-        """Map measured register contents to an absolute path, or None if the
-        outcome is not an algorithmic node of this (sub)tree."""
-        if h_value == 0 or (h_value & (h_value - 1)):
+    def decode_index(self, idx: int) -> NodePath | None:
+        """Absolute path of the node whose state is basis index ``idx`` (tree
+        registers only, workspace zero), or None if ``idx`` is not an
+        algorithmic node of this (sub)tree."""
+        h_value = idx & ((1 << (self.max_depth + 1)) - 1)
+        if idx >> self.num_tree_qubits or h_value == 0 or h_value & (h_value - 1):
             return None
         j = h_value.bit_length() - 1
         if j > self.effective_depth:
             return None
-        if any(branch_values[i] for i in range(j)):
+        branch = [(idx >> (self.max_depth + 1 + i * self.branch_bits)) & (self.deg - 1)
+                  for i in range(self.max_depth)]
+        if any(branch[:j]):
             return None
-        path = tuple(branch_values[self.max_depth - 1 - a]
-                     for a in range(self.max_depth - j))
+        path = tuple(branch[self.max_depth - 1 - a] for a in range(self.max_depth - j))
         if path[:len(self.root_path)] != self.root_path:
             return None
         return path
@@ -427,6 +430,8 @@ def _search(tree, config, rng, max_support, stats):
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)
 
+    # Tree wires are 0..num_tree_qubits-1 in order, so an outcome shifted
+    # past the ancillae is the tree part of the basis index.
     measured = list(anc) + tree.h + tree.branch_qubits()
     counts = sample(state, measured, config.shots, rng.integers(2 ** 63))
 
@@ -436,14 +441,7 @@ def _search(tree, config, rng, max_support, stats):
         value = int(outcome, 2)
         if value & ((1 << p) - 1):
             continue
-        value >>= p
-        h_value = value & ((1 << (tree.max_depth + 1)) - 1)
-        value >>= tree.max_depth + 1
-        branch_values = []
-        for _ in range(tree.max_depth):
-            branch_values.append(value & (tree.deg - 1))
-            value >>= tree.branch_bits
-        path = tree.decode_outcome(h_value, branch_values)
+        path = tree.decode_index(value >> p)
         if path is None:
             continue
         if len(path) == len(tree.root_path) + 1 and path[:-1] == tree.root_path:
@@ -479,25 +477,12 @@ def decode_tree_state(tree: BacktrackingTree, state: SparseState,
     non-algorithmic bucket."""
     nodes: dict[NodePath, complex] = {}
     other: dict[int, complex] = {}
-    tree_mask = (1 << tree.num_tree_qubits) - 1
-    h_mask = (1 << (tree.max_depth + 1)) - 1
     for idx, amp in zip(state.keys, state.amps):
         idx = int(idx)
         amp = complex(amp)
         if abs(amp) < amp_epsilon:
             continue
-        if idx & ~tree_mask:
-            other[idx] = amp
-            continue
-        h_value = idx & h_mask
-        branch_values = []
-        for i in range(tree.max_depth):
-            reg = tree.branch_reg(i)
-            v = 0
-            for j, q in enumerate(reg):
-                v |= ((idx >> q) & 1) << j
-            branch_values.append(v)
-        path = tree.decode_outcome(h_value, branch_values)
+        path = tree.decode_index(idx)
         if path is None:
             other[idx] = amp
         else:

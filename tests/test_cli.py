@@ -53,6 +53,20 @@ def test_solve_parse_error_exit_1(capsys, tmp_path):
     assert main(["solve", str(p)]) == 1
 
 
+@pytest.mark.parametrize("cmd", ["solve", "detect", "bench", "viz"])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_board_exit_1(capsys, tmp_path, cmd, kind):
+    path = tmp_path
+    if kind == "not utf-8":
+        path = tmp_path / "latin1.board"
+        path.write_bytes("1234\n3412\n2143\n432\xe9\n".encode("latin-1"))
+    extra = ["--missing", "1"] if cmd == "bench" else []
+    assert main([cmd, str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read board")
+    assert captured.out == ""
+
+
 def test_solve_resource_error_exit_3(capsys, k2_board):
     assert main(["solve", k2_board, "--max-support", "4", "--seed", "0"]) == 3
 

@@ -212,6 +212,11 @@ def test_dump_and_load_round_trip():
     "0a 1 0\n",                      # not a bit string
     "00 1 0\n11 1 0\n",              # norm sqrt(2)
     "",                              # norm 0
+    "00 1\n",                        # two fields
+    "01 1 0 7\n",                    # four fields
+    "00 a 0\n",                      # non-numeric real part
+    "00 1 b\n",                      # non-numeric imaginary part
+    "00 nan 0\n",                    # norm not a number
 ])
 def test_load_state_rejects_malformed_dumps(text):
     with pytest.raises(UsageError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwb.circuit import Circuit, GateKind, UsageError, control_generic
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, control_generic
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.transpile import ResourceMetrics, metrics, transpile
 
@@ -79,16 +79,20 @@ def test_controlled_single_qubit_gate_two_cx():
 def test_generic_controlled_swap_counts():
     base = Circuit(2)
     base.swap(0, 1)
-    ctl = control_generic(base, 2)
-    t = transpile(ctl)
-    assert metrics(t).cx_count == 18
-    assert equal_up_to_global_phase(dense_unitary(ctl), dense_unitary(t), 1e-9)
+    open_ctl = Circuit(3)
+    open_ctl.extend([Gate(GateKind.SWAP, (0, 1), controls=(2,), control_state=(0,))])
+    for ctl in (control_generic(base, 2), open_ctl):
+        t = transpile(ctl)
+        assert metrics(t).cx_count == 18
+        assert equal_up_to_global_phase(dense_unitary(ctl), dense_unitary(t), 1e-9)
 
 
 def test_mcx_lowering_counts():
-    for k, want in ((1, 1), (2, 6), (3, 14), (4, 30)):
+    # An open control is conjugated with X, so it costs no extra CX.
+    for k, state, want in ((1, None, 1), (2, None, 6), (3, None, 14), (4, None, 30),
+                           (1, (0,), 1), (2, (1, 0), 6), (3, (0, 0, 1), 14)):
         c = Circuit(k + 1)
-        c.mcx(list(range(k)), k)
+        c.mcx(list(range(k)), k, state)
         t = transpile(c)
         assert metrics(t).cx_count == want
         assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
@@ -114,11 +118,15 @@ def test_multi_controlled_u3_lowering():
 
 
 def test_controlled_xxyy_generic_lowering():
-    c = Circuit(3)
-    c._emit(GateKind.XXPLUSYY, (0, 1), (0.931, math.pi / 2), (2,), (1,))
-    t = transpile(c)
-    _only_basis(t)
-    assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
+    # Only the two RYs of V^dag (RY x RY) V carry the controls.
+    for controls, state, want in (((), (), 2), ((2,), (1,), 6), ((2,), (0,), 6),
+                                  ((2, 3), (1, 1), 18), ((2, 3), (0, 1), 18)):
+        c = Circuit(4)
+        c._emit(GateKind.XXPLUSYY, (0, 1), (0.931, math.pi / 2), controls, state)
+        t = transpile(c)
+        _only_basis(t)
+        assert metrics(t).cx_count == want
+        assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
 
 
 def test_metrics_depth_parallel_vs_chained():
