@@ -62,7 +62,13 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
+def _check_max_support(args) -> None:
+    if args.max_support < 1:
+        raise UsageError("--max-support must be >= 1")
+
+
 def cmd_solve(args) -> int:
+    _check_max_support(args)
     seed = _seed_from(args)
     board = _read_board(args.board)
     config = WalkConfig(precision_bits=args.precision, shots=args.shots)
@@ -109,6 +115,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_max_support(args)
     seed = _seed_from(args)
     board = _read_board(args.board)
     config = WalkConfig(delta=args.delta, beta_const=args.beta,

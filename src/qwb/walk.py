@@ -26,8 +26,15 @@ Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 ``circuit.allocate``, emit gates, and return the result qubit.  The diffuser
 runs each builder as the compute step of ``Circuit.within``, which applies
 the phase, emits the builder's adjoint and returns every allocated qubit to
-the pool, so builders never uncompute.  Phase estimation builds each
-controlled step once and replays its gates with ``Circuit.extend``.
+the pool, so builders never uncompute.
+
+Phase estimation has two forms.  ``estimate_phase`` emits the circuit (each
+controlled step built once and its gates replayed with ``Circuit.extend``);
+``bench`` and the transpiler measure it.  ``qpe_state`` simulates the same
+circuit from the root without building it: it runs the uncontrolled step on
+the nodes it reaches to get the step as a small unitary matrix W, forms the
+pre-QFT state sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT
+gate by gate.  Detection and search use ``qpe_state``.
 """
 
 from __future__ import annotations
@@ -39,8 +46,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, UsageError, adjoint
-from .sim import SparseState, apply, sample
+from .sim import ResourceLimitError, SparseState, apply, sample
 from .synthesis import controlled_h, fredkin, xx_plus_yy
+
+# Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
+# larger than this; the 2^p - 1 replayed steps grow it exponentially.
+MAX_QPE_GATES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -314,7 +325,8 @@ class BacktrackingTree:
         """Standard phase estimation on the walk step; returns the ancilla
         register.  The all-zero outcome witnesses an eigenvalue-1 component.
         The controlled power 2^k is the controlled step built once and its
-        gates replayed 2^k - 1 more times."""
+        gates replayed 2^k - 1 more times.  Raises ``ResourceLimitError``
+        before replaying if the circuit would pass ``MAX_QPE_GATES``."""
         if precision_bits < 1:
             raise UsageError("precision_bits must be >= 1")
         anc = circ.allocate_register(precision_bits)
@@ -324,6 +336,12 @@ class BacktrackingTree:
             start = len(circ.gates)
             self.quantum_step(circ, ctrl=(a,))
             step = circ.gates[start:]
+            if k == 0:
+                total = start + len(step) * (2 ** precision_bits - 1)
+                if total > MAX_QPE_GATES:
+                    raise ResourceLimitError(
+                        f"phase estimation at precision {precision_bits} needs "
+                        f"about {total} gates, more than {MAX_QPE_GATES}")
             for _ in range(2 ** k - 1):
                 circ.extend(step)
         _inverse_qft(circ, anc)
@@ -345,6 +363,91 @@ def _inverse_qft(circ, qubits):
         for i in range(j):
             _cphase(circ, -math.pi / 2 ** (j - i), qubits[i], qubits[j])
         circ.h(qubits[j])
+
+
+def _step_matrix(tree: BacktrackingTree, max_support):
+    """The walk step W as a dense matrix on the node states it reaches from
+    the tree's root; returns (node basis indices, W, largest support seen).
+
+    The uncontrolled step is run on every new node at once, each tagged by a
+    column label on wires above the step's, until no new node appears.
+    """
+    step = tree.new_circuit()
+    tree.quantum_step(step)
+    width = step.num_qubits
+    root = tree.node_index(())
+    index = {root: 0}        # node basis index -> its row and column of W
+    rows, cols, amps = [], [], []
+    frontier, seen = [root], 0
+    while frontier:
+        label_bits = max(1, (len(frontier) - 1).bit_length())
+        if width + label_bits > 62:
+            raise ResourceLimitError(
+                f"walk step on {width} wires plus {label_bits} label bits "
+                f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
+        keys = np.array([(j << width) | key for j, key in enumerate(frontier)],
+                        dtype=np.int64)
+        out = apply(SparseState(width + label_bits, keys, np.ones(len(keys), complex)),
+                    step, max_support=max_support)
+        seen = max(seen, out.max_support_seen)
+        targets = out.keys & ((1 << width) - 1)
+        if np.any(targets >> tree.num_tree_qubits):
+            raise UsageError("walk step leaves a workspace qubit set")
+        cols += [index[frontier[j]] for j in (out.keys >> width).tolist()]
+        frontier = [key for key in np.unique(targets).tolist() if key not in index]
+        for key in frontier:
+            index[key] = len(index)
+        if max_support is not None and len(index) > max_support:
+            raise ResourceLimitError(
+                f"walk step reaches more than {max_support} node states")
+        rows += [index[key] for key in targets.tolist()]
+        amps.append(out.amps)
+    nodes = np.array(list(index), dtype=np.int64)
+    w = np.zeros((len(nodes), len(nodes)), dtype=complex)
+    w[rows, cols] = np.concatenate(amps)
+    err = np.abs(w.conj().T @ w - np.eye(len(nodes))).max()
+    if err > 1e-10:
+        raise UsageError(f"walk step is not unitary on its {len(nodes)} reachable "
+                         f"node states (max |W^H W - I| = {err:.1e})")
+    return nodes, w, seen
+
+
+def qpe_state(tree: BacktrackingTree, precision_bits: int,
+              max_support=None) -> tuple[SparseState, list[int]]:
+    """The final state of ``estimate_phase`` from the tree's root, on the tree
+    wires and the ancillae (ancilla k on wire ``num_tree_qubits + k``), and
+    the ancilla wires.
+
+    Only the reflection phases take the phase-estimation control, so the
+    controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
+    inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), formed from W
+    on the reachable nodes (``_step_matrix``); the inverse QFT then runs
+    gate by gate as in the circuit.  ``max_support`` caps the reachable node
+    count, the pre-QFT state's 2^p x nodes amplitudes and the support of
+    every simulated run.
+    """
+    if precision_bits < 1:
+        raise UsageError("precision_bits must be >= 1")
+    nodes, w, seen = _step_matrix(tree, max_support)
+    size = 2 ** precision_bits
+    if max_support is not None and size * len(nodes) > max_support:
+        raise ResourceLimitError(
+            f"phase estimation at precision {precision_bits} over {len(nodes)} "
+            f"node states needs up to {size * len(nodes)} amplitudes, "
+            f"more than {max_support}")
+    powers = np.zeros((size, len(nodes)), dtype=complex)
+    powers[0, 0] = 1.0
+    for a in range(1, size):
+        powers[a] = w @ powers[a - 1]
+    n = tree.num_tree_qubits
+    keys = ((np.arange(size, dtype=np.int64)[:, None] << n) | nodes).ravel()
+    order = np.argsort(keys)
+    pre = SparseState(n + precision_bits, keys[order],
+                      powers.ravel()[order] / math.sqrt(size), seen)
+    qft = Circuit(n + precision_bits)
+    anc = list(range(n, n + precision_bits))
+    _inverse_qft(qft, anc)
+    return apply(pre, qft, max_support=max_support), anc
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +476,7 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
     """
     reps = max(1, math.ceil(config.gamma_const * math.log(1.0 / config.delta)))
     precision = detection_precision(tree, config)
-    circ = tree.new_circuit()
-    tree.init_node(circ, ())
-    anc = tree.estimate_phase(circ, precision)
-    state = apply(SparseState.zero(circ.num_qubits), circ, max_support=max_support)
+    state, anc = qpe_state(tree, precision, max_support)
     counts = sample(state, anc, reps, seed)
     accept_number = counts.counts.get("0" * len(anc), 0)
     return DetectionResult(
@@ -422,10 +522,7 @@ def _search(tree, config, rng, max_support, stats):
     if tree.effective_depth == 0:
         return None
 
-    circ = tree.new_circuit()
-    tree.init_node(circ, ())
-    anc = tree.estimate_phase(circ, config.precision_bits)
-    state = apply(SparseState.zero(circ.num_qubits), circ, max_support=max_support)
+    state, anc = qpe_state(tree, config.precision_bits, max_support)
     if stats is not None:
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)

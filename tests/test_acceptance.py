@@ -96,13 +96,13 @@ def test_criterion_3_walk_figures():
     vec[tree.node_index(())] = 1.0
 
     state = apply(SparseState.zero(tree.num_tree_qubits),
-                  _init_circuit(tree))
+                  _init_circuit(tree), debug=True)
     parities = [False, True, False, True]     # R_A, R_B, R_A, R_B for depth 3
     worst = 0.0
     for step, even in enumerate(parities, start=1):
         circ = tree.new_circuit()
         tree.qstep_diffuser(circ, even=even)
-        state = apply(SparseState.from_dict(circ.num_qubits, state.amplitudes), circ)
+        state = apply(SparseState.from_dict(circ.num_qubits, state.amplitudes), circ, debug=True)
         vec = refs[even] @ vec
         decoded = decode_tree_state(tree, state)
         expected = {p: vec[tree.node_index(p)]
@@ -134,7 +134,7 @@ def test_criterion_4_psi_prep_example():
     circ = tree.new_circuit()
     tree.init_node(circ, (1,))
     tree.psi_prep(circ, even=False)
-    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ))
+    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ, debug=True))
     r = 1 / math.sqrt(3)
     assert set(decoded.nodes) == {(1,), (1, 0), (1, 1)}
     for amp in decoded.nodes.values():
@@ -174,7 +174,7 @@ def test_criterion_5_detection_separation():
         circ = tree.new_circuit()
         tree.init_node(circ, ())
         anc = tree.estimate_phase(circ, p)
-        st = apply(SparseState.zero(circ.num_qubits), circ)
+        st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
         counts = sample(st, anc, shots, seed=11)
         freqs[name] = counts.counts.get("0" * p, 0) / shots
         sigma_one = math.sqrt(expects[name] * (1 - expects[name]) / shots)
@@ -264,7 +264,7 @@ def test_criterion_8_property_suite():
         amps /= np.linalg.norm(amps)
         st = SparseState.from_dict(circ.num_qubits, {
             tree.node_index(p): complex(a) for p, a in zip(paths, amps)})
-        assert abs(apply(st, circ).norm() - 1.0) <= 1e-9
+        assert abs(apply(st, circ, debug=True).norm() - 1.0) <= 1e-9
 
     # diffuser involution
     inv_circ = tree.new_circuit()
@@ -273,7 +273,7 @@ def test_criterion_8_property_suite():
     st = SparseState.from_dict(inv_circ.num_qubits,
                                {tree.node_index(p): 1 / math.sqrt(len(paths))
                                 for p in paths})
-    out = apply(st, inv_circ)
+    out = apply(st, inv_circ, debug=True)
     for key, val in st.amplitudes.items():
         assert abs(out.amplitude(key) - val) <= 1e-9
 
@@ -282,7 +282,7 @@ def test_criterion_8_property_suite():
     tree.init_node(conf, ())
     for _ in range(3):
         tree.quantum_step(conf)
-    decoded = decode_tree_state(tree, apply(SparseState.zero(conf.num_qubits), conf))
+    decoded = decode_tree_state(tree, apply(SparseState.zero(conf.num_qubits), conf, debug=True))
     assert decoded.non_algorithmic_mass() <= 1e-9
 
     # phase-tolerant cancellation
@@ -300,12 +300,12 @@ def test_criterion_8_property_suite():
             stree.init_node(sc, path)
             acc = stree.accept_builder(stree, sc)
             rej = stree.reject_builder(stree, sc)
-            sst = apply(SparseState.zero(sc.num_qubits), sc)
+            sst = apply(SparseState.zero(sc.num_qubits), sc, debug=True)
             assert not (sst.probability(acc, 1) > 0.5 and sst.probability(rej, 1) > 0.5)
     hc = stree.new_circuit()
     stree.init_node(hc, (1,))
     hc.within(lambda: stree.reject_builder(stree, hc), lambda _: None)
-    hst = apply(SparseState.zero(hc.num_qubits), hc)
+    hst = apply(SparseState.zero(hc.num_qubits), hc, debug=True)
     for q in range(stree.num_tree_qubits, hc.num_qubits):
         assert hst.probability(q, 1) <= 1e-12
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qwb.cli import main
 from qwb.sudoku import FIG1_BOARD, format_board, parse_board, restrict_board
+from qwb.walk import BacktrackingTree
 
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
 UNSOLVABLE_TEXT = ".214\n34.2\n2143\n4321\n"
@@ -152,9 +154,52 @@ def test_console_entry_point(tmp_path):
 
 @pytest.mark.parametrize("argv", [["detect", "--beta", "0"], ["detect", "--beta", "-1"],
                                   ["detect", "--gamma", "-5"], ["solve", "--shots", "0"],
-                                  ["viz", "--steps", "-1"]])
+                                  ["viz", "--steps", "-1"], ["solve", "--max-support", "-1"],
+                                  ["solve", "--max-support", "0"],
+                                  ["detect", "--max-support", "0"]])
 def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
     assert main([argv[0], k2_board] + argv[1:]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.fixture()
+def fig1_board(tmp_path):
+    p = tmp_path / "fig1.board"
+    p.write_text(FIG1_BOARD)
+    return str(p)
+
+
+def test_detect_full_fig1_exits_3_without_gate_level_qpe(capsys, fig1_board, monkeypatch):
+    # The walk step on the full board needs more than the 62-bit sparse key;
+    # detection must say so before building any phase-estimation circuit.
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_phase called")
+
+    monkeypatch.setattr(BacktrackingTree, "estimate_phase", refuse)
+    assert main(["detect", fig1_board, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error:") and "62-bit" in err
+
+
+def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch):
+    # Precision 20 would replay the controlled step about 2^20 times; the cap
+    # fires after the first step is built.
+    built = []
+    step = BacktrackingTree.quantum_step
+    monkeypatch.setattr(BacktrackingTree, "quantum_step",
+                        lambda self, circ, ctrl=(): built.append(ctrl) or step(self, circ, ctrl))
+    assert main(["bench", fig1_board, "--missing", "1", "--precision", "20"]) == 3
+    assert capsys.readouterr().err.startswith("resource error:")
+    assert len(built) == 1
+
+
+def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board):
+    # The gate cap leaves every benchmarked row buildable and unchanged.
+    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
+    for k in range(1, 10):
+        code, _, report = run_main(capsys, ["bench", fig1_board, "--missing", str(k),
+                                            "--precision", "3"])
+        assert code == 0
+        assert report["outcome"]["row"] == recorded["rows"][str(k)], k

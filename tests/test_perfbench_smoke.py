@@ -1,5 +1,5 @@
-"""The benchmark driver wraps qwb's layer boundaries by name; one short
-traced run guards those names and the driver's own correctness checks."""
+"""The benchmark driver wraps qwb's layer boundaries by name; short traced
+runs guard those names and the driver's own correctness checks."""
 
 import json
 import subprocess
@@ -9,12 +9,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_solve_run_is_correct_and_replays_exactly():
+def _traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "solve", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+    return result
+
+
+def test_traced_solve_run_is_correct_and_replays_exactly():
+    result = _traced_run("solve")
+    assert result["metrics"]["sim.replay.ok"]["value"] == 1
+
+
+def test_traced_detect_run_is_correct_and_replays_exactly():
+    # Detection simulates through several apply calls (the step-matrix
+    # batches and the inverse QFT); each is replayed gate by gate.
+    result = _traced_run("detect")
     assert result["metrics"]["sim.replay.ok"]["value"] == 1

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qwb import walk
 from qwb.circuit import GateKind, UsageError, to_text
-from qwb.sim import SparseState, apply, dense_unitary, sample
+from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sample
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import metrics, transpile
 from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_accepted,
                       decode_tree_state, demo_tree, detect_marked,
                       detection_precision, find_solution, oracle_from_paths,
-                      to_dot, trivial_oracle)
+                      qpe_state, to_dot, trivial_oracle)
 
 from reference import algorithmic_indices, all_paths, reference_diffuser
 
@@ -18,7 +19,7 @@ from reference import algorithmic_indices, all_paths, reference_diffuser
 def _tree_state(tree, path):
     circ = tree.new_circuit()
     tree.init_node(circ, path)
-    return apply(SparseState.zero(circ.num_qubits), circ)
+    return apply(SparseState.zero(circ.num_qubits), circ, debug=True)
 
 
 def _random_tree_superposition(tree, rng, num_qubits=None):
@@ -68,7 +69,7 @@ def test_psi_prep_three_term_example():
     circ = tree.new_circuit()
     tree.init_node(circ, (1,))
     tree.psi_prep(circ, even=False)
-    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ))
+    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ, debug=True))
     r = 1 / math.sqrt(3)
     assert set(decoded.nodes) == {(1,), (1, 0), (1, 1)}
     for amp in decoded.nodes.values():
@@ -81,7 +82,7 @@ def test_psi_prep_root_weight():
     circ = tree.new_circuit()
     tree.init_node(circ, ())
     tree.psi_prep(circ, even=False)
-    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ))
+    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ, debug=True))
     ratio = decoded.nodes[(0,)].real / decoded.nodes[()].real
     assert ratio == pytest.approx(math.sqrt(3), abs=1e-10)
 
@@ -92,7 +93,7 @@ def test_psi_prep_inverse_round_trip():
     circ = tree.new_circuit()
     circ.within(lambda: tree.psi_prep(circ, even=True), lambda _: None)
     st = _random_tree_superposition(tree, rng)
-    out = apply(st, circ)
+    out = apply(st, circ, debug=True)
     for k, v in st.amplitudes.items():
         assert out.amplitude(k) == pytest.approx(v, abs=1e-10)
 
@@ -150,7 +151,7 @@ def test_rejected_leaf_sign_exact():
     circ = tree.new_circuit()
     tree.init_node(circ, REJECT3)           # height 2 node [0]
     tree.qstep_diffuser(circ, even=True)    # even heights: covers height 2
-    st = apply(SparseState.zero(circ.num_qubits), circ)
+    st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
     assert st.amplitude(tree.node_index(REJECT3)) == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -161,7 +162,7 @@ def test_diffuser_involution():
     tree.qstep_diffuser(circ, even=False)
     tree.qstep_diffuser(circ, even=False)
     st = _random_tree_superposition(tree, rng, num_qubits=circ.num_qubits)
-    out = apply(st, circ)
+    out = apply(st, circ, debug=True)
     for k, v in st.amplitudes.items():
         assert out.amplitude(k) == pytest.approx(v, abs=1e-9)
 
@@ -219,7 +220,7 @@ def test_walk_confinement_from_root():
     tree.init_node(circ, ())
     for _ in range(3):
         tree.quantum_step(circ)
-    st = apply(SparseState.zero(circ.num_qubits), circ)
+    st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
     decoded = decode_tree_state(tree, st)
     assert decoded.non_algorithmic_mass() <= 1e-9
     assert abs(st.norm() - 1.0) <= 1e-9
@@ -232,7 +233,7 @@ def test_quantum_step_unitary_on_random_states():
     tree.quantum_step(circ)
     for _ in range(5):
         st = _random_tree_superposition(tree, rng, num_qubits=circ.num_qubits)
-        out = apply(st, circ)
+        out = apply(st, circ, debug=True)
         assert abs(out.norm() - 1.0) <= 1e-9
 
 
@@ -244,7 +245,7 @@ def test_controlled_step_with_zero_control_is_identity():
     tree.quantum_step(circ, ctrl=(ctrl,))
     for _ in range(50):
         st = _random_tree_superposition(tree, rng, num_qubits=circ.num_qubits)
-        out = apply(st, circ)
+        out = apply(st, circ, debug=True)
         fid = abs(sum(np.conj(complex(v)) * out.amplitude(k)
                       for k, v in st.amplitudes.items()))
         assert fid >= 1.0 - 1e-9
@@ -255,7 +256,7 @@ def test_eigenvector_witness_fixed_by_step():
     circ = tree.new_circuit()
     tree.quantum_step(circ)
     phi = tree.phi_state(ACCEPT3, num_qubits=circ.num_qubits)
-    out = apply(phi, circ)
+    out = apply(phi, circ, debug=True)
     fid = abs(sum(np.conj(complex(v)) * out.amplitude(k)
                   for k, v in phi.amplitudes.items()))
     assert fid >= 1.0 - 1e-8
@@ -357,9 +358,86 @@ def test_estimate_phase_eigenvector_gives_all_zero():
     circ = tree.new_circuit()
     anc = tree.estimate_phase(circ, 3)
     phi = tree.phi_state(ACCEPT3, num_qubits=circ.num_qubits)
-    out = apply(phi, circ)
+    out = apply(phi, circ, debug=True)
     counts = sample(out, anc, 200, seed=5)
     assert counts.counts == {"000": 200}
+
+
+# -- phase estimation through the step matrix ------------------------------------
+
+def _qpe_instances():
+    for k in range(1, 5):
+        for subspace_opt in (False, True):
+            yield f"fig1_k{k}_so{int(subspace_opt)}", ("fig1", k, subspace_opt)
+    for depth in (2, 3, 4):
+        yield f"demo{depth}", ("demo", depth, False)
+
+
+def _qpe_tree(spec):
+    kind, size, subspace_opt = spec
+    if kind == "demo":
+        return demo_tree(size, subspace_opt)
+    board = restrict_board(parse_board(FIG1_BOARD), size)
+    return tree_for_board(board, subspace_optimization=subspace_opt)[0]
+
+
+@pytest.mark.parametrize("subtree", [False, True])
+@pytest.mark.parametrize("spec", [s for _, s in _qpe_instances()],
+                         ids=[name for name, _ in _qpe_instances()])
+def test_qpe_state_matches_gate_level_phase_estimation(spec, subtree):
+    tree = _qpe_tree(spec)
+    if subtree:
+        tree = tree.subtree((1,) if spec[0] == "demo" else (0,))
+    for precision in (1, 2, 3):
+        circ = tree.new_circuit()
+        tree.init_node(circ, ())
+        anc = tree.estimate_phase(circ, precision)
+        want = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
+        got, got_anc = qpe_state(tree, precision)
+        assert got_anc == anc
+        assert np.array_equal(got.keys, want.keys), precision
+        assert np.abs(got.amps - want.amps).max() <= 1e-10, precision
+
+
+def test_qpe_state_rejects_a_step_that_leaves_workspace_set(monkeypatch):
+    step = BacktrackingTree.quantum_step
+
+    def dirty_step(self, circ, ctrl=()):
+        step(self, circ, ctrl)
+        circ.x(circ.allocate())
+
+    monkeypatch.setattr(BacktrackingTree, "quantum_step", dirty_step)
+    with pytest.raises(UsageError, match="workspace"):
+        qpe_state(demo_tree(3), 2)
+
+
+def test_qpe_state_rejects_a_non_unitary_step(monkeypatch):
+    # A simulation that loses norm (here 1% per run) breaks W's unitarity.
+    def lossy_apply(state, circuit, **kwargs):
+        out = apply(state, circuit, **kwargs)
+        out.amps *= 0.99
+        return out
+
+    monkeypatch.setattr(walk, "apply", lossy_apply)
+    with pytest.raises(UsageError, match="not unitary"):
+        qpe_state(demo_tree(3), 2)
+
+
+def test_qpe_state_caps_the_reachable_node_count():
+    tree = demo_tree(3)
+    nodes, w, _ = walk._step_matrix(tree, None)
+    assert w.shape == (len(nodes), len(nodes))
+    with pytest.raises(ResourceLimitError):
+        qpe_state(tree, 1, max_support=len(nodes) - 1)
+
+
+def test_detection_and_search_never_build_gate_level_phase_estimation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_phase called")
+
+    monkeypatch.setattr(BacktrackingTree, "estimate_phase", refuse)
+    assert detect_marked(demo_tree(3), WalkConfig(), seed=2).marked
+    assert find_solution(demo_tree(3), WalkConfig(shots=4000), seed=0) == ACCEPT3
 
 
 # -- detection / search --------------------------------------------------------
@@ -427,7 +505,7 @@ def test_sparsity_bound_during_qpe():
         circ = tree.new_circuit()
         tree.init_node(circ, ())
         anc = tree.estimate_phase(circ, 2)
-        st = apply(SparseState.zero(circ.num_qubits), circ)
+        st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
         nodes = 2 ** (depth + 1) - 1
         bound = nodes * 2 ** len(anc)
         assert st.support() <= bound
@@ -456,7 +534,7 @@ def test_dot_output_colors_and_edges():
     circ = tree.new_circuit()
     tree.init_node(circ, ())
     tree.qstep_diffuser(circ, even=False)
-    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ))
+    decoded = decode_tree_state(tree, apply(SparseState.zero(circ.num_qubits), circ, debug=True))
     dot = to_dot(decoded)
     assert dot.startswith("digraph")
     assert "palegreen" in dot and "plum" in dot
