@@ -2,6 +2,8 @@
 
 Conventions (fixed throughout the package):
   * Qubit 0 is the least-significant bit of a basis index.
+  * Every gate is one 2x2 operation on one target wire under zero or more
+    controls.
   * A controlled X with one activate-on-1 control is the CX gate; more controls
     (or open controls) make it an MCX.  MCZ stores one participating qubit as
     the target and the remaining ones as controls; it is symmetric under
@@ -30,26 +32,12 @@ class GateKind(str, Enum):
     TDG = "TDG"
     RY = "RY"
     U3 = "U3"
-    SWAP = "SWAP"
-    XXPLUSYY = "XXPLUSYY"
     MCZ = "MCZ"
-    BARRIER = "BARRIER"
 
 
-SINGLE_QUBIT_KINDS = frozenset({
-    GateKind.X, GateKind.H, GateKind.S, GateKind.SDG,
-    GateKind.T, GateKind.TDG, GateKind.RY, GateKind.U3,
-})
+_PARAM_COUNT = {GateKind.RY: 1, GateKind.U3: 3}
 
-_PARAM_COUNT = {
-    GateKind.RY: 1,
-    GateKind.U3: 3,
-    GateKind.XXPLUSYY: 2,
-}
-
-_TARGET_COUNT = {GateKind.SWAP: 2, GateKind.XXPLUSYY: 2}
-
-_ADJOINT_SWAP = {
+_ADJOINT_KIND = {
     GateKind.S: GateKind.SDG,
     GateKind.SDG: GateKind.S,
     GateKind.T: GateKind.TDG,
@@ -61,13 +49,13 @@ _ADJOINT_SWAP = {
 class Gate:
     """One circuit instruction.
 
-    ``targets`` are the qubits the base operation acts on; ``controls`` carry
+    ``target`` is the qubit the base operation acts on; ``controls`` carry
     an explicit per-qubit ``control_state`` (1 = activate on |1>, 0 = open
     circle / activate on |0>).
     """
 
     kind: GateKind
-    targets: tuple[int, ...]
+    target: int
     params: tuple[float, ...] = ()
     controls: tuple[int, ...] = ()
     control_state: tuple[int, ...] = ()
@@ -78,27 +66,21 @@ class Gate:
         want = _PARAM_COUNT.get(self.kind, 0)
         if len(self.params) != want:
             raise UsageError(f"{self.kind.value} expects {want} params, got {len(self.params)}")
-        want = _TARGET_COUNT.get(self.kind, 1)
-        if len(self.targets) != want and self.kind is not GateKind.BARRIER:
-            raise UsageError(f"{self.kind.value} expects {want} targets, got {len(self.targets)}")
-        seen = set(self.targets) | set(self.controls)
-        if len(seen) != len(self.targets) + len(self.controls):
-            raise UsageError("targets and controls must be disjoint and unique")
+        if len({self.target, *self.controls}) != 1 + len(self.controls):
+            raise UsageError("target and controls must be disjoint and unique")
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return self.targets + self.controls
+        return (self.target,) + self.controls
 
     def adjoint(self) -> "Gate":
-        kind = _ADJOINT_SWAP.get(self.kind, self.kind)
+        kind = _ADJOINT_KIND.get(self.kind, self.kind)
         params = self.params
         if self.kind is GateKind.RY:
             params = (-self.params[0],)
         elif self.kind is GateKind.U3:
             th, ph, lam = self.params
             params = (-th, -lam, -ph)
-        elif self.kind is GateKind.XXPLUSYY:
-            params = (-self.params[0], self.params[1])
         return replace(self, kind=kind, params=params)
 
     def display_name(self) -> str:
@@ -183,13 +165,12 @@ class Circuit:
 
     # -- gate emission ------------------------------------------------------
 
-    def _emit(self, kind, targets, params=(), controls=(), control_state=()):
-        for q in tuple(targets) + tuple(controls):
+    def _emit(self, kind, target, params=(), controls=(), control_state=()):
+        for q in (target,) + tuple(controls):
             if not 0 <= q < self.num_qubits:
                 raise UsageError(f"gate references out-of-range qubit {q}")
-        targets = tuple(self.wire_map[t] for t in targets)
         controls = tuple(self.wire_map[c] for c in controls)
-        gate = Gate(kind, targets, tuple(float(p) for p in params),
+        gate = Gate(kind, self.wire_map[target], tuple(float(p) for p in params),
                     controls, tuple(int(s) for s in control_state))
         self._check_live(gate)
         self.gates.append(gate)
@@ -202,34 +183,28 @@ class Circuit:
             if q in self._free_set:
                 raise UsageError(f"gate references deallocated qubit {q}")
 
-    def x(self, q): self._emit(GateKind.X, (q,))
-    def h(self, q): self._emit(GateKind.H, (q,))
-    def s(self, q): self._emit(GateKind.S, (q,))
-    def sdg(self, q): self._emit(GateKind.SDG, (q,))
-    def t(self, q): self._emit(GateKind.T, (q,))
-    def tdg(self, q): self._emit(GateKind.TDG, (q,))
-    def ry(self, theta, q): self._emit(GateKind.RY, (q,), (theta,))
-    def u3(self, theta, phi, lam, q): self._emit(GateKind.U3, (q,), (theta, phi, lam))
+    def x(self, q): self._emit(GateKind.X, q)
+    def h(self, q): self._emit(GateKind.H, q)
+    def s(self, q): self._emit(GateKind.S, q)
+    def sdg(self, q): self._emit(GateKind.SDG, q)
+    def t(self, q): self._emit(GateKind.T, q)
+    def tdg(self, q): self._emit(GateKind.TDG, q)
+    def ry(self, theta, q): self._emit(GateKind.RY, q, (theta,))
+    def u3(self, theta, phi, lam, q): self._emit(GateKind.U3, q, (theta, phi, lam))
 
     def phase(self, lam, q):
         """diag(1, e^{i lam}) — exactly U3(0, 0, lam)."""
-        self._emit(GateKind.U3, (q,), (0.0, 0.0, lam))
+        self._emit(GateKind.U3, q, (0.0, 0.0, lam))
 
     def cx(self, ctrl, target):
-        self._emit(GateKind.X, (target,), controls=(ctrl,), control_state=(1,))
-
-    def swap(self, a, b): self._emit(GateKind.SWAP, (a, b))
-
-    def xxyy(self, phi, a, b, beta=None):
-        import math
-        self._emit(GateKind.XXPLUSYY, (a, b), (phi, math.pi / 2 if beta is None else beta))
+        self._emit(GateKind.X, target, controls=(ctrl,), control_state=(1,))
 
     def mcx(self, controls, target, control_state=None):
         """Atomic multi-controlled X; lowered by the transpiler."""
         controls = tuple(controls)
         if control_state is None:
             control_state = (1,) * len(controls)
-        self._emit(GateKind.X, (target,), controls=controls, control_state=tuple(control_state))
+        self._emit(GateKind.X, target, controls=controls, control_state=tuple(control_state))
 
     def mcz(self, qubits, control_state=None):
         """Phase -1 on the basis state matching ``control_state`` across ``qubits``."""
@@ -252,18 +227,15 @@ class Circuit:
             rest = qubits[:-1]
             rest_state = control_state[:-1]
             self.x(tgt)
-            self._emit(GateKind.MCZ, (tgt,), controls=rest, control_state=rest_state)
+            self._emit(GateKind.MCZ, tgt, controls=rest, control_state=rest_state)
             self.x(tgt)
             return
         tgt = qubits[k]
         rest = qubits[:k] + qubits[k + 1:]
         rest_state = control_state[:k] + control_state[k + 1:]
-        self._emit(GateKind.MCZ, (tgt,), controls=rest, control_state=rest_state)
+        self._emit(GateKind.MCZ, tgt, controls=rest, control_state=rest_state)
 
     def cz(self, a, b): self.mcz((a, b))
-
-    def barrier(self, qubits=()):
-        self._emit(GateKind.BARRIER, tuple(qubits))
 
     # -- fragments ----------------------------------------------------------
 
@@ -299,9 +271,9 @@ class Circuit:
 
 
 def adjoint(gates) -> list[Gate]:
-    """The inverse of a gate sequence: reversed, barriers dropped, every gate
-    replaced by its adjoint."""
-    return [g.adjoint() for g in reversed(gates) if g.kind is not GateKind.BARRIER]
+    """The inverse of a gate sequence: reversed, every gate replaced by its
+    adjoint."""
+    return [g.adjoint() for g in reversed(gates)]
 
 
 def invert(circuit: Circuit) -> Circuit:
@@ -322,9 +294,6 @@ def control_generic(circuit: Circuit, ctrl: int) -> Circuit:
             raise UsageError(f"control qubit {ctrl} collides with circuit wires")
     out = Circuit(max(circuit.num_qubits, ctrl + 1))
     for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            out.gates.append(g)
-            continue
         out.gates.append(replace(g, controls=g.controls + (ctrl,),
                                  control_state=g.control_state + (1,)))
     return out
@@ -334,19 +303,18 @@ def control_generic(circuit: Circuit, ctrl: int) -> Circuit:
 #
 # Line format (whitespace separated, one gate per line):
 #
-#   GATE <kind> <params|-> <targets> <controls|-> <control_state|->
+#   GATE <kind> <params|-> <target> <controls|-> <control_state|->
 #
-# Lists are comma-joined with no spaces; "-" stands for an empty list.  The
-# first line is "QUBITS <n>".  Params are printed with repr-level precision.
+# The target is one integer.  Lists are comma-joined with no spaces; "-"
+# stands for an empty list.  The first line is "QUBITS <n>".  Params are printed with repr-level precision.
 
 def to_text(circuit: Circuit) -> str:
     lines = [f"QUBITS {circuit.num_qubits}"]
     for g in circuit.gates:
         params = ",".join(f"{p!r}" for p in g.params) or "-"
-        targets = ",".join(str(t) for t in g.targets) or "-"
         controls = ",".join(str(c) for c in g.controls) or "-"
         state = ",".join(str(s) for s in g.control_state) or "-"
-        lines.append(f"GATE {g.kind.value} {params} {targets} {controls} {state}")
+        lines.append(f"GATE {g.kind.value} {params} {g.target} {controls} {state}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,11 +333,11 @@ def from_text(text: str) -> Circuit:
         parts = ln.split()
         if len(parts) != 6 or parts[0] != "GATE":
             raise UsageError(f"malformed gate line: {ln!r}")
-        _, kind, params, targets, controls, state = parts
+        _, kind, params, target, controls, state = parts
         try:
             fields = (
                 GateKind(kind),
-                tuple(int(t) for t in targets.split(",")) if targets != "-" else (),
+                int(target),
                 tuple(float(p) for p in params.split(",")) if params != "-" else (),
                 tuple(int(c) for c in controls.split(",")) if controls != "-" else (),
                 tuple(int(s) for s in state.split(",")) if state != "-" else (),

@@ -4,10 +4,11 @@ State is a map from basis index to complex amplitude, stored internally as a
 sorted int64 key array plus a complex128 amplitude array so gate application
 vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 
-Every gate kind is one 2x2 matrix (``gate_matrix``) acting on pairs of basis
-states, and one kernel applies it: a diagonal matrix scales amplitudes in
-place, X swaps the pair by flipping key bits, and any other matrix mixes each
-pair once.
+Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
+controls, and one kernel applies it to the pairs of basis states that differ
+only in the target bit: a diagonal matrix scales amplitudes in place, X swaps
+the pair by flipping the target bit, and any other matrix mixes each pair
+once.
 
 Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate.
 """
@@ -25,11 +26,8 @@ PRUNE_EPSILON = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 _FIXED = {
-    GateKind.X: _X,
-    GateKind.SWAP: _X,
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
     GateKind.S: np.diag([1, 1j]),
     GateKind.SDG: np.diag([1, -1j]),
@@ -48,27 +46,19 @@ class ResourceLimitError(RuntimeError):
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Exact 2x2 matrix of a gate kind (no global phase slack), ignoring controls.
-
-    It acts on the gate's basis pair (lo, hi): |0>, |1> of the target for
-    one-target kinds (MCZ's target included), and |a=1,b=0>, |a=0,b=1> of
-    targets (a, b) for SWAP and XXPLUSYY, which leave |00> and |11> alone.
-    """
+    """Exact 2x2 matrix of a gate kind on its target's |0>, |1> (no global
+    phase slack), ignoring controls; MCZ's is diag(1, -1) on its target."""
     kind = gate.kind
     if kind in _FIXED:
         return _FIXED[kind]
-    if kind is GateKind.XXPLUSYY and abs(gate.params[1] - math.pi / 2) > 1e-12:
-        raise UsageError("XXPLUSYY is only supported at beta = pi/2")
-    if kind in (GateKind.RY, GateKind.XXPLUSYY):
+    if kind is GateKind.RY:
         th = gate.params[0]
         c, s = math.cos(th / 2), math.sin(th / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind is GateKind.U3:
-        th, ph, lam = gate.params
-        c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array([[c, -np.exp(1j * lam) * s],
-                         [np.exp(1j * ph) * s, np.exp(1j * (ph + lam)) * c]])
-    raise UsageError(f"cannot simulate gate kind {kind.value}")
+    th, ph, lam = gate.params    # U3, the one kind left
+    c, s = math.cos(th / 2), math.sin(th / 2)
+    return np.array([[c, -np.exp(1j * lam) * s],
+                     [np.exp(1j * ph) * s, np.exp(1j * (ph + lam)) * c]])
 
 
 @dataclass
@@ -86,16 +76,14 @@ class SparseState:
 
     @classmethod
     def basis_state(cls, num_qubits: int, index: int) -> "SparseState":
+        return cls.from_dict(num_qubits, {index: 1.0})
+
+    @classmethod
+    def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
         if num_qubits > 62:
             raise ResourceLimitError(
                 f"{num_qubits} qubits exceed the 62-qubit sparse index capacity",
                 qubit_count=num_qubits)
-        return cls(num_qubits,
-                   np.array([index], dtype=np.int64),
-                   np.array([1.0 + 0.0j]), 1)
-
-    @classmethod
-    def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
         keys = np.array(sorted(amplitudes), dtype=np.int64)
         amps = np.array([amplitudes[int(k)] for k in keys], dtype=complex)
         return cls(num_qubits, keys, amps, len(keys))
@@ -205,40 +193,33 @@ def _assert_zero(keys, amps, qubits):
 
 
 def _apply_gate(keys, amps, gate: Gate):
-    """Apply ``gate_matrix(gate)`` to every control-satisfied (lo, hi) pair.
+    """Apply ``gate_matrix(gate)`` to every control-satisfied pair of basis
+    states that differ only in the target bit.
 
     Updates ``keys`` and ``amps`` in place where it can; ``apply`` owns them.
     The path is chosen from exact tests on the matrix entries.
     """
-    if gate.kind is GateKind.BARRIER:
-        return keys, amps
     m = gate_matrix(gate)
     cmask, cval = _control_mask(gate)
     sel = (keys & cmask) == cval if cmask else np.ones(len(keys), dtype=bool)
-    if len(gate.targets) == 1:
-        lo, hi = 0, 1 << gate.targets[0]
-    else:
-        a, b = gate.targets
-        lo, hi = 1 << a, 1 << b
-        sel &= ((keys >> a) ^ (keys >> b)) & 1 == 1
     if not sel.any():
         return keys, amps
-    pair = np.int64(lo | hi)
+    bit = np.int64(1 << gate.target)
 
     if m[0, 1] == 0 and m[1, 0] == 0:
-        for half, factor in ((lo, m[0, 0]), (hi, m[1, 1])):
+        for half, factor in ((0, m[0, 0]), (bit, m[1, 1])):
             if factor != 1:
-                amps[sel & ((keys & pair) == half)] *= factor
+                amps[sel & ((keys & bit) == half)] *= factor
         return keys, amps
 
     if m[0, 0] == 0 and m[1, 1] == 0 and m[0, 1] == 1 and m[1, 0] == 1:
-        keys[sel] ^= pair
+        keys[sel] ^= bit
         return _sort(keys, amps)
 
-    # Controls never involve the targets, so both members of a pair share
+    # Controls never involve the target, so both members of a pair share
     # the control pattern and ``sel`` is exactly the set of touched entries.
-    base = np.unique(keys[sel] & ~pair)
-    lo_keys, hi_keys = base | np.int64(lo), base | np.int64(hi)
+    lo_keys = np.unique(keys[sel] & ~bit)
+    hi_keys = lo_keys | bit
     a_lo = _lookup(keys, amps, lo_keys)
     a_hi = _lookup(keys, amps, hi_keys)
     return _sort(np.concatenate([keys[~sel], lo_keys, hi_keys]),

@@ -214,8 +214,7 @@ def _rc3x(circ: Circuit, c0, c1, c2, target):
     circ.h(target)
 
 
-def mcx(circ: Circuit, controls, target, control_state=None, method="gray",
-        allow_pool_growth=True) -> None:
+def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> None:
     """X on ``target`` iff the controls match ``control_state``.
 
     Methods: ``gray`` (exact, 2^(k+1)-2 CX, no ancillae), ``gray_pt``
@@ -254,10 +253,6 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray",
         if len(controls) <= 2:
             circ.mcx(controls, target, control_state)
             return
-        if not allow_pool_growth and len(circ.free_pool) < len(controls) - 2:
-            raise UsageError(
-                f"balauca_logdepth needs {len(controls) - 2} free ancillae, "
-                f"pool has {len(circ.free_pool)}")
         flipped = _fold_polarity(circ, controls, control_state)
 
         def ladder():
@@ -302,13 +297,19 @@ def xx_plus_yy(circ: Circuit, phi, q0, q1, ctrl_qubits=None, ctrl_state=None) ->
     pair is what carries the control (one CX per controlled H, or a single
     MCX for multiple controls).  It equals the generically controlled gate up
     to a diagonal sign on the q0 = 1 input columns (state equivalence on all
-    basis inputs except |11> of the targets, which one-hot registers never
+    basis inputs except |11> of (q0, q1), which one-hot registers never
     populate).  The sign diagonal is applied first, so it commutes with any
     diagonal it is conjugated around and cancels between a preparation and
     its inverse; the walk only ever uses this gate in that pattern.
     """
     if not ctrl_qubits:
-        circ.xxyy(phi, q0, q1)
+        # V^dag (RY x RY) V with V = CX(q1 -> q0) H(q1).
+        circ.h(q1)
+        circ.cx(q1, q0)
+        circ.ry(-phi / 2, q0)
+        circ.ry(-phi / 2, q1)
+        circ.cx(q1, q0)
+        circ.h(q1)
         return
     ctrl_qubits = list(ctrl_qubits)
     if ctrl_state is None:

@@ -4,15 +4,14 @@ Lowering and fusion are one pass, exact up to a global phase.  The lowerer
 keeps one pending 2x2 matrix per wire and writes every network straight into
 it: the MCZ phase network (``_mcz``), the MCX as one CX or an H-conjugated
 MCZ (``_mcx``), the X conjugation of open controls, the ABC factors and sqrt
-recursion of a controlled unitary, and XX+YY as V^dag (RY x RY) V.  Each
+recursion of a controlled 2x2 (every other gate: ``_controlled``).  Each
 uncontrolled single-qubit factor multiplies into its wire's matrix.  A CX
 first flushes its two wires; the end of the circuit flushes the rest in
 ascending wire order.  A flush drops a global phase times the identity and
 otherwise emits one U3 from one ``zyz`` call, so each wire carries at most
 one U3 between CXs; this fusion is what keeps the CX-dominant counts
 meaningful.  The only gates built are the U3s and CXs of the output.  Depth
-counts the longest gate-dependency chain at unit cost per gate; barriers are
-ignored.
+counts the longest gate-dependency chain at unit cost per gate.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, SINGLE_QUBIT_KINDS, UsageError
+from .circuit import Circuit, Gate, GateKind, UsageError
 from .sim import gate_matrix
 from .synthesis import gray_transitions
 
@@ -70,36 +69,13 @@ class _Lowerer:
         self.pending: dict[int, np.ndarray] = {}
 
     def lower_gate(self, gate: Gate) -> None:
-        kind = gate.kind
-        if kind is GateKind.BARRIER:
-            return
-        if kind is GateKind.X and gate.controls:
-            self._mcx(gate.controls, gate.control_state, gate.targets[0])
-        elif kind in SINGLE_QUBIT_KINDS:
-            self._controlled(gate.controls, gate.control_state, gate.targets[0],
-                             gate_matrix(gate))
-        elif kind is GateKind.MCZ:
-            self._mcz(gate.targets + gate.controls, (1,) + gate.control_state)
-        elif kind is GateKind.SWAP:
-            a, b = gate.targets
-            for c, t in ((a, b), (b, a), (a, b)):
-                self._mcx((c,) + gate.controls, (1,) + gate.control_state, t)
-        elif kind is GateKind.XXPLUSYY:
-            phi, beta = gate.params
-            if abs(beta - math.pi / 2) > 1e-12:
-                raise UsageError("XXPLUSYY transpilation fixed at beta = pi/2")
-            # V^dag (RY x RY) V with V = CX(q1->q0) H(q1): only the RYs need
-            # the gate's controls, since V^dag V = I when they are off.
-            q0, q1 = gate.targets
-            ry = _ry(-phi / 2)
-            self._mul(q1, _H)
-            self._cx(q1, q0)
-            self._controlled(gate.controls, gate.control_state, q0, ry)
-            self._controlled(gate.controls, gate.control_state, q1, ry)
-            self._cx(q1, q0)
-            self._mul(q1, _H)
+        if gate.kind is GateKind.X and gate.controls:
+            self._mcx(gate.controls, gate.control_state, gate.target)
+        elif gate.kind is GateKind.MCZ:
+            self._mcz(gate.qubits, (1,) + gate.control_state)
         else:
-            raise UsageError(f"cannot lower gate kind {kind.value}")
+            self._controlled(gate.controls, gate.control_state, gate.target,
+                             gate_matrix(gate))
 
     def _flip(self, qubits, state) -> None:
         """X on every qubit whose control state is 0."""
@@ -180,12 +156,12 @@ class _Lowerer:
         m = self.pending.pop(q, None)
         if m is not None and not _is_identity(m):
             _, theta, phi, lam = zyz(m)
-            self.gates.append(Gate(GateKind.U3, (q,), (theta, phi, lam)))
+            self.gates.append(Gate(GateKind.U3, q, (theta, phi, lam)))
 
     def _cx(self, ctrl: int, target: int) -> None:
         self._flush(target)
         self._flush(ctrl)
-        self.gates.append(Gate(GateKind.X, (target,), controls=(ctrl,), control_state=(1,)))
+        self.gates.append(Gate(GateKind.X, target, controls=(ctrl,), control_state=(1,)))
 
     def finish(self) -> list[Gate]:
         for q in sorted(self.pending):
@@ -233,8 +209,6 @@ def metrics(circuit: Circuit) -> ResourceMetrics:
     u3 = cx = 0
     clock = [0] * circuit.num_qubits
     for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            continue
         if g.kind is GateKind.U3 and not g.controls:
             u3 += 1
         elif g.kind is GateKind.X and len(g.controls) == 1 and g.control_state == (1,):

@@ -77,8 +77,9 @@ class WalkConfig:
             raise UsageError("delta must lie in (0, 1)")
         if self.shots < 1:
             raise UsageError("shots must be >= 1")
-        if self.beta_const <= 0.0 or self.gamma_const <= 0.0:
-            raise UsageError("beta and gamma must be positive")
+        if not all(math.isfinite(c) and c > 0.0
+                   for c in (self.beta_const, self.gamma_const)):
+            raise UsageError("beta and gamma must be positive and finite")
 
 
 @dataclass
@@ -365,6 +366,21 @@ def _inverse_qft(circ, qubits):
         circ.h(qubits[j])
 
 
+def _run_halving(circ, num_qubits, keys, max_support):
+    """``apply`` on the uniform sum of the basis states ``keys``, returned as
+    a list of results: a run that passes ``max_support`` is split in halves
+    and rerun, and only a single key's run raises."""
+    try:
+        return [apply(SparseState(num_qubits, keys, np.ones(len(keys), complex)),
+                      circ, max_support=max_support)]
+    except ResourceLimitError:
+        if len(keys) == 1:
+            raise
+        half = len(keys) // 2
+        return (_run_halving(circ, num_qubits, keys[:half], max_support)
+                + _run_halving(circ, num_qubits, keys[half:], max_support))
+
+
 def _step_matrix(tree: BacktrackingTree, max_support):
     """The walk step W as a dense matrix on the node states it reaches from
     the tree's root; returns (node basis indices, W, largest support seen).
@@ -387,21 +403,21 @@ def _step_matrix(tree: BacktrackingTree, max_support):
                 f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
         keys = np.array([(j << width) | key for j, key in enumerate(frontier)],
                         dtype=np.int64)
-        out = apply(SparseState(width + label_bits, keys, np.ones(len(keys), complex)),
-                    step, max_support=max_support)
-        seen = max(seen, out.max_support_seen)
-        targets = out.keys & ((1 << width) - 1)
-        if np.any(targets >> tree.num_tree_qubits):
+        outs = _run_halving(step, width + label_bits, keys, max_support)
+        seen = max([seen] + [out.max_support_seen for out in outs])
+        out_keys = np.concatenate([out.keys for out in outs])
+        reached = out_keys & ((1 << width) - 1)
+        if np.any(reached >> tree.num_tree_qubits):
             raise UsageError("walk step leaves a workspace qubit set")
-        cols += [index[frontier[j]] for j in (out.keys >> width).tolist()]
-        frontier = [key for key in np.unique(targets).tolist() if key not in index]
+        cols += [index[frontier[j]] for j in (out_keys >> width).tolist()]
+        frontier = [key for key in np.unique(reached).tolist() if key not in index]
         for key in frontier:
             index[key] = len(index)
         if max_support is not None and len(index) > max_support:
             raise ResourceLimitError(
                 f"walk step reaches more than {max_support} node states")
-        rows += [index[key] for key in targets.tolist()]
-        amps.append(out.amps)
+        rows += [index[key] for key in reached.tolist()]
+        amps += [out.amps for out in outs]
     nodes = np.array(list(index), dtype=np.int64)
     w = np.zeros((len(nodes), len(nodes)), dtype=complex)
     w[rows, cols] = np.concatenate(amps)

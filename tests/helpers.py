@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from qwb.circuit import Circuit, Gate, GateKind
+from qwb.synthesis import xx_plus_yy
 
 
 def _matrix_1q(gate: Gate) -> np.ndarray:
@@ -48,41 +49,28 @@ def _controls_satisfied(gate: Gate, idx: int) -> bool:
 
 def definitional_gate_column(gate: Gate, idx: int, out: np.ndarray) -> None:
     """Add the gate's action on basis state ``idx`` into column vector ``out``."""
-    if gate.kind is GateKind.BARRIER or not _controls_satisfied(gate, idx):
+    t = gate.target
+    if not _controls_satisfied(gate, idx):
         out[idx] += 1.0
         return
     if gate.kind is GateKind.MCZ:
-        t = gate.targets[0]
         out[idx] += -1.0 if (idx >> t) & 1 else 1.0
         return
-    if gate.kind is GateKind.SWAP:
-        a, b = gate.targets
-        ba, bb = (idx >> a) & 1, (idx >> b) & 1
-        j = (idx & ~((1 << a) | (1 << b))) | (bb << a) | (ba << b)
-        out[j] += 1.0
-        return
-    if gate.kind is GateKind.XXPLUSYY:
-        phi, beta = gate.params
-        assert abs(beta - math.pi / 2) < 1e-12
-        a, b = gate.targets
-        ba, bb = (idx >> a) & 1, (idx >> b) & 1
-        if ba == bb:
-            out[idx] += 1.0
-            return
-        c, s = math.cos(phi / 2), math.sin(phi / 2)
-        other = idx ^ ((1 << a) | (1 << b))
-        if ba == 1:     # |a=1,b=0> -> c |same> + s |other>
-            out[idx] += c
-            out[other] += s
-        else:           # |a=0,b=1> -> c |same> - s |a=1,b=0>
-            out[idx] += c
-            out[other] += -s
-        return
-    t = gate.targets[0]
     m = _matrix_1q(gate)
     bit = (idx >> t) & 1
     out[idx & ~(1 << t)] += m[0, bit]
     out[idx | (1 << t)] += m[1, bit]
+
+
+def xxyy_matrix(phi: float, controlled: bool = False) -> np.ndarray:
+    """XX+YY(phi, beta=pi/2) on qubits (0, 1): RY(phi) on |01>, |10> (qubit 0
+    is the low bit), |00> and |11> unchanged.  With ``controlled``, the 8x8
+    matrix of the gate under an activate-on-1 control on qubit 2."""
+    c, s = math.cos(phi / 2), math.sin(phi / 2)
+    u = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]], dtype=complex)
+    if controlled:
+        u = np.kron(np.diag([1, 0]), np.eye(4)) + np.kron(np.diag([0, 1]), u)
+    return u
 
 
 def definitional_unitary(circuit: Circuit) -> np.ndarray:
@@ -131,9 +119,12 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
         elif kind == "cx":
             circ.cx(int(qs[0]), int(qs[1]))
         elif kind == "swap":
-            circ.swap(int(qs[0]), int(qs[1]))
+            a, b = int(qs[0]), int(qs[1])
+            circ.cx(a, b)
+            circ.cx(b, a)
+            circ.cx(a, b)
         elif kind == "xxyy":
-            circ.xxyy(rng.uniform(-3, 3), int(qs[0]), int(qs[1]))
+            xx_plus_yy(circ, rng.uniform(-3, 3), int(qs[0]), int(qs[1]))
         elif kind == "mcz":
             w = int(rng.integers(2, min(4, num_qubits) + 1))
             circ.mcz([int(q) for q in qs[:w]], [int(b) for b in rng.integers(0, 2, w)])
@@ -147,7 +138,7 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
             base, nparams = _CONTROLLABLE[rng.integers(len(_CONTROLLABLE))]
             w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
             circ.extend([Gate(
-                base, (int(qs[w]),), tuple(float(p) for p in rng.uniform(-3, 3, nparams)),
+                base, int(qs[w]), tuple(float(p) for p in rng.uniform(-3, 3, nparams)),
                 tuple(int(q) for q in qs[:w]), tuple(int(b) for b in rng.integers(0, 2, w)))])
     return circ
 

@@ -27,6 +27,7 @@ from qwb.walk import (BacktrackingTree, SearchStats, WalkConfig,
                       decode_tree_state, demo_tree, find_solution,
                       oracle_from_paths, trivial_oracle)
 
+from helpers import xxyy_matrix
 from reference import algorithmic_indices, all_paths, reference_diffuser
 
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
@@ -310,11 +311,8 @@ def test_criterion_8_property_suite():
         assert hst.probability(q, 1) <= 1e-12
 
     # controlled XX+YY equivalence outside |11> (state equivalence)
-    from qwb.circuit import control_generic
     from qwb.synthesis import xx_plus_yy
-    base = Circuit(2)
-    base.xxyy(0.77, 0, 1)
-    want = dense_unitary(control_generic(base, 2))
+    want = xxyy_matrix(0.77, controlled=True)
     cx_form = Circuit(3)
     xx_plus_yy(cx_form, 0.77, 0, 1, ctrl_qubits=[2])
     got = dense_unitary(cx_form)

@@ -46,7 +46,7 @@ def test_permute_wires_relabels_subsequent_gates():
     # Cyclic shift of a 4-qubit register: logical 0 now refers to old wire 3.
     c.permute_wires({0: 3, 1: 0, 2: 1, 3: 2})
     c.x(0)
-    assert c.gates[-1].targets == (3,)
+    assert c.gates[-1].target == 3
 
 
 def test_permute_then_inverse_is_identity_map():
@@ -135,18 +135,12 @@ def test_control_generic_collision_is_error():
 
 def test_gate_validation():
     with pytest.raises(UsageError):
-        Gate(GateKind.RY, (0,), params=())
+        Gate(GateKind.RY, 0, params=())
     with pytest.raises(UsageError):
-        Gate(GateKind.X, (0,), controls=(0,), control_state=(1,))
+        Gate(GateKind.X, 0, controls=(0,), control_state=(1,))
     c = Circuit(1)
     with pytest.raises(UsageError):
         c.cx(0, 1)
-
-
-@pytest.mark.parametrize("kind, targets", [(GateKind.X, (0, 1)), (GateKind.SWAP, (0,))])
-def test_gate_rejects_wrong_target_count(kind, targets):
-    with pytest.raises(UsageError):
-        Gate(kind, targets)
 
 
 def test_mcz_requires_two_qubits():
@@ -158,8 +152,6 @@ def test_mcz_requires_two_qubits():
 def test_serialization_round_trip():
     rng = np.random.default_rng(4)
     c = random_circuit(rng, 4, 30)
-    c.barrier()
-    c.barrier([0, 2])
     text = to_text(c)
     back = from_text(text)
     assert back.num_qubits == c.num_qubits
@@ -184,7 +176,10 @@ def test_from_text_rejects_qubits_off_the_register(line):
 @pytest.mark.parametrize("text", ["QUBITS 2\nGATE X - 0,1 - -", "QUBITS 2\nGATE SWAP - 0 - -",
                                   "QUBITS 2\nGATE X - 0 1 2", "QUBITS -1",
                                   "QUBITS 2\nGATE FOO - 0 - -", "QUBITS 2\nGATE X a 0 - -",
-                                  "QUBITS 2\nGATE X - a - -", "QUBITS x"])
+                                  "QUBITS 2\nGATE X - a - -", "QUBITS x",
+                                  "QUBITS 2\nGATE SWAP - 0,1 - -",
+                                  "QUBITS 2\nGATE XXPLUSYY 1.0,1.5707963267948966 0,1 - -",
+                                  "QUBITS 2\nGATE BARRIER - - - -"])
 def test_from_text_rejects_malformed_gates(text):
     with pytest.raises(UsageError):
         from_text(text)

@@ -73,6 +73,22 @@ def test_solve_resource_error_exit_3(capsys, k2_board):
     assert main(["solve", k2_board, "--max-support", "4", "--seed", "0"]) == 3
 
 
+def test_solve_under_a_support_cap_splits_the_step_batches(capsys, tmp_path):
+    # All 37 reachable nodes in one step run reach support 576; one node at a
+    # time stays under 100, so the cap splits the batches instead of failing.
+    p = tmp_path / "k4.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 4)))
+    argv = ["solve", str(p), "--precision", "1", "--seed", "1"]
+    outcomes = []
+    for extra in ([], ["--max-support", "100"]):
+        code, text, report = run_main(capsys, argv + extra)
+        assert code == 0
+        outcomes.append((text, report["outcome"]["solution"], report["outcome"]["path"],
+                         report["outcome"]["qpe_runs"]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][2:] == ([1, 3, 3, 1, 1], 16)
+
+
 def test_detect_solvable_and_unsolvable(capsys, tmp_path, k2_board):
     code, text, report = run_main(capsys, ["detect", k2_board, "--seed", "1"])
     assert code == 0 and text.startswith("marked node exists")
@@ -156,7 +172,9 @@ def test_console_entry_point(tmp_path):
                                   ["detect", "--gamma", "-5"], ["solve", "--shots", "0"],
                                   ["viz", "--steps", "-1"], ["solve", "--max-support", "-1"],
                                   ["solve", "--max-support", "0"],
-                                  ["detect", "--max-support", "0"]])
+                                  ["detect", "--max-support", "0"],
+                                  ["detect", "--beta", "nan"], ["detect", "--beta", "inf"],
+                                  ["detect", "--gamma", "nan"], ["detect", "--gamma", "inf"]])
 def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
     assert main([argv[0], k2_board] + argv[1:]) == 1
     captured = capsys.readouterr()

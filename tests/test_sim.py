@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import (ResourceLimitError, SparseState, apply, dense_unitary,
                      dump_state, load_state, sample)
+from qwb.synthesis import xx_plus_yy
 
-from helpers import definitional_unitary, random_circuit, random_sparse_dict
+from helpers import definitional_unitary, random_circuit, random_sparse_dict, xxyy_matrix
 
 
 def test_x_on_zero():
@@ -39,10 +40,8 @@ def test_dense_unitary_x():
 def test_dense_unitary_xxyy_matches_displayed_matrix():
     phi = 1.234
     c = Circuit(2)
-    c.xxyy(phi, 0, 1)
-    cv, sv = math.cos(phi / 2), math.sin(phi / 2)
-    want = np.array([[1, 0, 0, 0], [0, cv, -sv, 0], [0, sv, cv, 0], [0, 0, 0, 1]])
-    assert np.allclose(dense_unitary(c), want, atol=1e-12)
+    xx_plus_yy(c, phi, 0, 1)
+    assert np.allclose(dense_unitary(c), xxyy_matrix(phi), atol=1e-12)
 
 
 def test_random_circuits_match_definitional_unitary():
@@ -131,7 +130,7 @@ def test_gate_out_of_range_is_error():
 
 def test_gate_outside_state_is_error():
     c = Circuit(2)
-    c.gates.append(Gate(GateKind.X, (5,)))
+    c.gates.append(Gate(GateKind.X, 5))
     with pytest.raises(UsageError):
         apply(SparseState.zero(2), c)
 
@@ -203,6 +202,15 @@ def test_dump_and_load_round_trip():
     back = load_state(text, 3)
     for k, v in st.amplitudes.items():
         assert back.amplitude(k) == pytest.approx(v)
+
+
+def test_state_beyond_62_qubits_is_a_resource_error():
+    with pytest.raises(ResourceLimitError):
+        load_state("1" + "0" * 69 + " 1 0", 70)
+    with pytest.raises(ResourceLimitError):
+        SparseState.from_dict(63, {0: 1.0})
+    with pytest.raises(ResourceLimitError):
+        SparseState.basis_state(63, 0)
 
 
 @pytest.mark.parametrize("text", [

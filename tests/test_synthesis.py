@@ -10,6 +10,9 @@ from qwb.synthesis import (TruthTable, cq_in_set, controlled_h, fredkin, mcx,
                            qq_equal, synth_truth_table, xx_plus_yy)
 from qwb.transpile import metrics, transpile
 
+from helpers import xxyy_matrix
+
+
 def cx_count(circ):
     return metrics(transpile(circ)).cx_count
 
@@ -91,12 +94,6 @@ def test_balauca_depth_sublinear():
 def test_mcx_needs_controls():
     with pytest.raises(UsageError):
         mcx(Circuit(2), [], 0)
-
-
-def test_balauca_pool_growth_guard():
-    c = Circuit(5)
-    with pytest.raises(UsageError):
-        mcx(c, [0, 1, 2, 3], 4, method="balauca_logdepth", allow_pool_growth=False)
 
 
 # -- mcz ----------------------------------------------------------------------
@@ -229,9 +226,7 @@ def test_xxyy_phi_pi_swaps_one_hot_states():
 
 def test_controlled_xxyy_state_equivalence_outside_11():
     phi = 0.8311
-    base = Circuit(2)
-    base.xxyy(phi, 0, 1)
-    want = dense_unitary(control_generic(base, 2))
+    want = xxyy_matrix(phi, controlled=True)
     c = Circuit(3)
     xx_plus_yy(c, phi, 0, 1, ctrl_qubits=[2])
     got = dense_unitary(c)
