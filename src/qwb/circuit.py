@@ -4,6 +4,8 @@ Conventions (fixed throughout the package):
   * Qubit 0 is the least-significant bit of a basis index.
   * Every gate is one 2x2 operation on one target wire under zero or more
     controls.
+  * Only X and MCZ take controls: every controlled operation is built from
+    CX, MCX and MCZ, each of which the transpiler lowers with its own network.
   * A controlled X with one activate-on-1 control is the CX gate; more controls
     (or open controls) make it an MCX.  MCZ stores one participating qubit as
     the target and the remaining ones as controls; it is symmetric under
@@ -15,7 +17,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -37,6 +39,8 @@ class GateKind(str, Enum):
 
 _PARAM_COUNT = {GateKind.RY: 1, GateKind.U3: 3}
 
+_CONTROLLED_KINDS = (GateKind.X, GateKind.MCZ)
+
 _ADJOINT_KIND = {
     GateKind.S: GateKind.SDG,
     GateKind.SDG: GateKind.S,
@@ -51,7 +55,7 @@ class Gate:
 
     ``target`` is the qubit the base operation acts on; ``controls`` carry
     an explicit per-qubit ``control_state`` (1 = activate on |1>, 0 = open
-    circle / activate on |0>).
+    circle / activate on |0>).  Only X and MCZ may have controls.
     """
 
     kind: GateKind
@@ -63,6 +67,8 @@ class Gate:
     def __post_init__(self):
         if len(self.controls) != len(self.control_state):
             raise UsageError("controls and control_state lengths differ")
+        if self.controls and self.kind not in _CONTROLLED_KINDS:
+            raise UsageError(f"{self.kind.value} takes no controls")
         want = _PARAM_COUNT.get(self.kind, 0)
         if len(self.params) != want:
             raise UsageError(f"{self.kind.value} expects {want} params, got {len(self.params)}")
@@ -81,7 +87,9 @@ class Gate:
         elif self.kind is GateKind.U3:
             th, ph, lam = self.params
             params = (-th, -lam, -ph)
-        return replace(self, kind=kind, params=params)
+        elif kind is self.kind:
+            return self     # X, H and MCZ are their own inverses
+        return Gate(kind, self.target, params, self.controls, self.control_state)
 
     def display_name(self) -> str:
         """Conventional name: CX/MCX for controlled X, CZ for two-qubit MCZ."""
@@ -93,10 +101,7 @@ class Gate:
             if len(self.controls) == 1 and self.control_state == (1,):
                 return "CZ"
             return "MCZ"
-        name = self.kind.value
-        if self.controls:
-            name = "C" * len(self.controls) + name
-        return name
+        return self.kind.value
 
 
 def _identity_map(n: int) -> list[int]:
@@ -280,22 +285,6 @@ def invert(circuit: Circuit) -> Circuit:
     """Reversed circuit with every gate replaced by its adjoint."""
     out = Circuit(circuit.num_qubits)
     out.gates = adjoint(circuit.gates)
-    return out
-
-
-def control_generic(circuit: Circuit, ctrl: int) -> Circuit:
-    """Every gate acquires ``ctrl`` as an additional activate-on-1 control.
-
-    The generic one-fits-all method: correct for any circuit, usually far
-    more expensive than a construction-specific controlled version.
-    """
-    for g in circuit.gates:
-        if ctrl in g.qubits:
-            raise UsageError(f"control qubit {ctrl} collides with circuit wires")
-    out = Circuit(max(circuit.num_qubits, ctrl + 1))
-    for g in circuit.gates:
-        out.gates.append(replace(g, controls=g.controls + (ctrl,),
-                                 control_state=g.control_state + (1,)))
     return out
 
 

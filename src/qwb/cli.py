@@ -72,12 +72,13 @@ def cmd_solve(args) -> int:
     seed = _seed_from(args)
     board = _read_board(args.board)
     config = WalkConfig(precision_bits=args.precision, shots=args.shots)
+    config_echo = {"precision": args.precision, "shots": args.shots,
+                   "seed": seed, "subspace_opt": args.subspace_opt}
     timings = {}
 
     if board.is_complete():
         print(format_board(board), end="")
-        _emit(_report("solve", {"precision": args.precision, "shots": args.shots,
-                                "seed": seed, "subspace_opt": args.subspace_opt},
+        _emit(_report("solve", config_echo,
                       {"solution": format_board(board), "assignments": {},
                        "quantum_steps": 0}, timings))
         return 0
@@ -96,8 +97,6 @@ def cmd_solve(args) -> int:
     m = root_metrics(tree, args.precision)
     timings["metrics"] = time.perf_counter() - t0
 
-    config_echo = {"precision": args.precision, "shots": args.shots,
-                   "seed": seed, "subspace_opt": args.subspace_opt}
     if path is None:
         _emit(_report("solve", config_echo,
                       {"solution": None, "qpe_runs": stats.qpe_runs,
@@ -185,20 +184,23 @@ def cmd_viz(args) -> int:
         board = _read_board(args.board)
         tree, _ = tree_for_board(board)
 
+    # Diffuser s (from 0) has even parity iff depth + s is even; the walk
+    # applies the two parities' circuits in turn to the root state.
     n = tree.effective_depth
-    parities = [(n % 2 == 0) if s % 2 == 0 else (n % 2 == 1)
-                for s in range(args.steps)]
-    paths = []
-    for upto in range(args.steps + 1):
+    diffusers = []
+    for s in range(min(args.steps, 2)):
         circ = tree.new_circuit()
-        tree.init_node(circ, ())
-        for even in parities[:upto]:
-            tree.qstep_diffuser(circ, even=even)
-        state = apply(SparseState.zero(circ.num_qubits), circ)
-        decoded = decode_tree_state(tree, state)
-        out_path = f"{args.out}_step{upto}.dot"
+        tree.qstep_diffuser(circ, even=(n + s) % 2 == 0)
+        diffusers.append(circ)
+    width = max([tree.num_tree_qubits] + [c.num_qubits for c in diffusers])
+    state = SparseState.basis_state(width, tree.node_index(()))
+    paths = []
+    for step in range(args.steps + 1):
+        if step:
+            state = apply(state, diffusers[(step - 1) % 2])
+        out_path = f"{args.out}_step{step}.dot"
         with open(out_path, "w") as fh:
-            fh.write(to_dot(decoded))
+            fh.write(to_dot(decode_tree_state(tree, state)))
         paths.append(out_path)
     timings = {"viz": time.perf_counter() - t0}
     for p in paths:

@@ -7,8 +7,8 @@ vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
 controls, and one kernel applies it to the pairs of basis states that differ
 only in the target bit: a diagonal matrix scales amplitudes in place, X swaps
-the pair by flipping the target bit, and any other matrix mixes each pair
-once.
+the pair by flipping the target bit, and any other matrix (H, RY, U3, which
+never carry controls) mixes each pair once.
 
 Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate.
 """
@@ -47,7 +47,8 @@ class ResourceLimitError(RuntimeError):
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Exact 2x2 matrix of a gate kind on its target's |0>, |1> (no global
-    phase slack), ignoring controls; MCZ's is diag(1, -1) on its target."""
+    phase slack), ignoring controls.  MCZ, the only controlled diagonal, is
+    diag(1, -1) on its target."""
     kind = gate.kind
     if kind in _FIXED:
         return _FIXED[kind]
@@ -216,14 +217,14 @@ def _apply_gate(keys, amps, gate: Gate):
         keys[sel] ^= bit
         return _sort(keys, amps)
 
-    # Controls never involve the target, so both members of a pair share
-    # the control pattern and ``sel`` is exactly the set of touched entries.
-    lo_keys = np.unique(keys[sel] & ~bit)
+    # Only X and MCZ take controls, so a mixing gate (H, RY, U3) has none
+    # and touches every entry: each pair is formed from the whole state.
+    lo_keys = np.unique(keys & ~bit)
     hi_keys = lo_keys | bit
     a_lo = _lookup(keys, amps, lo_keys)
     a_hi = _lookup(keys, amps, hi_keys)
-    return _sort(np.concatenate([keys[~sel], lo_keys, hi_keys]),
-                 np.concatenate([amps[~sel], m[0, 0] * a_lo + m[0, 1] * a_hi,
+    return _sort(np.concatenate([lo_keys, hi_keys]),
+                 np.concatenate([m[0, 0] * a_lo + m[0, 1] * a_hi,
                                  m[1, 0] * a_lo + m[1, 1] * a_hi]))
 
 
@@ -231,9 +232,6 @@ def _apply_gate(keys, amps, gate: Gate):
 class MeasurementCounts:
     shots: int
     counts: dict[str, int]
-
-    def frequency(self, outcome: str) -> float:
-        return self.counts.get(outcome, 0) / self.shots
 
 
 def sample(state: SparseState, measured_qubits, shots: int, seed) -> MeasurementCounts:

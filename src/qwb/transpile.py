@@ -1,17 +1,17 @@
 """Transpilation to the {U3, CX} basis and resource metrics.
 
-Lowering and fusion are one pass, exact up to a global phase.  The lowerer
-keeps one pending 2x2 matrix per wire and writes every network straight into
-it: the MCZ phase network (``_mcz``), the MCX as one CX or an H-conjugated
-MCZ (``_mcx``), the X conjugation of open controls, the ABC factors and sqrt
-recursion of a controlled 2x2 (every other gate: ``_controlled``).  Each
-uncontrolled single-qubit factor multiplies into its wire's matrix.  A CX
-first flushes its two wires; the end of the circuit flushes the rest in
-ascending wire order.  A flush drops a global phase times the identity and
-otherwise emits one U3 from one ``zyz`` call, so each wire carries at most
-one U3 between CXs; this fusion is what keeps the CX-dominant counts
-meaningful.  The only gates built are the U3s and CXs of the output.  Depth
-counts the longest gate-dependency chain at unit cost per gate.
+Lowering and fusion are one pass, exact up to a global phase.  Only X and MCZ
+carry controls (an invariant of ``Gate``), so every controlled gate has its
+own network: the MCZ phase network (``_mcz``) and the MCX as one CX or an
+H-conjugated MCZ (``_mcx``), open controls conjugated with X.  The lowerer
+keeps one pending 2x2 matrix per wire and writes each network straight into
+it: every single-qubit factor, and every uncontrolled gate, multiplies into
+its wire's matrix.  A CX first flushes its two wires; the end of the circuit
+flushes the rest in ascending wire order.  A flush drops a global phase times
+the identity and otherwise emits one U3 from one ``zyz`` call, so each wire
+carries at most one U3 between CXs; this fusion is what keeps the CX-dominant
+counts meaningful.  The only gates built are the U3s and CXs of the output.
+Depth counts the longest gate-dependency chain at unit cost per gate.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def _is_identity(m: np.ndarray, tol=1e-10) -> bool:
                 and abs(m[1, 0]) < tol and abs(m[1, 1] - m[0, 0]) < tol)
 
 
-def _sqrtm_2x2_unitary(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eig(m)
-    return vecs @ np.diag(np.sqrt(vals.astype(complex))) @ np.linalg.inv(vecs)
-
-
 class _Lowerer:
     """Rewrites arbitrary gates into CX and fused U3 (no controls)."""
 
@@ -74,45 +69,13 @@ class _Lowerer:
         elif gate.kind is GateKind.MCZ:
             self._mcz(gate.qubits, (1,) + gate.control_state)
         else:
-            self._controlled(gate.controls, gate.control_state, gate.target,
-                             gate_matrix(gate))
+            self._mul(gate.target, gate_matrix(gate))
 
     def _flip(self, qubits, state) -> None:
         """X on every qubit whose control state is 0."""
         for q, s in zip(qubits, state):
             if not s:
                 self._mul(q, _X)
-
-    def _controlled(self, controls, state, target: int, m: np.ndarray) -> None:
-        """``m`` on ``target`` under ``controls`` matching ``state``, open
-        controls conjugated with X: ABC for one control, the sqrt recursion
-        for more; exact up to a global phase."""
-        if not controls:
-            self._mul(target, m)
-            return
-        if _is_identity(m):
-            return
-        self._flip(controls, state)
-        if len(controls) == 1:
-            alpha, theta, phi, lam = zyz(m)
-            alpha = alpha + (phi + lam) / 2  # block phase relative to U3's det
-            ctrl = controls[0]
-            self._mul(target, _rz((lam - phi) / 2))
-            self._cx(ctrl, target)
-            self._mul(target, _ry(-theta / 2) @ _rz(-(phi + lam) / 2))
-            self._cx(ctrl, target)
-            self._mul(target, _rz(phi) @ _ry(theta / 2))
-            self._mul(ctrl, _phase(alpha))
-        else:
-            v = _sqrtm_2x2_unitary(m)
-            *rest, last = controls
-            ones = (1,) * len(rest)
-            self._controlled((last,), (1,), target, v)
-            self._mcx(rest, ones, last)
-            self._controlled((last,), (1,), target, v.conj().T)
-            self._mcx(rest, ones, last)
-            self._controlled(rest, ones, target, v)
-        self._flip(controls, state)
 
     def _mcx(self, controls, state, target: int) -> None:
         """Exact multi-controlled X: one CX for one control (open ones
@@ -167,15 +130,6 @@ class _Lowerer:
         for q in sorted(self.pending):
             self._flush(q)
         return self.gates
-
-
-def _rz(a):
-    return np.array([[cmath.exp(-1j * a / 2), 0], [0, cmath.exp(1j * a / 2)]])
-
-
-def _ry(a):
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _phase(a):

@@ -88,7 +88,6 @@ class DetectionResult:
     accept_number: int
     repetitions: int
     precision_bits: int
-    zero_frequency: float
 
 
 NodePath = tuple[int, ...]
@@ -500,7 +499,6 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
         accept_number=accept_number,
         repetitions=reps,
         precision_bits=precision,
-        zero_frequency=accept_number / reps,
     )
 
 

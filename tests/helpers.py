@@ -84,14 +84,15 @@ def definitional_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-_CONTROLLABLE = [(GateKind.H, 0), (GateKind.S, 0), (GateKind.SDG, 0), (GateKind.T, 0),
+_SINGLE_QUBIT = [(GateKind.H, 0), (GateKind.S, 0), (GateKind.SDG, 0), (GateKind.T, 0),
                  (GateKind.TDG, 0), (GateKind.RY, 1), (GateKind.U3, 3)]
 
 
 def random_circuit(rng, num_qubits: int, num_gates: int,
                    mixing_only: bool = False) -> Circuit:
-    """Random gates of every kind, including controlled and open-controlled
-    single-qubit gates and ``Circuit.phase``."""
+    """Random gates of every kind, including open-controlled MCX and MCZ and
+    ``Circuit.phase``.  A "cu" draw is a single-qubit gate followed by an MCX
+    on the same target."""
     circ = Circuit(num_qubits)
     kinds = ["x", "h", "s", "sdg", "t", "tdg", "ry", "u3", "cx", "swap",
              "xxyy", "mcz", "mcx", "phase", "cu"]
@@ -135,11 +136,13 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
         elif kind == "phase":
             circ.phase(rng.uniform(-3, 3), int(qs[0]))
         elif kind == "cu":
-            base, nparams = _CONTROLLABLE[rng.integers(len(_CONTROLLABLE))]
+            base, nparams = _SINGLE_QUBIT[rng.integers(len(_SINGLE_QUBIT))]
             w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
-            circ.extend([Gate(
-                base, int(qs[w]), tuple(float(p) for p in rng.uniform(-3, 3, nparams)),
-                tuple(int(q) for q in qs[:w]), tuple(int(b) for b in rng.integers(0, 2, w)))])
+            params = tuple(float(p) for p in rng.uniform(-3, 3, nparams))
+            controls = [int(q) for q in qs[:w]]
+            state = [int(b) for b in rng.integers(0, 2, w)]
+            circ.extend([Gate(base, int(qs[w]), params)])
+            circ.mcx(controls, int(qs[w]), state)
     return circ
 
 

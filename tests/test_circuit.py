@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qwb.circuit import (Circuit, Gate, GateKind, UsageError, control_generic,
-                         from_text, invert, to_text)
+import qwb
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import SparseState, apply, dense_unitary
 
 from helpers import random_circuit, random_sparse_dict
@@ -108,39 +108,38 @@ def test_circuit_then_inverse_is_identity_on_random_states():
         assert err <= 1e-10
 
 
-def test_control_generic_blocks():
-    rng = np.random.default_rng(3)
-    for trial in range(5):
-        c = random_circuit(rng, 3, 12)
-        ctl = control_generic(c, 3)
-        u = dense_unitary(c)
-        cu = dense_unitary(ctl)
-        dim = 8
-        # ctrl = |0> block is the identity, ctrl = |1> block is the circuit.
-        assert np.allclose(cu[:dim, :dim], np.eye(dim), atol=1e-9)
-        assert np.allclose(cu[dim:, dim:], u, atol=1e-9)
-        assert np.allclose(cu[:dim, dim:], 0, atol=1e-9)
-
-
-def test_control_generic_empty_circuit():
-    assert control_generic(Circuit(2), 2).gates == []
-
-
-def test_control_generic_collision_is_error():
-    c = Circuit(2)
-    c.cx(0, 1)
-    with pytest.raises(UsageError):
-        control_generic(c, 1)
-
-
 def test_gate_validation():
     with pytest.raises(UsageError):
         Gate(GateKind.RY, 0, params=())
     with pytest.raises(UsageError):
         Gate(GateKind.X, 0, controls=(0,), control_state=(1,))
+    with pytest.raises(UsageError):
+        Gate(GateKind.H, 1, controls=(0,), control_state=(1,))
+    with pytest.raises(UsageError):
+        Gate(GateKind.RY, 1, params=(0.7,), controls=(0,), control_state=(1,))
     c = Circuit(1)
     with pytest.raises(UsageError):
         c.cx(0, 1)
+
+
+@pytest.mark.parametrize("kind", [GateKind.H, GateKind.S, GateKind.SDG, GateKind.T,
+                                  GateKind.TDG, GateKind.RY, GateKind.U3])
+def test_only_x_and_mcz_take_controls(kind):
+    params = (0.5,) * {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
+    with pytest.raises(UsageError):
+        Gate(kind, 1, params, controls=(0,), control_state=(0,))
+    c = Circuit(3)
+    with pytest.raises(UsageError):
+        c._emit(kind, 2, params, (0, 1), (1, 1))
+    assert c.gates == []
+    c._emit(GateKind.X, 2, (), (0, 1), (1, 0))
+    c._emit(GateKind.MCZ, 2, (), (0, 1), (0, 1))
+    assert [g.display_name() for g in c.gates] == ["MCX", "MCZ"]
+
+
+def test_package_exports_resolve():
+    for name in qwb.__all__:
+        assert getattr(qwb, name) is not None, name
 
 
 def test_mcz_requires_two_qubits():
@@ -179,7 +178,9 @@ def test_from_text_rejects_qubits_off_the_register(line):
                                   "QUBITS 2\nGATE X - a - -", "QUBITS x",
                                   "QUBITS 2\nGATE SWAP - 0,1 - -",
                                   "QUBITS 2\nGATE XXPLUSYY 1.0,1.5707963267948966 0,1 - -",
-                                  "QUBITS 2\nGATE BARRIER - - - -"])
+                                  "QUBITS 2\nGATE BARRIER - - - -",
+                                  "QUBITS 3\nGATE H - 2 0,1 1,1", "QUBITS 2\nGATE RY 0.7 1 0 1",
+                                  "QUBITS 2\nGATE U3 1.0,2.0,3.0 1 0 0"])
 def test_from_text_rejects_malformed_gates(text):
     with pytest.raises(UsageError):
         from_text(text)

@@ -143,6 +143,22 @@ def test_viz_demo_tree(capsys, tmp_path):
     assert '"[1,0]"' in step2
 
 
+def test_viz_builds_one_diffuser_per_parity(capsys, tmp_path, monkeypatch):
+    calls = []
+    build = BacktrackingTree.qstep_diffuser
+
+    def spy(self, circ, even, ctrl=()):
+        calls.append(even)
+        build(self, circ, even, ctrl)
+
+    monkeypatch.setattr(BacktrackingTree, "qstep_diffuser", spy)
+    out = str(tmp_path / "demo")
+    code, _, report = run_main(
+        capsys, ["viz", "--demo-tree", "3", "--steps", "6", "--out", out])
+    assert code == 0 and len(report["outcome"]["files"]) == 7
+    assert len(calls) <= 6
+
+
 def test_report_reproducible_excluding_timings(capsys, k2_board):
     def run():
         code, _, report = run_main(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qwb.circuit import Circuit, UsageError, control_generic, invert
+from qwb.circuit import Circuit, UsageError, invert
 from qwb.sim import SparseState, apply, dense_unitary
 from qwb.synthesis import (TruthTable, cq_in_set, controlled_h, fredkin, mcx,
                            qq_equal, synth_truth_table, xx_plus_yy)
@@ -123,8 +123,10 @@ def test_mcz_extra_control_is_one_more_qubit():
     base.mcz([0, 1, 2], [1, 0, 1])
     ext = Circuit(4)
     ext.mcz([0, 1, 2, 3], [1, 0, 1, 1])
-    assert np.allclose(dense_unitary(control_generic(base, 3)), dense_unitary(ext),
-                       atol=1e-12)
+    # Qubit 3 is the high bit: |0><0| (x) I + |1><1| (x) U.
+    controlled = np.block([[np.eye(8), np.zeros((8, 8))],
+                           [np.zeros((8, 8)), dense_unitary(base)]])
+    assert np.allclose(dense_unitary(ext), controlled, atol=1e-12)
 
 
 # -- truth tables -------------------------------------------------------------

@@ -68,14 +68,6 @@ def test_fusion_cancels_adjacent_inverses():
     assert metrics(t).u3_count == 2      # S,T fused into one U3; H another
 
 
-def test_controlled_single_qubit_gate_two_cx():
-    c = Circuit(2)
-    c._emit(GateKind.RY, 1, (0.7,), (0,), (1,))
-    t = transpile(c)
-    assert metrics(t).cx_count == 2
-    assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
-
-
 def test_mcx_lowering_counts():
     # An open control is conjugated with X, so it costs no extra CX.
     for k, state, want in ((1, None, 1), (2, None, 6), (3, None, 14), (4, None, 30),
@@ -96,14 +88,6 @@ def test_mcz_lowering_matches():
         t = transpile(c)
         _only_basis(t)
         assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
-
-
-def test_multi_controlled_u3_lowering():
-    c = Circuit(3)
-    c._emit(GateKind.H, 2, (), (0, 1), (1, 1))
-    t = transpile(c)
-    _only_basis(t)
-    assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
 
 
 def test_metrics_depth_parallel_vs_chained():
