@@ -5,12 +5,17 @@ sorted int64 key array plus a complex128 amplitude array so gate application
 vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 
 Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
-controls, and one kernel applies it to the pairs of basis states that differ
-only in the target bit: a diagonal matrix scales amplitudes in place, X swaps
-the pair by flipping the target bit, and any other matrix (H, RY, U3, which
-never carry controls) mixes each pair once.
+controls.  ``apply`` compiles each gate once into its control bits, target
+bit and matrix entries, then runs one kernel over the pairs of basis states
+that differ only in the target bit: a diagonal matrix scales amplitudes in
+place, X flips the target bit of the keys in place (no sort, no prune), and
+any other matrix (H, RY, U3, which never carry controls) finds each key's
+partner by binary search and mixes each pair once, appending the partners
+that were absent.  Keys are sorted only before a mixing gate that follows a
+permutation and once at the end.
 
-Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate.
+Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate that can
+change a magnitude.
 """
 
 from __future__ import annotations
@@ -114,75 +119,120 @@ class SparseState:
         return float(np.sum(np.abs(self.amps[mask]) ** 2))
 
 
-def _control_mask(gate: Gate):
-    cmask = 0
-    cval = 0
+# Kernel paths of a compiled gate (see ``_compile``).
+_DIAG, _FLIP, _MIX = range(3)
+
+
+def _compile(gate: Gate, num_qubits: int):
+    """(path, cmask, cval, bit, m00, m01, m10, m11) for one gate: the path
+    (chosen from exact tests on the entries of ``gate_matrix``), the control
+    bits and the values they must hold, the target bit and the entries."""
+    qubits = gate.qubits
+    if min(qubits) < 0 or max(qubits) >= num_qubits:
+        raise UsageError(f"{gate.display_name()} on {qubits} is outside "
+                         f"the {num_qubits}-qubit state")
+    cmask = cval = 0
     for q, s in zip(gate.controls, gate.control_state):
         cmask |= 1 << q
-        if s:
-            cval |= 1 << q
-    return np.int64(cmask), np.int64(cval)
+        cval |= s << q
+    m00, m01, m10, m11 = gate_matrix(gate).ravel().tolist()
+    if m01 == 0 and m10 == 0:
+        path = _DIAG
+    elif m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:
+        path = _FLIP
+    else:
+        path = _MIX
+    return path, cmask, cval, 1 << gate.target, m00, m01, m10, m11
 
 
 def _sort(keys, amps):
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort()     # keys are distinct, so any sort is stable
     return keys[order], amps[order]
 
 
-def _lookup(keys, amps, query):
-    idx = np.searchsorted(keys, query)
-    idx = np.clip(idx, 0, len(keys) - 1) if len(keys) else idx
-    out = np.zeros(len(query), dtype=complex)
-    if len(keys):
-        hit = keys[idx] == query
-        out[hit] = amps[idx[hit]]
-    return out
-
-
 def _prune(keys, amps, eps):
-    if eps <= 0:
-        keep = np.abs(amps) > 0
-    else:
-        keep = np.abs(amps) >= eps
+    keep = np.abs(amps) >= eps if eps > 0 else np.abs(amps) > 0
+    if np.count_nonzero(keep) == len(keep):
+        return keys, amps
     return keys[keep], amps[keep]
 
 
 def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
           prune_epsilon: float = PRUNE_EPSILON,
           max_support: int | None = None) -> SparseState:
-    """Run the circuit on a copy of ``state``, gate by gate."""
-    if circuit.num_qubits > state.num_qubits:
+    """Run the circuit on a copy of ``state`` with the kernel described
+    above.  Every gate is compiled first, so a gate off the state raises
+    before any gate runs.  ``prune_epsilon`` 0 keeps every nonzero amplitude;
+    ``debug`` checks each deallocated wire for |0>; ``max_support`` caps the
+    support."""
+    n = state.num_qubits
+    if circuit.num_qubits > n:
         raise UsageError(
-            f"circuit uses {circuit.num_qubits} qubits, state has {state.num_qubits}")
-    if state.num_qubits > 62:
+            f"circuit uses {circuit.num_qubits} qubits, state has {n}")
+    if n > 62:
         raise ResourceLimitError(
-            f"{state.num_qubits} qubits exceed sparse index capacity",
-            qubit_count=state.num_qubits)
-
-    keys, amps = _prune(state.keys.copy(), state.amps.copy(), prune_epsilon)
-    max_seen = max(state.max_support_seen, len(keys))
+            f"{n} qubits exceed sparse index capacity", qubit_count=n)
+    ops = [_compile(gate, n) for gate in circuit.gates]
     dealloc_by_pos: dict[int, list[int]] = {}
     if debug:
         for pos, q in circuit.dealloc_events:
             dealloc_by_pos.setdefault(pos, []).append(q)
 
-    for pos, gate in enumerate(circuit.gates):
-        if any(not 0 <= q < state.num_qubits for q in gate.qubits):
-            raise UsageError(f"{gate.display_name()} on {gate.qubits} is outside "
-                             f"the {state.num_qubits}-qubit state")
-        if debug and pos in dealloc_by_pos:
+    keys, amps = _prune(state.keys.copy(), state.amps.copy(), prune_epsilon)
+    max_seen = max(state.max_support_seen, len(keys))
+    if ops:
+        _check_cap(len(keys), max_support, n)
+    unsorted = False
+    for pos, (path, cmask, cval, bit, m00, m01, m10, m11) in enumerate(ops):
+        if pos in dealloc_by_pos:
             _assert_zero(keys, amps, dealloc_by_pos[pos])
-        keys, amps = _apply_gate(keys, amps, gate)
-        keys, amps = _prune(keys, amps, prune_epsilon)
+        if path == _FLIP:
+            if cmask:
+                keys[(keys & cmask) == cval] ^= bit
+            else:
+                keys ^= bit
+            unsorted = True
+            continue
+        if path == _DIAG:
+            for half, factor in ((0, m00), (bit, m11)):
+                if factor != 1:
+                    amps[(keys & (cmask | bit)) == (cval | half)] *= factor
+            keys, amps = _prune(keys, amps, prune_epsilon)
+            continue
+        if unsorted:
+            keys, amps = _sort(keys, amps)
+            unsorted = False
+        partner = keys ^ bit
+        idx = np.searchsorted(keys, partner)
+        np.minimum(idx, len(keys) - 1, out=idx)
+        present = keys[idx] == partner
+        other = np.where(present, amps[idx], 0)
+        lo = partner > keys
+        # m00*a_lo + m01*a_hi on a low key, m11*a_hi + m10*a_lo on a high one;
+        # an absent partner's amplitude is the zero in ``other``.
+        mixed = np.where(lo, m00, m11) * amps + np.where(lo, m01, m10) * other
+        if np.count_nonzero(present) < len(keys):
+            miss = ~present
+            lo_m = lo[miss]
+            keys = np.concatenate((keys, partner[miss]))
+            mixed = np.concatenate((mixed, np.where(lo_m, m10, m01) * amps[miss]
+                                    + np.where(lo_m, m11, m00) * other[miss]))
+            unsorted = True
+        keys, amps = _prune(keys, mixed, prune_epsilon)
         max_seen = max(max_seen, len(keys))
-        if max_support is not None and len(keys) > max_support:
-            raise ResourceLimitError(
-                f"sparse support {len(keys)} exceeds cap {max_support} "
-                f"({state.num_qubits} qubits)", qubit_count=state.num_qubits)
-    if debug and len(circuit.gates) in dealloc_by_pos:
-        _assert_zero(keys, amps, dealloc_by_pos[len(circuit.gates)])
+        _check_cap(len(keys), max_support, n)
+    if len(ops) in dealloc_by_pos:
+        _assert_zero(keys, amps, dealloc_by_pos[len(ops)])
+    if unsorted:
+        keys, amps = _sort(keys, amps)
+    return SparseState(n, keys, amps, max_seen)
 
-    return SparseState(state.num_qubits, keys, amps, max_seen)
+
+def _check_cap(support, max_support, num_qubits):
+    if max_support is not None and support > max_support:
+        raise ResourceLimitError(
+            f"sparse support {support} exceeds cap {max_support} "
+            f"({num_qubits} qubits)", qubit_count=num_qubits)
 
 
 def _assert_zero(keys, amps, qubits):
@@ -191,41 +241,6 @@ def _assert_zero(keys, amps, qubits):
         if p1 > 1e-9:
             raise UsageError(
                 f"deallocated qubit {q} is not |0> (P(1)={p1:.3e})")
-
-
-def _apply_gate(keys, amps, gate: Gate):
-    """Apply ``gate_matrix(gate)`` to every control-satisfied pair of basis
-    states that differ only in the target bit.
-
-    Updates ``keys`` and ``amps`` in place where it can; ``apply`` owns them.
-    The path is chosen from exact tests on the matrix entries.
-    """
-    m = gate_matrix(gate)
-    cmask, cval = _control_mask(gate)
-    sel = (keys & cmask) == cval if cmask else np.ones(len(keys), dtype=bool)
-    if not sel.any():
-        return keys, amps
-    bit = np.int64(1 << gate.target)
-
-    if m[0, 1] == 0 and m[1, 0] == 0:
-        for half, factor in ((0, m[0, 0]), (bit, m[1, 1])):
-            if factor != 1:
-                amps[sel & ((keys & bit) == half)] *= factor
-        return keys, amps
-
-    if m[0, 0] == 0 and m[1, 1] == 0 and m[0, 1] == 1 and m[1, 0] == 1:
-        keys[sel] ^= bit
-        return _sort(keys, amps)
-
-    # Only X and MCZ take controls, so a mixing gate (H, RY, U3) has none
-    # and touches every entry: each pair is formed from the whole state.
-    lo_keys = np.unique(keys & ~bit)
-    hi_keys = lo_keys | bit
-    a_lo = _lookup(keys, amps, lo_keys)
-    a_hi = _lookup(keys, amps, hi_keys)
-    return _sort(np.concatenate([lo_keys, hi_keys]),
-                 np.concatenate([m[0, 0] * a_lo + m[0, 1] * a_hi,
-                                 m[1, 0] * a_lo + m[1, 1] * a_hi]))
 
 
 @dataclass

@@ -159,18 +159,20 @@ class ResourceMetrics:
 
 
 def metrics(circuit: Circuit) -> ResourceMetrics:
-    """Counts and dependency depth of a circuit already in {U3, CX}."""
+    """Counts and dependency depth of a circuit already in {U3, CX}: a U3
+    advances its wire's clock, a CX sets both wires' clocks to one past the
+    later of the two."""
     u3 = cx = 0
     clock = [0] * circuit.num_qubits
     for g in circuit.gates:
-        if g.kind is GateKind.U3 and not g.controls:
+        t = g.target
+        if g.kind is GateKind.U3:
             u3 += 1
+            clock[t] += 1
         elif g.kind is GateKind.X and len(g.controls) == 1 and g.control_state == (1,):
             cx += 1
+            c = g.controls[0]
+            clock[t] = clock[c] = max(clock[t], clock[c]) + 1
         else:
             raise UsageError(f"untranspiled gate kind {g.display_name()} in metrics")
-        level = max(clock[q] for q in g.qubits) + 1
-        for q in g.qubits:
-            clock[q] = level
-    depth = max(clock) if clock else 0
-    return ResourceMetrics(circuit.num_qubits, u3, cx, depth)
+    return ResourceMetrics(circuit.num_qubits, u3, cx, max(clock, default=0))

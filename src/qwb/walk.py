@@ -367,11 +367,12 @@ def _inverse_qft(circ, qubits):
 
 def _run_halving(circ, num_qubits, keys, max_support):
     """``apply`` on the uniform sum of the basis states ``keys``, returned as
-    a list of results: a run that passes ``max_support`` is split in halves
-    and rerun, and only a single key's run raises."""
+    a list of (batch length, result): a run that passes ``max_support`` is
+    split in halves and rerun, and only a single key's run raises."""
     try:
-        return [apply(SparseState(num_qubits, keys, np.ones(len(keys), complex)),
-                      circ, max_support=max_support)]
+        return [(len(keys), apply(SparseState(num_qubits, keys,
+                                              np.ones(len(keys), complex)),
+                                  circ, max_support=max_support))]
     except ResourceLimitError:
         if len(keys) == 1:
             raise
@@ -386,6 +387,9 @@ def _step_matrix(tree: BacktrackingTree, max_support):
 
     The uncontrolled step is run on every new node at once, each tagged by a
     column label on wires above the step's, until no new node appears.
+    Under ``max_support`` a level runs in batches sized from the previous
+    level's largest support per node, so few runs pass the cap and are
+    split again (``_run_halving``).
     """
     step = tree.new_circuit()
     tree.quantum_step(step)
@@ -393,7 +397,7 @@ def _step_matrix(tree: BacktrackingTree, max_support):
     root = tree.node_index(())
     index = {root: 0}        # node basis index -> its row and column of W
     rows, cols, amps = [], [], []
-    frontier, seen = [root], 0
+    frontier, seen, per_node = [root], 0, 1.0
     while frontier:
         label_bits = max(1, (len(frontier) - 1).bit_length())
         if width + label_bits > 62:
@@ -402,7 +406,13 @@ def _step_matrix(tree: BacktrackingTree, max_support):
                 f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
         keys = np.array([(j << width) | key for j, key in enumerate(frontier)],
                         dtype=np.int64)
-        outs = _run_halving(step, width + label_bits, keys, max_support)
+        batch = (len(keys) if max_support is None
+                 else max(1, int(max_support // per_node)))
+        runs = [run for lo in range(0, len(keys), batch)
+                for run in _run_halving(step, width + label_bits,
+                                        keys[lo:lo + batch], max_support)]
+        outs = [out for _, out in runs]
+        per_node = max(out.max_support_seen / size for size, out in runs)
         seen = max([seen] + [out.max_support_seen for out in outs])
         out_keys = np.concatenate([out.keys for out in outs])
         reached = out_keys & ((1 << width) - 1)

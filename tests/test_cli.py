@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from qwb import walk
 from qwb.cli import main
+from qwb.sim import ResourceLimitError
 from qwb.sudoku import FIG1_BOARD, format_board, parse_board, restrict_board
 from qwb.walk import BacktrackingTree
 
@@ -73,9 +75,9 @@ def test_solve_resource_error_exit_3(capsys, k2_board):
     assert main(["solve", k2_board, "--max-support", "4", "--seed", "0"]) == 3
 
 
-def test_solve_under_a_support_cap_splits_the_step_batches(capsys, tmp_path):
-    # All 37 reachable nodes in one step run reach support 576; one node at a
-    # time stays under 100, so the cap splits the batches instead of failing.
+def _k4_precision_1_outcomes(capsys, tmp_path):
+    """(text, solution, path, qpe_runs) of a seeded precision-1 solve of
+    FIG1 at 4 blanks, with the default support cap and with a cap of 100."""
     p = tmp_path / "k4.board"
     p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 4)))
     argv = ["solve", str(p), "--precision", "1", "--seed", "1"]
@@ -85,8 +87,33 @@ def test_solve_under_a_support_cap_splits_the_step_batches(capsys, tmp_path):
         assert code == 0
         outcomes.append((text, report["outcome"]["solution"], report["outcome"]["path"],
                          report["outcome"]["qpe_runs"]))
+    return outcomes
+
+
+def test_solve_under_a_support_cap_splits_the_step_batches(capsys, tmp_path):
+    # All 37 reachable nodes in one step run reach support 576; one node at a
+    # time stays under 100, so the cap splits the batches instead of failing.
+    outcomes = _k4_precision_1_outcomes(capsys, tmp_path)
     assert outcomes[0] == outcomes[1]
     assert outcomes[1][2:] == ([1, 3, 3, 1, 1], 16)
+
+
+def test_step_batches_under_a_support_cap_rarely_fail(capsys, tmp_path, monkeypatch):
+    # Each level's batches are sized from the previous level's support per
+    # node, so almost no step run passes the cap and is thrown away.
+    real, failed = walk.apply, []
+
+    def spy(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except ResourceLimitError:
+            failed.append(1)
+            raise
+
+    monkeypatch.setattr(walk, "apply", spy)
+    outcomes = _k4_precision_1_outcomes(capsys, tmp_path)
+    assert outcomes[0] == outcomes[1]
+    assert len(failed) <= 2
 
 
 def test_detect_solvable_and_unsolvable(capsys, tmp_path, k2_board):

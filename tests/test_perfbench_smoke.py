@@ -30,3 +30,10 @@ def test_traced_detect_run_is_correct_and_replays_exactly():
     # batches and the inverse QFT); each is replayed gate by gate.
     result = _traced_run("detect")
     assert result["metrics"]["sim.replay.ok"]["value"] == 1
+
+
+def test_traced_verify_run_is_correct_and_replays_exactly():
+    # dense_unitary runs one apply on sum_c |c>|c> at prune_epsilon=0, where
+    # every mixing gate pairs the whole 2n-qubit state.
+    result = _traced_run("verify")
+    assert result["metrics"]["sim.replay.ok"]["value"] == 1

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
-from qwb.sim import (ResourceLimitError, SparseState, apply, dense_unitary,
-                     dump_state, load_state, sample)
+from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
+                     dense_unitary, dump_state, load_state, sample)
 from qwb.synthesis import xx_plus_yy
 
 from helpers import definitional_unitary, random_circuit, random_sparse_dict, xxyy_matrix
@@ -105,6 +105,73 @@ def test_property_text_round_trip_is_exact(seed, n, num_gates):
     back = from_text(to_text(c))
     assert back.num_qubits == c.num_qubits
     assert back.gates == c.gates
+
+
+def _chained(state, circuit, **kwargs):
+    """``apply`` one gate at a time, each gate its own circuit."""
+    for gate in circuit.gates:
+        one = Circuit(circuit.num_qubits)
+        one.gates.append(gate)
+        state = apply(state, one, **kwargs)
+    return state
+
+
+def _assert_same_sorted_pruned(got, want, eps):
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.amps, want.amps)
+    assert np.all(np.diff(got.keys) > 0)
+    assert np.all(np.abs(got.amps) >= eps) and np.all(got.amps != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       num_gates=st.integers(1, 25), eps=st.sampled_from([0.0, PRUNE_EPSILON]))
+def test_property_one_pass_equals_chained_single_gate_applies(seed, n, num_gates, eps):
+    # Random gates with compute/uncompute pairs on fresh ancillae in between,
+    # so the one-pass run also checks every deallocated wire.
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, num_gates)
+
+    def compute():
+        anc = c.allocate()
+        c.mcx([int(q) for q in rng.permutation(n)[:2]], anc,
+              [int(b) for b in rng.integers(0, 2, 2)])
+        return anc
+
+    for _ in range(2):
+        c.within(compute, c.t)
+        c.extend(random_circuit(rng, n, num_gates).gates)
+    assert c.dealloc_events
+    amps = random_sparse_dict(rng, n, int(rng.integers(1, 2 ** n + 1)))
+    state = SparseState.from_dict(c.num_qubits, amps)
+    got = apply(state, c, prune_epsilon=eps, debug=True)
+    _assert_same_sorted_pruned(got, _chained(state, c, prune_epsilon=eps), eps)
+
+
+def test_permutations_on_many_keys_equal_chained_applies_and_the_map():
+    # X, CX and MCX only: the keys move but never meet, and only the final
+    # sort restores their order.
+    rng = np.random.default_rng(21)
+    n = 12
+    c = Circuit(n)
+    for _ in range(300):
+        qs = [int(q) for q in rng.permutation(n)]
+        w = int(rng.integers(0, 4))
+        if w == 0:
+            c.x(qs[0])
+        else:
+            c.mcx(qs[1:w + 1], qs[0], [int(b) for b in rng.integers(0, 2, w)])
+    amps = random_sparse_dict(rng, n, 1500)
+    state = SparseState.from_dict(n, amps)
+    got = apply(state, c)
+    _assert_same_sorted_pruned(got, _chained(state, c), PRUNE_EPSILON)
+    moved = {}
+    for key, amp in amps.items():
+        for g in c.gates:
+            if all((key >> q) & 1 == v for q, v in zip(g.controls, g.control_state)):
+                key ^= 1 << g.target
+        moved[key] = amp
+    assert got.amplitudes == moved
 
 
 def test_norm_preserved_over_many_gates():
