@@ -104,16 +104,10 @@ class Gate:
         return self.kind.value
 
 
-def _identity_map(n: int) -> list[int]:
-    return list(range(n))
-
-
 class Circuit:
     """Ordered gate sequence over an allocatable qubit pool.
 
-    ``allocate`` reuses the lowest free index before growing the pool.  Gates
-    emitted through the helper methods are relabeled through ``wire_map``,
-    which ``permute_wires`` composes without emitting any gates.
+    ``allocate`` reuses the lowest free index before growing the pool.
     """
 
     def __init__(self, num_qubits: int = 0):
@@ -121,7 +115,6 @@ class Circuit:
         self.gates: list[Gate] = []
         self._free: list[int] = []          # min-heap of deallocated indices
         self._free_set: set[int] = set()
-        self.wire_map: list[int] = _identity_map(num_qubits)
         # (gate position, qubit) pairs recorded at deallocation, used by the
         # simulator's debug mode to assert the |0> contract.
         self.dealloc_events: list[tuple[int, int]] = []
@@ -136,7 +129,6 @@ class Circuit:
         else:
             q = self.num_qubits
             self.num_qubits += 1
-            self.wire_map.append(q)
         self.alloc_events.append((len(self.gates), q))
         return q
 
@@ -154,29 +146,11 @@ class Circuit:
     def free_pool(self) -> frozenset[int]:
         return frozenset(self._free_set)
 
-    # -- wire permutation ---------------------------------------------------
-
-    def permute_wires(self, perm: dict[int, int]) -> None:
-        """Relabel subsequent emissions: logical q now refers to the wire that
-        logical ``perm[q]`` referred to before the call.  Emits zero gates."""
-        if sorted(perm.keys()) != sorted(perm.values()):
-            raise UsageError("permutation must be a bijection over its domain")
-        for q in perm:
-            if not 0 <= q < self.num_qubits:
-                raise UsageError(f"permutation index {q} out of range")
-        old = list(self.wire_map)
-        for q, src in perm.items():
-            self.wire_map[q] = old[src]
-
     # -- gate emission ------------------------------------------------------
 
     def _emit(self, kind, target, params=(), controls=(), control_state=()):
-        for q in (target,) + tuple(controls):
-            if not 0 <= q < self.num_qubits:
-                raise UsageError(f"gate references out-of-range qubit {q}")
-        controls = tuple(self.wire_map[c] for c in controls)
-        gate = Gate(kind, self.wire_map[target], tuple(float(p) for p in params),
-                    controls, tuple(int(s) for s in control_state))
+        gate = Gate(kind, target, tuple(float(p) for p in params),
+                    tuple(controls), tuple(int(s) for s in control_state))
         self._check_live(gate)
         self.gates.append(gate)
         return gate
@@ -245,9 +219,9 @@ class Circuit:
     # -- fragments ----------------------------------------------------------
 
     def extend(self, gates) -> None:
-        """Append already-mapped gates (``wire_map`` is not applied).  Wires
-        the fragment used that are free now (ancillae it allocated and
-        released itself) are claimed for the replay and released after it."""
+        """Append a gate fragment.  Wires the fragment used that are free now
+        (ancillae it allocated and released itself) are claimed for the replay
+        and released after it."""
         gates = tuple(gates)
         reserved = sorted({q for g in gates for q in g.qubits} & self._free_set)
         if reserved:

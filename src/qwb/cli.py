@@ -22,8 +22,8 @@ from .sim import ResourceLimitError, SparseState, apply
 from .sudoku import (ParseError, board_with_path, format_board, parse_board,
                      restrict_board, tree_for_board)
 from .transpile import metrics, transpile
-from .walk import (SearchStats, WalkConfig, decode_tree_state, demo_tree,
-                   detect_marked, find_solution, to_dot)
+from .walk import (DetectionResult, SearchStats, WalkConfig, decode_tree_state,
+                   demo_tree, detect_marked, find_solution, to_dot)
 
 PAPER_REFERENCE_K1 = {"qubit_count": 15, "u3_count": 1434, "cx_count": 1157,
                       "depth": 1396}
@@ -84,7 +84,7 @@ def cmd_solve(args) -> int:
         return 0
 
     t0 = time.perf_counter()
-    tree, plan = tree_for_board(board, subspace_optimization=args.subspace_opt)
+    tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -120,8 +120,11 @@ def cmd_detect(args) -> int:
     config = WalkConfig(delta=args.delta, beta_const=args.beta,
                         gamma_const=args.gamma)
     t0 = time.perf_counter()
-    tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
-    result = detect_marked(tree, config, seed=seed, max_support=args.max_support)
+    if board.is_complete():     # the root is a solution: nothing to simulate
+        result = DetectionResult(True, accept_number=0, repetitions=0, precision_bits=0)
+    else:
+        tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
+        result = detect_marked(tree, config, seed=seed, max_support=args.max_support)
     timings = {"detect": time.perf_counter() - t0}
     print("marked node exists" if result.marked else "no marked node")
     _emit(_report("detect",

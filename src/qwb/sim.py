@@ -110,10 +110,6 @@ class SparseState:
     def support(self) -> int:
         return len(self.keys)
 
-    def copy(self) -> "SparseState":
-        return SparseState(self.num_qubits, self.keys.copy(), self.amps.copy(),
-                           self.max_support_seen)
-
     def probability(self, qubit: int, value: int = 1) -> float:
         mask = ((self.keys >> qubit) & 1) == value
         return float(np.sum(np.abs(self.amps[mask]) ** 2))

@@ -1,13 +1,16 @@
-"""Sudoku problem model, graph-coloring reduction, walk oracles, and the
-classical backtracking reference solver.
+"""Sudoku problem model, check plan, walk oracles, and the classical
+backtracking reference solver.
 
 Cell values are 0-based internally; the text format uses 1-based symbols with
 '.' (or '0') for empty cells.  The tree for an instance with k empty cells
 has depth k + 1: the extra level keeps rejected siblings of a solution from
 being accepted at height 0, so accept and reject never fire together.
-Assignment a (row-major over empty cells) lives in branch register
-``max_depth - 1 - a`` and is checked under control of the matching height
-qubit, so comparisons involving not-yet-assigned cells stay inert.
+Assignment a (row-major over empty cells) is path entry a: the reject oracle
+reads it from the register ``tree.level(a)`` names and checks it under that
+level's height qubit, so comparisons involving not-yet-assigned cells stay
+inert.  ``check_plan`` lists those comparisons straight from the board:
+classical-quantum (cq) batches of forbidden values and quantum-quantum (qq)
+pairs of assignments.
 """
 
 from __future__ import annotations
@@ -114,46 +117,11 @@ def format_board(board: SudokuBoard) -> str:
 
 
 # ---------------------------------------------------------------------------
-# graph-coloring reduction
-
-
-@dataclass(frozen=True)
-class ComparisonGraph:
-    nodes: dict[Cell, str]            # "given" | "assigned"
-    given_values: dict[Cell, int]
-    cq_edges: frozenset[tuple[Cell, Cell]]   # (assigned, given)
-    qq_edges: frozenset[tuple[Cell, Cell]]   # unordered, stored sorted
-
-
-def to_coloring_graph(board: SudokuBoard) -> ComparisonGraph:
-    """Nodes for every cell; one edge per distinctness comparison that
-    involves at least one empty (assigned) cell."""
-    nodes = {}
-    given_values = {}
-    size, block = board.size, board.block_size
-    for r in range(size):
-        for c in range(size):
-            v = board.cells[r][c]
-            nodes[(r, c)] = "assigned" if v is None else "given"
-            if v is not None:
-                given_values[(r, c)] = v
-    cq = set()
-    qq = set()
-    for cell, kind in nodes.items():
-        if kind != "assigned":
-            continue
-        for p in peers(size, block, cell):
-            if nodes[p] == "given":
-                cq.add((cell, p))
-            else:
-                qq.add(tuple(sorted((cell, p))))
-    return ComparisonGraph(nodes, given_values, frozenset(cq), frozenset(qq))
+# check plan
 
 
 @dataclass(frozen=True)
 class CheckPlan:
-    assignment_order: tuple[Cell, ...]
-    branch_bits: int
     cq_batches: dict[int, frozenset[int]]   # assignment index -> forbidden values
     qq_pairs: frozenset[tuple[int, int]]    # assignment-index pairs, a < b
 
@@ -162,35 +130,26 @@ def branch_bits_for(board: SudokuBoard) -> int:
     return max(1, math.ceil(math.log2(board.size)))
 
 
-def build_check_plan(graph: ComparisonGraph, order=None, *,
-                     branch_bits: int | None = None) -> CheckPlan:
-    """Collapse cq edges into per-cell forbidden-value batches and qq edges
-    into assignment-index pairs.  Branch codes beyond the value range (when
-    the register can hold more than ``size`` values) are forbidden in every
-    batch."""
-    assigned = [cell for cell, kind in sorted(graph.nodes.items())
-                if kind == "assigned"]
-    if order is None:
-        order = assigned
-    order = [tuple(c) for c in order]
-    if sorted(order) != sorted(assigned):
-        raise UsageError("order must cover exactly the assigned nodes")
-    index = {cell: a for a, cell in enumerate(order)}
-
-    size = math.isqrt(len(graph.nodes))
-    bits = branch_bits if branch_bits is not None else max(1, math.ceil(math.log2(size)))
-    spare_codes = frozenset(range(size, 2 ** bits))
-
-    batches: dict[int, set[int]] = {a: set(spare_codes) for a in range(len(order))}
-    for (cell, given) in graph.cq_edges:
-        batches[index[cell]].add(graph.given_values[given])
-    qq = set()
-    for (u, v) in graph.qq_edges:
-        a, b = sorted((index[u], index[v]))
-        qq.add((a, b))
-    return CheckPlan(tuple(order), bits,
-                     {a: frozenset(vals) for a, vals in batches.items() if vals},
-                     frozenset(qq))
+def check_plan(board: SudokuBoard) -> CheckPlan:
+    """The comparisons the reject oracle makes, with assignment a the a-th
+    empty cell in row-major order: per assignment, the values its peers'
+    givens forbid plus every branch code beyond the value range (a cq batch,
+    kept when non-empty), and every pair of assignments that are peers (a qq
+    pair)."""
+    empties = board.empty_cells()
+    index = {cell: a for a, cell in enumerate(empties)}
+    spare_codes = range(board.size, 2 ** branch_bits_for(board))
+    batches, qq = {}, set()
+    for a, cell in enumerate(empties):
+        batch = set(spare_codes)
+        for p in peers(board.size, board.block_size, cell):
+            if board.value(p) is not None:
+                batch.add(board.value(p))
+            elif index[p] < a:
+                qq.add((index[p], a))
+        if batch:
+            batches[a] = frozenset(batch)
+    return CheckPlan(batches, frozenset(qq))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +169,18 @@ def make_reject_builder(plan: CheckPlan):
     aggregated by an all-zero-state MCX and a final X."""
 
     def builder(tree: BacktrackingTree, circ: Circuit) -> int:
-        n = tree.max_depth
         comparisons = []
         for a in sorted(plan.cq_batches):
-            i = n - 1 - a
+            height, reg = tree.level(a)
             q = circ.allocate()
-            cq_in_set(circ, tree.branch_reg(i), plan.cq_batches[a], q,
-                      ctrl=tree.h[i], phase_tolerant=True)
+            cq_in_set(circ, reg, plan.cq_batches[a], q, ctrl=height,
+                      phase_tolerant=True)
             comparisons.append(q)
         for (a, b) in sorted(plan.qq_pairs):
-            i, j = n - 1 - a, n - 1 - b   # i > j; h[j] is the newer assignment
+            # b > a is the newer assignment; its height qubit gates the check.
+            (_, reg_a), (height_b, reg_b) = tree.level(a), tree.level(b)
             q = circ.allocate()
-            qq_equal(circ, tree.branch_reg(i), tree.branch_reg(j), q,
-                     ctrl=tree.h[j], phase_tolerant=True)
+            qq_equal(circ, reg_a, reg_b, q, ctrl=height_b, phase_tolerant=True)
             comparisons.append(q)
         res = circ.allocate()
         if comparisons:
@@ -245,9 +203,8 @@ def tree_for_board(board: SudokuBoard, subspace_optimization: bool = False
     empties = board.empty_cells()
     if not empties:
         raise UsageError("board has no empty cells")
-    bits = branch_bits_for(board)
-    plan = build_check_plan(to_coloring_graph(board), empties, branch_bits=bits)
-    tree = BacktrackingTree(len(empties) + 1, bits, accept_builder,
+    plan = check_plan(board)
+    tree = BacktrackingTree(len(empties) + 1, branch_bits_for(board), accept_builder,
                             make_reject_builder(plan),
                             subspace_optimization=subspace_optimization)
     return tree, plan

@@ -14,6 +14,10 @@ lives on:
     register holds the reversed path.  The node with path [0, 1] in a binary
     depth-4 tree is |branch_qa> = |[0,0,1,0]>, |h> = |00100>.
 
+The tree owns this layout: ``level(a)`` names path entry a's height qubit
+and register, and the validating ``path_bits`` lists a node state's (wire,
+bit) pairs for ``init_node``, ``node_index`` and ``oracle_from_paths``.
+
 Heights are root-relative, so a subtree re-uses the encoding unchanged: the
 effective root of a subtree with ``root_path`` of length L sits at height
 N - L, and everything above it stays classical.
@@ -26,7 +30,8 @@ Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 ``circuit.allocate``, emit gates, and return the result qubit.  The diffuser
 runs each builder as the compute step of ``Circuit.within``, which applies
 the phase, emits the builder's adjoint and returns every allocated qubit to
-the pool, so builders never uncompute.
+the pool, so builders never uncompute.  The reject builder receives the
+lifted tree (``_lifted``), whose height register is relabeled one level up.
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit (each
 controlled step built once and its gates replayed with ``Circuit.extend``);
@@ -39,6 +44,7 @@ gate by gate.  Detection and search use ``qpe_state``.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,14 +59,17 @@ from .synthesis import controlled_h, fredkin, xx_plus_yy
 # larger than this; the 2^p - 1 replayed steps grow it exponentially.
 MAX_QPE_GATES = 4_000_000
 
+# Detection reports a marked node when at least this fraction of its votes
+# read the all-zero phase.
+ACCEPT_THRESHOLD = 3.0 / 8.0
+
 
 @dataclass(frozen=True)
 class WalkConfig:
     """Detection / search parameters.
 
     ``beta_const`` and ``gamma_const`` are the universal constants of the
-    detection procedure (left open in the source material; surfaced here),
-    ``accept_threshold`` the detection vote fraction (3/8 by default).
+    detection procedure (left open in the source material; surfaced here).
     """
 
     precision_bits: int = 3
@@ -68,7 +77,6 @@ class WalkConfig:
     delta: float = 0.25
     beta_const: float = 1.0
     gamma_const: float = 4.0
-    accept_threshold: float = 3.0 / 8.0
 
     def __post_init__(self):
         if self.precision_bits < 1:
@@ -110,17 +118,8 @@ def oracle_from_paths(paths):
     def builder(tree, circ):
         res = circ.allocate()
         for p in paths:
-            if len(p) > tree.max_depth:
-                raise UsageError(f"path {p} longer than tree depth")
-            height = tree.max_depth - len(p)
-            controls = [tree.h[height]]
-            state = [1]
-            for a, label in enumerate(p):
-                reg = tree.branch_reg(tree.max_depth - 1 - a)
-                for j, q in enumerate(reg):
-                    controls.append(q)
-                    state.append((label >> j) & 1)
-            circ.mcx(controls, res, state)
+            wires, bits = zip(*tree.path_bits(p))
+            circ.mcx(wires, res, bits)
         return res
 
     return builder
@@ -141,13 +140,12 @@ class BacktrackingTree:
         self.reject_builder = reject_builder
         self.subspace_optimization = subspace_optimization
         self.root_path = tuple(root_path)
-        if len(self.root_path) > max_depth:
-            raise UsageError("root path longer than maximum depth")
         self.h = list(range(max_depth + 1))
         base = max_depth + 1
         self._branch = [tuple(base + i * branch_bits + j for j in range(branch_bits))
                         for i in range(max_depth)]
         self.num_tree_qubits = base + max_depth * branch_bits
+        self.path_bits(self.root_path)      # validates the root path
 
     # -- registers ----------------------------------------------------------
 
@@ -169,34 +167,38 @@ class BacktrackingTree:
                                 self.accept_builder, self.reject_builder,
                                 self.subspace_optimization, tuple(new_root))
 
+    def level(self, a: int) -> tuple[int, tuple[int, ...]]:
+        """Height qubit and branch register of path entry ``a``: where the
+        node ``a + 1`` steps below the full tree's root puts its last label."""
+        i = self.max_depth - 1 - a
+        return self.h[i], self._branch[i]
+
     # -- node states --------------------------------------------------------
+
+    def path_bits(self, path: NodePath) -> list[tuple[int, int]]:
+        """(wire, bit) pairs of the node state for an absolute ``path``: its
+        height qubit set, then every bit of each filled branch register."""
+        path = tuple(path)
+        if len(path) > self.max_depth:
+            raise UsageError(f"path {path} longer than maximum depth {self.max_depth}")
+        out = [(self.h[self.max_depth - len(path)], 1)]
+        for a, label in enumerate(path):
+            if not 0 <= label < self.deg:
+                raise UsageError(f"branch label {label} out of range 0..{self.deg - 1}")
+            out += [(q, (label >> j) & 1) for j, q in enumerate(self.level(a)[1])]
+        return out
 
     def init_node(self, circ: Circuit, path: NodePath) -> None:
         """X gates preparing the node state for ``path`` (relative to this
         tree's root) on fresh registers."""
-        full = self.root_path + tuple(path)
-        if len(full) > self.max_depth:
-            raise UsageError("path longer than maximum depth")
-        height = self.max_depth - len(full)
-        circ.x(self.h[height])
-        for a, label in enumerate(full):
-            if not 0 <= label < self.deg:
-                raise UsageError(f"branch label {label} out of range")
-            reg = self.branch_reg(self.max_depth - 1 - a)
-            for j, q in enumerate(reg):
-                if (label >> j) & 1:
-                    circ.x(q)
+        for q, bit in self.path_bits(self.root_path + tuple(path)):
+            if bit:
+                circ.x(q)
 
     def node_index(self, path: NodePath) -> int:
-        """Basis index of a node state (workspace qubits zero)."""
-        full = self.root_path + tuple(path)
-        idx = 1 << self.h[self.max_depth - len(full)]
-        for a, label in enumerate(full):
-            reg = self.branch_reg(self.max_depth - 1 - a)
-            for j, q in enumerate(reg):
-                if (label >> j) & 1:
-                    idx |= 1 << q
-        return idx
+        """Basis index of a node state (workspace qubits zero) for ``path``
+        relative to this tree's root."""
+        return sum(bit << q for q, bit in self.path_bits(self.root_path + tuple(path)))
 
     def decode_index(self, idx: int) -> NodePath | None:
         """Absolute path of the node whose state is basis index ``idx`` (tree
@@ -212,7 +214,7 @@ class BacktrackingTree:
                   for i in range(self.max_depth)]
         if any(branch[:j]):
             return None
-        path = tuple(branch[self.max_depth - 1 - a] for a in range(self.max_depth - j))
+        path = tuple(reversed(branch[j:]))
         if path[:len(self.root_path)] != self.root_path:
             return None
         return path
@@ -276,7 +278,7 @@ class BacktrackingTree:
                 for i in range(ev, n, 2):
                     for j, q in enumerate(self.branch_reg(i)):
                         fredkin(circ, temp[j], q, ctrl=self.h[i])
-            circ.permute_wires(self._increment_perm())
+            return self._lifted()
 
         def reflection(_):
             oddity = circ.allocate()
@@ -292,11 +294,9 @@ class BacktrackingTree:
             if root_fix:
                 circ.cx(self.h[n], oddity)
             # Phase the children of rejected parents, evaluated on the lift.
-            # The lift's swaps are undone by gates; its relabeling is not.
-            circ.within(lift, lambda _: circ.within(
-                lambda: self.reject_builder(self, circ),
+            circ.within(lift, lambda lifted: circ.within(
+                lambda: lifted.reject_builder(lifted, circ),
                 lambda rej: phase(rej, oddity)))
-            circ.permute_wires(self._decrement_perm())
             if root_fix:
                 circ.cx(self.h[n], oddity)
             for i in range(1 - ev, n + 1, 2):
@@ -305,15 +305,13 @@ class BacktrackingTree:
 
         circ.within(unprep, reflection)
 
-    def _increment_perm(self) -> dict[int, int]:
+    def _lifted(self) -> "BacktrackingTree":
+        """This tree with height j read from wire ``h[j - 1]`` and height 0
+        from the root's wire: the lift's one-hot increment, with no gates."""
         n = self.effective_depth
-        perm = {self.h[0]: self.h[n]}
-        for j in range(1, n + 1):
-            perm[self.h[j]] = self.h[j - 1]
-        return perm
-
-    def _decrement_perm(self) -> dict[int, int]:
-        return {v: k for k, v in self._increment_perm().items()}
+        lifted = copy.copy(self)
+        lifted.h = [self.h[n]] + self.h[:n] + self.h[n + 1:]
+        return lifted
 
     def quantum_step(self, circ: Circuit, ctrl=()) -> None:
         """One walk step: the even-distance diffuser, then the odd one."""
@@ -505,7 +503,7 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
     counts = sample(state, anc, reps, seed)
     accept_number = counts.counts.get("0" * len(anc), 0)
     return DetectionResult(
-        marked=accept_number >= config.accept_threshold * reps,
+        marked=accept_number >= ACCEPT_THRESHOLD * reps,
         accept_number=accept_number,
         repetitions=reps,
         precision_bits=precision,

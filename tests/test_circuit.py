@@ -41,28 +41,6 @@ def test_gate_on_freed_qubit_is_error():
         c.x(q)
 
 
-def test_permute_wires_relabels_subsequent_gates():
-    c = Circuit(4)
-    # Cyclic shift of a 4-qubit register: logical 0 now refers to old wire 3.
-    c.permute_wires({0: 3, 1: 0, 2: 1, 3: 2})
-    c.x(0)
-    assert c.gates[-1].target == 3
-
-
-def test_permute_then_inverse_is_identity_map():
-    c = Circuit(4)
-    perm = {0: 3, 1: 0, 2: 1, 3: 2}
-    c.permute_wires(perm)
-    c.permute_wires({v: k for k, v in perm.items()})
-    assert c.wire_map == [0, 1, 2, 3]
-
-
-def test_permute_wires_rejects_non_bijection():
-    c = Circuit(3)
-    with pytest.raises(UsageError):
-        c.permute_wires({0: 1, 1: 1})
-
-
 def test_invert_simple_sequence():
     c = Circuit(2)
     c.h(0)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qwb
 from qwb import walk
 from qwb.cli import main
 from qwb.sim import ResourceLimitError
@@ -127,6 +129,17 @@ def test_detect_solvable_and_unsolvable(capsys, tmp_path, k2_board):
     assert report["outcome"]["marked"] is False
 
 
+def test_detect_already_solved(capsys, tmp_path, monkeypatch):
+    # A complete board is its own solution: marked, with nothing simulated.
+    monkeypatch.setattr(walk, "qpe_state", lambda *a, **k: pytest.fail("simulated"))
+    p = tmp_path / "solved.board"
+    p.write_text(SOLVED_TEXT)
+    code, text, report = run_main(capsys, ["detect", str(p), "--seed", "1"])
+    assert code == 0 and text.startswith("marked node exists")
+    assert report["outcome"] == {"marked": True, "accept_number": 0,
+                                 "repetitions": 0, "precision_bits": 0}
+
+
 def test_solve_unsolvable_exit_2(capsys, tmp_path):
     p = tmp_path / "unsat.board"
     p.write_text(UNSOLVABLE_TEXT)
@@ -205,8 +218,12 @@ def test_env_seed_fallback(capsys, k2_board, monkeypatch):
 def test_console_entry_point(tmp_path):
     p = tmp_path / "solved.board"
     p.write_text(SOLVED_TEXT)
+    # The child imports the same qwb as this process, installed or not.
+    src = str(Path(qwb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "qwb.cli", "solve", str(p)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith(SOLVED_TEXT)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from qwb.circuit import UsageError
 from qwb.sim import SparseState, apply
 from qwb.sudoku import (FIG1_BOARD, ParseError, SudokuBoard, board_with_path,
-                        branch_bits_for, build_check_plan, classical_solve,
+                        branch_bits_for, check_plan, classical_solve,
                         format_board, parse_board, peers, restrict_board,
-                        to_coloring_graph, tree_for_board, violates)
+                        tree_for_board, violates)
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
 
 UNSOLVABLE_TEXT = ".214\n34.2\n2143\n4321\n"
@@ -106,59 +106,54 @@ def test_restricted_instances_unique():
         assert len(classical_solve(restrict_board(board, k))) == 1
 
 
-# -- graph reduction -------------------------------------------------------------
-
-def test_single_empty_cell_has_seven_cq_edges():
-    board = restrict_board(parse_board(FIG1_BOARD), 1)
-    graph = to_coloring_graph(board)
-    (cell,) = board.empty_cells()
-    assert len(peers(board.size, board.block_size, cell)) == 7
-    assert len(graph.cq_edges) == 7
-    assert not graph.qq_edges
-
-
-def test_two_empty_cells_same_row_one_qq_edge():
-    board = restrict_board(parse_board(FIG1_BOARD), 2)   # a=(0,1), b=(0,3)
-    graph = to_coloring_graph(board)
-    assert graph.qq_edges == frozenset({(((0, 1)), ((0, 3)))})
-
-
-def test_solved_board_has_no_edges():
-    graph = to_coloring_graph(parse_board(SOLVED_TEXT))
-    assert not graph.cq_edges and not graph.qq_edges
-
+# -- check plan ------------------------------------------------------------------
 
 def test_check_plan_batches_deduplicate():
+    # Seven peers, but their givens hold only the three values the empty
+    # cell may not take.
     board = restrict_board(parse_board(FIG1_BOARD), 1)
-    plan = build_check_plan(to_coloring_graph(board), board.empty_cells(),
-                            branch_bits=2)
+    plan = check_plan(board)
     (cell,) = board.empty_cells()
-    givens = {board.value(p) for p in peers(board.size, board.block_size, cell)}
-    assert plan.cq_batches[0] == frozenset(givens)
+    cell_peers = peers(board.size, board.block_size, cell)
+    assert len(cell_peers) == 7
+    givens = {board.value(p) for p in cell_peers}
+    assert plan.cq_batches == {0: frozenset(givens)}
+    assert len(givens) == 3
+    assert not plan.qq_pairs
+
+
+def test_two_empty_cells_same_row_one_qq_pair():
+    board = restrict_board(parse_board(FIG1_BOARD), 2)   # a=(0,1), b=(0,3)
+    plan = check_plan(board)
+    assert plan.qq_pairs == frozenset({(0, 1)})
+    # Each batch holds the givens among its cell's peers.
+    for a, cell in enumerate(board.empty_cells()):
+        assert plan.cq_batches[a] == {
+            board.value(p) for p in peers(board.size, board.block_size, cell)
+            if board.value(p) is not None}
 
 
 def test_check_plan_qq_pair_indices():
     board = restrict_board(parse_board(FIG1_BOARD), 3)
-    plan = build_check_plan(to_coloring_graph(board), board.empty_cells(),
-                            branch_bits=2)
+    plan = check_plan(board)
     # a=(0,1) and b=(0,3) share the row; a and c=(1,1) share column and block.
-    assert (0, 1) in plan.qq_pairs and (0, 2) in plan.qq_pairs
-    assert (1, 2) not in plan.qq_pairs
+    assert plan.qq_pairs == frozenset({(0, 1), (0, 2)})
 
 
 def test_check_plan_9x9_forbids_spare_codes():
     rows = ["1 . . . . . . . ."] + [". . . . . . . . ."] * 8
     board = parse_board("\n".join(rows))
-    plan = build_check_plan(to_coloring_graph(board), board.empty_cells(),
-                            branch_bits=4)
+    plan = check_plan(board)
+    assert set(plan.cq_batches) == set(range(80))
     for a, batch in plan.cq_batches.items():
         assert {9, 10, 11, 12, 13, 14, 15} <= set(batch)
+    # Only the peers of (0, 0) also forbid its given value 1.
+    assert sum(0 in batch for batch in plan.cq_batches.values()) == 20
 
 
-def test_check_plan_order_must_cover():
-    board = restrict_board(parse_board(FIG1_BOARD), 2)
-    with pytest.raises(UsageError):
-        build_check_plan(to_coloring_graph(board), [(0, 1)])
+def test_solved_board_has_empty_plan():
+    plan = check_plan(parse_board(SOLVED_TEXT))
+    assert plan.cq_batches == {} and plan.qq_pairs == frozenset()
 
 
 # -- oracles ----------------------------------------------------------------------

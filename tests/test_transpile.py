@@ -101,7 +101,7 @@ def test_metrics_depth_parallel_vs_chained():
     assert metrics(c2).depth == 2
 
 
-def test_metrics_ignores_barriers_and_counts():
+def test_metrics_counts_u3_cx_and_depth():
     c = Circuit(2)
     c.u3(1, 2, 3, 0)
     c.u3(3, 2, 1, 1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qwb import walk
 from qwb.circuit import GateKind, UsageError, to_text
@@ -59,6 +60,55 @@ def test_init_node_path_too_long():
     tree = BacktrackingTree(2, 1, trivial_oracle, trivial_oracle)
     with pytest.raises(UsageError):
         tree.init_node(tree.new_circuit(), (0, 1, 1))
+
+
+@st.composite
+def _tree_and_paths(draw):
+    # A (sub)tree of random shape, a path below its root, and an absolute
+    # path that is invalid: a label off the register or one entry too many.
+    depth = draw(st.integers(1, 5))
+    bits = draw(st.integers(1, 2))
+    deg = 2 ** bits
+    labels = st.integers(0, deg - 1)
+    root = tuple(draw(st.lists(labels, max_size=depth)))
+    path = tuple(draw(st.lists(labels, max_size=depth - len(root))))
+    if draw(st.booleans()):
+        bad = tuple(draw(st.lists(labels, min_size=depth + 1, max_size=depth + 1)))
+    else:
+        bad = list(draw(st.lists(labels, min_size=1, max_size=depth)))
+        bad[draw(st.integers(0, len(bad) - 1))] = draw(
+            st.one_of(st.integers(deg, deg + 5), st.integers(-3, -1)))
+        bad = tuple(bad)
+    return depth, bits, root, path, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_and_paths())
+# Degree 4: labels 5, 6 and 7 would wrap onto 1, 2 and 3 without the check.
+@example((2, 2, (), (), (5,)))
+@example((2, 2, (), (), (6,)))
+@example((2, 2, (), (), (7,)))
+def test_path_encoder_round_trip_and_validation(case):
+    depth, bits, root, path, bad = case
+    tree = BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle,
+                            root_path=root)
+    idx = tree.node_index(path)
+    assert tree.decode_index(idx) == root + path
+    circ = tree.new_circuit()
+    tree.init_node(circ, path)
+    targets = [g.target for g in circ.gates]
+    assert all(g.kind is GateKind.X and not g.controls for g in circ.gates)
+    assert sorted(targets) == [q for q in range(tree.num_tree_qubits) if idx >> q & 1]
+
+    full = BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle)
+    with pytest.raises(UsageError):
+        full.node_index(bad)
+    with pytest.raises(UsageError):
+        oracle_from_paths([bad])(full, full.new_circuit())
+    with pytest.raises(UsageError):
+        BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle, root_path=bad)
+    with pytest.raises(UsageError):
+        full.subtree(bad)
 
 
 # -- psi_prep -----------------------------------------------------------------
