@@ -108,6 +108,19 @@ def test_restricted_instances_unique():
 
 # -- check plan ------------------------------------------------------------------
 
+def test_single_empty_cell_has_seven_cq_edges():
+    # Every one of the seven peers holds a given, so each is one
+    # cell-vs-given constraint; with one empty cell there is no qq pair.
+    board = restrict_board(parse_board(FIG1_BOARD), 1)
+    plan = check_plan(board)
+    (cell,) = board.empty_cells()
+    cell_peers = peers(board.size, board.block_size, cell)
+    assert len(cell_peers) == 7
+    assert all(board.value(p) is not None for p in cell_peers)
+    assert set(plan.cq_batches) == {0}
+    assert not plan.qq_pairs
+
+
 def test_check_plan_batches_deduplicate():
     # Seven peers, but their givens hold only the three values the empty
     # cell may not take.
