@@ -17,8 +17,8 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class UsageError(ValueError):
@@ -49,31 +49,35 @@ _ADJOINT_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One circuit instruction.
+class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
+                                ("params", tuple), ("controls", tuple),
+                                ("control_state", tuple)])):
+    """One circuit instruction, an immutable named tuple checked on
+    construction.
 
     ``target`` is the qubit the base operation acts on; ``controls`` carry
     an explicit per-qubit ``control_state`` (1 = activate on |1>, 0 = open
     circle / activate on |0>).  Only X and MCZ may have controls.
     """
 
-    kind: GateKind
-    target: int
-    params: tuple[float, ...] = ()
-    controls: tuple[int, ...] = ()
-    control_state: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.controls) != len(self.control_state):
-            raise UsageError("controls and control_state lengths differ")
-        if self.controls and self.kind not in _CONTROLLED_KINDS:
-            raise UsageError(f"{self.kind.value} takes no controls")
-        want = _PARAM_COUNT.get(self.kind, 0)
-        if len(self.params) != want:
-            raise UsageError(f"{self.kind.value} expects {want} params, got {len(self.params)}")
-        if len({self.target, *self.controls}) != 1 + len(self.controls):
+    def __new__(cls, kind: GateKind, target: int, params: tuple[float, ...] = (),
+                controls: tuple[int, ...] = (), control_state: tuple[int, ...] = ()):
+        if controls or control_state:
+            if len(controls) != len(control_state):
+                raise UsageError("controls and control_state lengths differ")
+            if kind not in _CONTROLLED_KINDS:
+                raise UsageError(f"{kind.value} takes no controls")
+        want = _PARAM_COUNT.get(kind, 0)
+        if len(params) != want:
+            raise UsageError(f"{kind.value} expects {want} params, got {len(params)}")
+        if controls and len({target, *controls}) != 1 + len(controls):
             raise UsageError("target and controls must be disjoint and unique")
+        return tuple.__new__(cls, (kind, target, params, controls, control_state))
+
+    # ``_replace`` builds through ``_make``: route it through the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -151,12 +155,12 @@ class Circuit:
     def _emit(self, kind, target, params=(), controls=(), control_state=()):
         gate = Gate(kind, target, tuple(float(p) for p in params),
                     tuple(controls), tuple(int(s) for s in control_state))
-        self._check_live(gate)
+        self._check_live(gate.qubits)
         self.gates.append(gate)
         return gate
 
-    def _check_live(self, gate: Gate) -> None:
-        for q in gate.qubits:
+    def _check_live(self, qubits) -> None:
+        for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise UsageError(f"gate references out-of-range qubit {q}")
             if q in self._free_set:
@@ -214,8 +218,6 @@ class Circuit:
         rest_state = control_state[:k] + control_state[k + 1:]
         self._emit(GateKind.MCZ, tgt, controls=rest, control_state=rest_state)
 
-    def cz(self, a, b): self.mcz((a, b))
-
     # -- fragments ----------------------------------------------------------
 
     def extend(self, gates) -> None:
@@ -223,14 +225,14 @@ class Circuit:
         (ancillae it allocated and released itself) are claimed for the replay
         and released after it."""
         gates = tuple(gates)
-        reserved = sorted({q for g in gates for q in g.qubits} & self._free_set)
+        wires = {q for g in gates for q in g.qubits}
+        reserved = sorted(wires & self._free_set)
         if reserved:
             self._free_set.difference_update(reserved)
             self._free = [q for q in self._free if q in self._free_set]
             heapq.heapify(self._free)
             self.alloc_events.extend((len(self.gates), q) for q in reserved)
-        for g in gates:
-            self._check_live(g)
+        self._check_live(wires)
         self.gates.extend(gates)
         for q in reversed(reserved):
             self.deallocate(q)
@@ -310,6 +312,6 @@ def from_text(text: str) -> Circuit:
         gate = Gate(*fields)
         if set(gate.control_state) - {0, 1}:
             raise UsageError(f"malformed gate line: {ln!r}")
-        circ._check_live(gate)
+        circ._check_live(gate.qubits)
         circ.gates.append(gate)
     return circ

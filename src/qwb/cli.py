@@ -185,6 +185,11 @@ def cmd_viz(args) -> int:
         if args.board is None:
             raise UsageError("viz needs a board path or --demo-tree")
         board = _read_board(args.board)
+        if board.is_complete():     # the root is a solution: no tree to draw
+            print(format_board(board), end="")
+            _emit(_report("viz", {"demo_tree": None, "steps": args.steps},
+                          {"files": []}, {"viz": time.perf_counter() - t0}))
+            return 0
         tree, _ = tree_for_board(board)
 
     # Diffuser s (from 0) has even parity iff depth + s is even; the walk

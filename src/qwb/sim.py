@@ -20,6 +20,7 @@ change a magnitude.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ PRUNE_EPSILON = 1e-12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED = {
+_FIXED = {kind: tuple(m.ravel().tolist()) for kind, m in {
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
     GateKind.S: np.diag([1, 1j]),
@@ -39,7 +40,7 @@ _FIXED = {
     GateKind.T: np.diag([1, np.exp(1j * math.pi / 4)]),
     GateKind.TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
     GateKind.MCZ: np.diag([1, -1]).astype(complex),
-}
+}.items()}
 
 
 class ResourceLimitError(RuntimeError):
@@ -50,21 +51,22 @@ class ResourceLimitError(RuntimeError):
         self.qubit_count = qubit_count
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
+def gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     """Exact 2x2 matrix of a gate kind on its target's |0>, |1> (no global
-    phase slack), ignoring controls.  MCZ, the only controlled diagonal, is
-    diag(1, -1) on its target."""
+    phase slack), ignoring controls, as the row-major entries
+    (m00, m01, m10, m11).  MCZ, the only controlled diagonal, is diag(1, -1)
+    on its target."""
     kind = gate.kind
     if kind in _FIXED:
         return _FIXED[kind]
     if kind is GateKind.RY:
         th = gate.params[0]
         c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return complex(c), complex(-s), complex(s), complex(c)
     th, ph, lam = gate.params    # U3, the one kind left
     c, s = math.cos(th / 2), math.sin(th / 2)
-    return np.array([[c, -np.exp(1j * lam) * s],
-                     [np.exp(1j * ph) * s, np.exp(1j * (ph + lam)) * c]])
+    return (complex(c), -cmath.exp(1j * lam) * s,
+            cmath.exp(1j * ph) * s, cmath.exp(1j * (ph + lam)) * c)
 
 
 @dataclass
@@ -131,7 +133,7 @@ def _compile(gate: Gate, num_qubits: int):
     for q, s in zip(gate.controls, gate.control_state):
         cmask |= 1 << q
         cval |= s << q
-    m00, m01, m10, m11 = gate_matrix(gate).ravel().tolist()
+    m00, m01, m10, m11 = gate_matrix(gate)
     if m01 == 0 and m10 == 0:
         path = _DIAG
     elif m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:

@@ -4,9 +4,10 @@ Lowering and fusion are one pass, exact up to a global phase.  Only X and MCZ
 carry controls (an invariant of ``Gate``), so every controlled gate has its
 own network: the MCZ phase network (``_mcz``) and the MCX as one CX or an
 H-conjugated MCZ (``_mcx``), open controls conjugated with X.  The lowerer
-keeps one pending 2x2 matrix per wire and writes each network straight into
-it: every single-qubit factor, and every uncontrolled gate, multiplies into
-its wire's matrix.  A CX first flushes its two wires; the end of the circuit
+keeps one pending 2x2 matrix per wire, a row-major 4-tuple of complex as
+``gate_matrix`` returns it, and writes each network straight into it: every
+single-qubit factor, and every uncontrolled gate, multiplies into its wire's
+matrix.  A CX first flushes its two wires; the end of the circuit
 flushes the rest in ascending wire order.  A flush drops a global phase times
 the identity and otherwise emits one U3 from one ``zyz`` call, so each wire
 carries at most one U3 between CXs; this fusion is what keeps the CX-dominant
@@ -20,14 +21,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Gate, GateKind, UsageError
 from .sim import gate_matrix
 from .synthesis import gray_transitions
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / math.sqrt(2.0))
+_X = gate_matrix(Gate(GateKind.X, 0))
+_H = gate_matrix(Gate(GateKind.H, 0))
 
 
 def _arg(z) -> float:
@@ -35,25 +34,28 @@ def _arg(z) -> float:
     return cmath.phase(complex(z.real, z.imag + 0.0))
 
 
-def zyz(m: np.ndarray):
-    """Decompose a 2x2 unitary as e^{i alpha} U3(theta, phi, lam)."""
-    if abs(m[1, 0]) < 1e-12:
-        alpha = _arg(m[0, 0])
-        lam = _arg(m[1, 1]) - alpha
+def zyz(m):
+    """Decompose a 2x2 unitary, given as its row-major entries, as
+    e^{i alpha} U3(theta, phi, lam)."""
+    m00, m01, m10, m11 = m
+    if abs(m10) < 1e-12:
+        alpha = _arg(m00)
+        lam = _arg(m11) - alpha
         return alpha, 0.0, 0.0, lam
-    if abs(m[0, 0]) < 1e-12:
-        return 0.0, math.pi, _arg(m[1, 0]), _arg(-m[0, 1])
-    alpha = _arg(m[0, 0])
-    theta = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    phi = _arg(m[1, 0]) - alpha
-    lam = _arg(-m[0, 1]) - alpha
+    if abs(m00) < 1e-12:
+        return 0.0, math.pi, _arg(m10), _arg(-m01)
+    alpha = _arg(m00)
+    theta = 2.0 * math.atan2(abs(m10), abs(m00))
+    phi = _arg(m10) - alpha
+    lam = _arg(-m01) - alpha
     return alpha, theta, phi, lam
 
 
-def _is_identity(m: np.ndarray, tol=1e-10) -> bool:
-    """True when ``m`` is a global phase times the identity."""
-    return bool(abs(abs(m[0, 0]) - 1.0) <= tol and abs(m[0, 1]) < tol
-                and abs(m[1, 0]) < tol and abs(m[1, 1] - m[0, 0]) < tol)
+def _is_identity(m, tol=1e-10) -> bool:
+    """True when the row-major 2x2 ``m`` is a global phase times the identity."""
+    m00, m01, m10, m11 = m
+    return (abs(abs(m00) - 1.0) <= tol and abs(m01) < tol
+            and abs(m10) < tol and abs(m11 - m00) < tol)
 
 
 class _Lowerer:
@@ -61,7 +63,7 @@ class _Lowerer:
 
     def __init__(self):
         self.gates: list[Gate] = []
-        self.pending: dict[int, np.ndarray] = {}
+        self.pending: dict[int, tuple[complex, ...]] = {}
 
     def lower_gate(self, gate: Gate) -> None:
         if gate.kind is GateKind.X and gate.controls:
@@ -111,9 +113,13 @@ class _Lowerer:
                     self._mul(qubits[j], minus if bin(subset).count("1") % 2 else plus)
         self._flip(qubits, state)
 
-    def _mul(self, q: int, m: np.ndarray) -> None:
+    def _mul(self, q: int, m) -> None:
         prev = self.pending.get(q)
-        self.pending[q] = m if prev is None else m @ prev
+        if prev is not None:
+            a, b, c, d = m
+            e, f, g, h = prev
+            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        self.pending[q] = m
 
     def _flush(self, q: int) -> None:
         m = self.pending.pop(q, None)
@@ -133,7 +139,7 @@ class _Lowerer:
 
 
 def _phase(a):
-    return np.diag([1.0, cmath.exp(1j * a)])
+    return 1 + 0j, 0j, 0j, cmath.exp(1j * a)
 
 
 def transpile(circuit: Circuit) -> Circuit:
@@ -164,14 +170,15 @@ def metrics(circuit: Circuit) -> ResourceMetrics:
     later of the two."""
     u3 = cx = 0
     clock = [0] * circuit.num_qubits
+    U3, X = GateKind.U3, GateKind.X
     for g in circuit.gates:
-        t = g.target
-        if g.kind is GateKind.U3:
+        kind, t, _, controls, state = g
+        if kind is U3:
             u3 += 1
             clock[t] += 1
-        elif g.kind is GateKind.X and len(g.controls) == 1 and g.control_state == (1,):
+        elif kind is X and len(controls) == 1 and state == (1,):
             cx += 1
-            c = g.controls[0]
+            c = controls[0]
             clock[t] = clock[c] = max(clock[t], clock[c]) + 1
         else:
             raise UsageError(f"untranspiled gate kind {g.display_name()} in metrics")

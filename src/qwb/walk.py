@@ -204,32 +204,19 @@ class BacktrackingTree:
         """Absolute path of the node whose state is basis index ``idx`` (tree
         registers only, workspace zero), or None if ``idx`` is not an
         algorithmic node of this (sub)tree."""
-        h_value = idx & ((1 << (self.max_depth + 1)) - 1)
-        if idx >> self.num_tree_qubits or h_value == 0 or h_value & (h_value - 1):
+        heights = [j for j, q in enumerate(self.h) if idx >> q & 1]
+        if (idx >> self.num_tree_qubits or len(heights) != 1
+                or heights[0] > self.effective_depth):
             return None
-        j = h_value.bit_length() - 1
-        if j > self.effective_depth:
+        labels = [sum((idx >> q & 1) << j for j, q in enumerate(self.level(a)[1]))
+                  for a in range(self.max_depth)]
+        length = self.max_depth - heights[0]
+        if any(labels[length:]):
             return None
-        branch = [(idx >> (self.max_depth + 1 + i * self.branch_bits)) & (self.deg - 1)
-                  for i in range(self.max_depth)]
-        if any(branch[:j]):
-            return None
-        path = tuple(reversed(branch[j:]))
+        path = tuple(labels[:length])
         if path[:len(self.root_path)] != self.root_path:
             return None
         return path
-
-    def phi_state(self, path: NodePath, num_qubits: int | None = None) -> SparseState:
-        """Normalized alternating-sign superposition along the root-to-node
-        path (sqrt(n) weight on the root); fixed by the walk step when the
-        endpoint is marked."""
-        n_eff = self.effective_depth
-        amplitudes = {self.node_index(()): math.sqrt(n_eff)}
-        for ell in range(1, len(path) + 1):
-            amplitudes[self.node_index(tuple(path[:ell]))] = (-1.0) ** ell
-        norm = math.sqrt(sum(a * a for a in amplitudes.values()))
-        nq = num_qubits if num_qubits is not None else self.num_tree_qubits
-        return SparseState.from_dict(nq, {k: v / norm for k, v in amplitudes.items()})
 
     # -- walk emitters ------------------------------------------------------
 

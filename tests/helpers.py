@@ -1,5 +1,5 @@
-"""Shared test utilities: an independent dense-gate oracle and random
-circuit generation.
+"""Shared test utilities: an independent dense-gate oracle, random
+circuit generation and the walk's eigenvector witness ``phi_state``.
 
 ``definitional_unitary`` computes circuit matrices straight from the gate
 definitions with per-basis-state bit arithmetic, sharing no code with the
@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from qwb.circuit import Circuit, Gate, GateKind
+from qwb.sim import SparseState
 from qwb.synthesis import xx_plus_yy
 
 
@@ -144,6 +145,19 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
             circ.extend([Gate(base, int(qs[w]), params)])
             circ.mcx(controls, int(qs[w]), state)
     return circ
+
+
+def phi_state(tree, path, num_qubits: int | None = None) -> SparseState:
+    """Normalized alternating-sign superposition along the root-to-node
+    path (sqrt(n) weight on the root); fixed by the walk step when the
+    endpoint is marked."""
+    n_eff = tree.effective_depth
+    amplitudes = {tree.node_index(()): math.sqrt(n_eff)}
+    for ell in range(1, len(path) + 1):
+        amplitudes[tree.node_index(tuple(path[:ell]))] = (-1.0) ** ell
+    norm = math.sqrt(sum(a * a for a in amplitudes.values()))
+    nq = num_qubits if num_qubits is not None else tree.num_tree_qubits
+    return SparseState.from_dict(nq, {k: v / norm for k, v in amplitudes.items()})
 
 
 def random_sparse_dict(rng, num_qubits: int, support: int) -> dict[int, complex]:

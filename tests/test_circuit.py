@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qwb
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
@@ -98,6 +99,58 @@ def test_gate_validation():
     c = Circuit(1)
     with pytest.raises(UsageError):
         c.cx(0, 1)
+
+
+def _first_violation(kind, target, params, controls, state):
+    """The message of the first rule a gate's fields break, or None."""
+    want = {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
+    if len(controls) != len(state):
+        return "controls and control_state lengths differ"
+    if controls and kind not in (GateKind.X, GateKind.MCZ):
+        return f"{kind.value} takes no controls"
+    if len(params) != want:
+        return f"{kind.value} expects {want} params, got {len(params)}"
+    if target in controls or len(set(controls)) != len(controls):
+        return "target and controls must be disjoint and unique"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_gate_raises_exactly_when_invalid_with_the_first_rule_broken(data):
+    kind = data.draw(st.sampled_from(list(GateKind)))
+    target = data.draw(st.integers(0, 4))
+    params = tuple(data.draw(st.lists(st.floats(-7, 7), max_size=4)))
+    controls = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
+    state = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(controls),
+                                     max_size=len(controls))
+                            | st.lists(st.integers(0, 1), max_size=3)))
+    fields = (kind, target, params, controls, state)
+    expected = _first_violation(*fields)
+    if expected is not None:
+        with pytest.raises(UsageError) as err:
+            Gate(*fields)
+        assert str(err.value) == expected
+        return
+    g = Gate(*fields)
+    assert tuple(g) == fields and g.qubits == (target,) + controls
+    assert g == Gate(*fields) and hash(g) == hash(Gate(*fields))
+    with pytest.raises(AttributeError):
+        g.target = target + 1
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    # _replace builds through the same checks.
+    with pytest.raises(UsageError):
+        g._replace(controls=controls + (target,), control_state=state + (1,))
+
+
+def test_extend_rejects_an_out_of_range_wire():
+    for bad in (5, -1):
+        c = Circuit(2)
+        with pytest.raises(UsageError) as err:
+            c.extend([Gate(GateKind.H, 0), Gate(GateKind.X, bad, (), (1,), (1,))])
+        assert str(err.value) == f"gate references out-of-range qubit {bad}"
+        assert c.gates == []
 
 
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.S, GateKind.SDG, GateKind.T,

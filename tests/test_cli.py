@@ -183,6 +183,17 @@ def test_viz_demo_tree(capsys, tmp_path):
     assert '"[1,0]"' in step2
 
 
+def test_viz_already_solved(capsys, tmp_path):
+    # A complete board is its own solution: no tree, no DOT file.
+    p = tmp_path / "solved.board"
+    p.write_text(SOLVED_TEXT)
+    out = tmp_path / "solved"
+    code, text, report = run_main(capsys, ["viz", str(p), "--out", str(out)])
+    assert code == 0 and text == SOLVED_TEXT
+    assert report["outcome"] == {"files": []}
+    assert list(tmp_path.iterdir()) == [p]
+
+
 def test_viz_builds_one_diffuser_per_parity(capsys, tmp_path, monkeypatch):
     calls = []
     build = BacktrackingTree.qstep_diffuser

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
-                     dense_unitary, dump_state, load_state, sample)
+                     dense_unitary, dump_state, gate_matrix, load_state, sample)
 from qwb.synthesis import xx_plus_yy
 
 from helpers import definitional_unitary, random_circuit, random_sparse_dict, xxyy_matrix
@@ -42,6 +42,20 @@ def test_dense_unitary_xxyy_matches_displayed_matrix():
     c = Circuit(2)
     xx_plus_yy(c, phi, 0, 1)
     assert np.allclose(dense_unitary(c), xxyy_matrix(phi), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_matrix_is_the_row_major_one_gate_unitary(kind):
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        params = tuple(rng.uniform(-7, 7, {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)))
+        c = Circuit(1)
+        c.gates.append(Gate(kind, 0, params))
+        m = gate_matrix(c.gates[0])
+        assert len(m) == 4 and all(type(z) is complex for z in m)
+        m = np.array(m).reshape(2, 2)
+        assert np.max(np.abs(m - dense_unitary(c))) < 1e-12
+        assert np.max(np.abs(m - definitional_unitary(c))) < 1e-12
 
 
 def test_random_circuits_match_definitional_unitary():

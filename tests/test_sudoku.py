@@ -272,7 +272,7 @@ def test_uncomputation_hygiene_and_pool_reuse():
     # nested: the reject pair runs inside an accept pair
     circ.within(lambda: tree.accept_builder(tree, circ),
                 lambda acc: circ.within(lambda: tree.reject_builder(tree, circ),
-                                        lambda rej: circ.cz(acc, rej)))
+                                        lambda rej: circ.mcz((acc, rej))))
     assert circ.free_pool == frozenset(range(tree.num_tree_qubits, circ.num_qubits))
     # every workspace qubit measures |0> at each release and afterwards
     st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qwb.circuit import Circuit, GateKind, UsageError
 from qwb.sim import dense_unitary, gate_matrix
+from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, metrics, transpile
 
 from helpers import equal_up_to_global_phase, random_circuit
@@ -41,7 +43,7 @@ def _assert_fusion_maximal(circ):
             else:
                 last_u3[q] = None
         if g.kind is GateKind.U3:
-            m = gate_matrix(g)
+            m = np.array(gate_matrix(g)).reshape(2, 2)
             assert not np.allclose(m, m[0, 0] * np.eye(2), atol=1e-10), f"identity U3 at {pos}"
 
 
@@ -111,9 +113,26 @@ def test_metrics_counts_u3_cx_and_depth():
 
 
 def test_metrics_rejects_untranspiled():
-    for emit in (lambda c: c.h(0), lambda c: c.cz(0, 1), lambda c: c.mcx([0, 1], 2),
+    for emit in (lambda c: c.h(0), lambda c: c.mcz((0, 1)), lambda c: c.mcx([0, 1], 2),
                  lambda c: c.mcx([0], 1, (0,))):
         c = Circuit(3)
         emit(c)
         with pytest.raises(UsageError):
             metrics(c)
+
+
+@pytest.mark.parametrize("k, count, digest", [
+    (1, 2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
+    (2, 5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
+])
+def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(k, count, digest):
+    # The bench rows pin only counts; this pins every output gate's kind,
+    # target and controls, in order, for the precision-3 QPE circuit.
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k))
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    tree.estimate_phase(circ, 3)
+    gates = transpile(circ).gates
+    text = "\n".join(f"{g.kind.value} {g.target} {','.join(map(str, g.controls))}"
+                     for g in gates)
+    assert (len(gates), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)

@@ -14,6 +14,7 @@ from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_ac
                       detection_precision, find_solution, oracle_from_paths,
                       qpe_state, to_dot, trivial_oracle)
 
+from helpers import phi_state
 from reference import algorithmic_indices, all_paths, reference_diffuser
 
 
@@ -82,6 +83,11 @@ def _tree_and_paths(draw):
     return depth, bits, root, path, bad
 
 
+def test_decode_index_reads_the_lifted_height_register():
+    lifted = demo_tree(3)._lifted()
+    assert lifted.decode_index(lifted.node_index((1, 0))) == (1, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_tree_and_paths())
 # Degree 4: labels 5, 6 and 7 would wrap onto 1, 2 and 3 without the check.
@@ -93,7 +99,9 @@ def test_path_encoder_round_trip_and_validation(case):
     tree = BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle,
                             root_path=root)
     idx = tree.node_index(path)
-    assert tree.decode_index(idx) == root + path
+    sub = BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle).subtree(root)
+    for t in (tree, tree._lifted(), sub, sub._lifted()):
+        assert t.decode_index(t.node_index(path)) == root + path
     circ = tree.new_circuit()
     tree.init_node(circ, path)
     targets = [g.target for g in circ.gates]
@@ -305,7 +313,7 @@ def test_eigenvector_witness_fixed_by_step():
     tree = demo_tree(3)
     circ = tree.new_circuit()
     tree.quantum_step(circ)
-    phi = tree.phi_state(ACCEPT3, num_qubits=circ.num_qubits)
+    phi = phi_state(tree, ACCEPT3, num_qubits=circ.num_qubits)
     out = apply(phi, circ, debug=True)
     fid = abs(sum(np.conj(complex(v)) * out.amplitude(k)
                   for k, v in phi.amplitudes.items()))
@@ -407,7 +415,7 @@ def test_estimate_phase_eigenvector_gives_all_zero():
     tree = demo_tree(3)
     circ = tree.new_circuit()
     anc = tree.estimate_phase(circ, 3)
-    phi = tree.phi_state(ACCEPT3, num_qubits=circ.num_qubits)
+    phi = phi_state(tree, ACCEPT3, num_qubits=circ.num_qubits)
     out = apply(phi, circ, debug=True)
     counts = sample(out, anc, 200, seed=5)
     assert counts.counts == {"000": 200}
