@@ -41,6 +41,10 @@ _PARAM_COUNT = {GateKind.RY: 1, GateKind.U3: 3}
 
 _CONTROLLED_KINDS = (GateKind.X, GateKind.MCZ)
 
+# Members read once: a GateKind member lookup costs more than the test it
+# feeds in per-gate code.
+_RY, _U3 = GateKind.RY, GateKind.U3
+
 _ADJOINT_KIND = {
     GateKind.S: GateKind.SDG,
     GateKind.SDG: GateKind.S,
@@ -84,14 +88,15 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
         return (self.target,) + self.controls
 
     def adjoint(self) -> "Gate":
-        kind = _ADJOINT_KIND.get(self.kind, self.kind)
-        params = self.params
-        if self.kind is GateKind.RY:
-            params = (-self.params[0],)
-        elif self.kind is GateKind.U3:
-            th, ph, lam = self.params
+        kind, params = self.kind, self.params
+        if kind is _RY:
+            params = (-params[0],)
+        elif kind is _U3:
+            th, ph, lam = params
             params = (-th, -lam, -ph)
-        elif kind is self.kind:
+        elif kind in _ADJOINT_KIND:
+            kind = _ADJOINT_KIND[kind]
+        else:
             return self     # X, H and MCZ are their own inverses
         return Gate(kind, self.target, params, self.controls, self.control_state)
 
@@ -227,12 +232,12 @@ class Circuit:
         gates = tuple(gates)
         wires = {q for g in gates for q in g.qubits}
         reserved = sorted(wires & self._free_set)
+        self._check_live(wires - self._free_set)
         if reserved:
             self._free_set.difference_update(reserved)
             self._free = [q for q in self._free if q in self._free_set]
             heapq.heapify(self._free)
             self.alloc_events.extend((len(self.gates), q) for q in reserved)
-        self._check_live(wires)
         self.gates.extend(gates)
         for q in reversed(reserved):
             self.deallocate(q)

@@ -5,17 +5,21 @@ sorted int64 key array plus a complex128 amplitude array so gate application
 vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 
 Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
-controls.  ``apply`` compiles each gate once into its control bits, target
-bit and matrix entries, then runs one kernel over the pairs of basis states
-that differ only in the target bit: a diagonal matrix scales amplitudes in
-place, X flips the target bit of the keys in place (no sort, no prune), and
-any other matrix (H, RY, U3, which never carry controls) finds each key's
-partner by binary search and mixes each pair once, appending the partners
-that were absent.  Keys are sorted only before a mixing gate that follows a
-permutation and once at the end.
+controls.  Compile once, run many: ``compile`` turns a circuit into a
+``Program``, each gate once into its control bits, target bit and matrix
+entries, and ``apply`` runs a program on a state (a circuit it is given is
+compiled first), so a circuit run on many states, such as the walk step, is
+compiled once.  The kernel works on the pairs of basis states that differ
+only in the target bit: a diagonal matrix scales amplitudes in place, X
+flips the target bit of the keys in place (no sort), and any other matrix
+(H, RY, U3, which never carry controls) finds each key's partner by binary
+search and mixes each pair once, appending the partners that were absent.
+Keys are sorted only before a mixing gate that follows a permutation and
+once at the end.
 
-Amplitudes below ``PRUNE_EPSILON`` are dropped after every gate that can
-change a magnitude.
+Amplitudes below ``PRUNE_EPSILON`` are dropped after every mixing gate, the
+only kind that can shrink a magnitude: a diagonal gate's entries have
+modulus 1 and a flip moves amplitudes without changing them.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ _FIXED = {kind: tuple(m.ravel().tolist()) for kind, m in {
     GateKind.MCZ: np.diag([1, -1]).astype(complex),
 }.items()}
 
+# Read once: a GateKind member lookup costs more than the test it feeds.
+_RY = GateKind.RY
+
 
 class ResourceLimitError(RuntimeError):
     """Simulation exceeds capacity (qubit count or sparse support)."""
@@ -57,9 +64,10 @@ def gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     (m00, m01, m10, m11).  MCZ, the only controlled diagonal, is diag(1, -1)
     on its target."""
     kind = gate.kind
-    if kind in _FIXED:
-        return _FIXED[kind]
-    if kind is GateKind.RY:
+    fixed = _FIXED.get(kind)
+    if fixed is not None:
+        return fixed
+    if kind is _RY:
         th = gate.params[0]
         c, s = math.cos(th / 2), math.sin(th / 2)
         return complex(c), complex(-s), complex(s), complex(c)
@@ -121,14 +129,10 @@ class SparseState:
 _DIAG, _FLIP, _MIX = range(3)
 
 
-def _compile(gate: Gate, num_qubits: int):
+def _compile(gate: Gate):
     """(path, cmask, cval, bit, m00, m01, m10, m11) for one gate: the path
     (chosen from exact tests on the entries of ``gate_matrix``), the control
     bits and the values they must hold, the target bit and the entries."""
-    qubits = gate.qubits
-    if min(qubits) < 0 or max(qubits) >= num_qubits:
-        raise UsageError(f"{gate.display_name()} on {qubits} is outside "
-                         f"the {num_qubits}-qubit state")
     cmask = cval = 0
     for q, s in zip(gate.controls, gate.control_state):
         cmask |= 1 << q
@@ -143,6 +147,36 @@ def _compile(gate: Gate, num_qubits: int):
     return path, cmask, cval, 1 << gate.target, m00, m01, m10, m11
 
 
+@dataclass(frozen=True)
+class Program:
+    """A circuit compiled for ``apply``: its gates, one ``_compile`` tuple
+    per gate, the wires freed before each gate position (for ``debug``) and
+    one past the highest wire any gate touches."""
+
+    num_qubits: int
+    gates: tuple[Gate, ...]
+    ops: tuple[tuple, ...]
+    deallocs: dict[int, list[int]]
+    wires: int
+
+
+def compile(circuit: Circuit) -> Program:
+    """Compile every gate of ``circuit`` once, for any number of ``apply``
+    runs.  A gate on a negative wire raises here; a gate past the state's
+    wires raises in ``apply``, before any gate runs."""
+    gates = tuple(circuit.gates)
+    wires = [q for gate in gates for q in gate.qubits]
+    if wires and min(wires) < 0:
+        gate = next(g for g in gates if min(g.qubits) < 0)
+        raise UsageError(f"{gate.display_name()} on {gate.qubits} is outside "
+                         f"every state")
+    deallocs: dict[int, list[int]] = {}
+    for pos, q in circuit.dealloc_events:
+        deallocs.setdefault(pos, []).append(q)
+    return Program(circuit.num_qubits, gates, tuple(map(_compile, gates)),
+                   deallocs, max(wires, default=-1) + 1)
+
+
 def _sort(keys, amps):
     order = keys.argsort()     # keys are distinct, so any sort is stable
     return keys[order], amps[order]
@@ -155,14 +189,14 @@ def _prune(keys, amps, eps):
     return keys[keep], amps[keep]
 
 
-def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
+def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False,
           prune_epsilon: float = PRUNE_EPSILON,
           max_support: int | None = None) -> SparseState:
-    """Run the circuit on a copy of ``state`` with the kernel described
-    above.  Every gate is compiled first, so a gate off the state raises
-    before any gate runs.  ``prune_epsilon`` 0 keeps every nonzero amplitude;
-    ``debug`` checks each deallocated wire for |0>; ``max_support`` caps the
-    support."""
+    """Run a circuit, or a program ``compile`` made from one, on a copy of
+    ``state`` with the kernel described above; a circuit is compiled first.
+    A gate off the state raises before any gate runs.  ``prune_epsilon`` 0
+    keeps every nonzero amplitude; ``debug`` checks each deallocated wire for
+    |0>; ``max_support`` caps the support."""
     n = state.num_qubits
     if circuit.num_qubits > n:
         raise UsageError(
@@ -170,11 +204,13 @@ def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
     if n > 62:
         raise ResourceLimitError(
             f"{n} qubits exceed sparse index capacity", qubit_count=n)
-    ops = [_compile(gate, n) for gate in circuit.gates]
-    dealloc_by_pos: dict[int, list[int]] = {}
-    if debug:
-        for pos, q in circuit.dealloc_events:
-            dealloc_by_pos.setdefault(pos, []).append(q)
+    program = circuit if isinstance(circuit, Program) else compile(circuit)
+    if program.wires > n:
+        gate = next(g for g in program.gates if max(g.qubits) >= n)
+        raise UsageError(f"{gate.display_name()} on {gate.qubits} is outside "
+                         f"the {n}-qubit state")
+    ops = program.ops
+    deallocs = program.deallocs if debug else {}
 
     keys, amps = _prune(state.keys.copy(), state.amps.copy(), prune_epsilon)
     max_seen = max(state.max_support_seen, len(keys))
@@ -182,11 +218,11 @@ def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
         _check_cap(len(keys), max_support, n)
     unsorted = False
     for pos, (path, cmask, cval, bit, m00, m01, m10, m11) in enumerate(ops):
-        if pos in dealloc_by_pos:
-            _assert_zero(keys, amps, dealloc_by_pos[pos])
+        if pos in deallocs:
+            _assert_zero(keys, amps, deallocs[pos])
         if path == _FLIP:
             if cmask:
-                keys[(keys & cmask) == cval] ^= bit
+                np.bitwise_xor(keys, bit, out=keys, where=(keys & cmask) == cval)
             else:
                 keys ^= bit
             unsorted = True
@@ -195,21 +231,21 @@ def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
             for half, factor in ((0, m00), (bit, m11)):
                 if factor != 1:
                     amps[(keys & (cmask | bit)) == (cval | half)] *= factor
-            keys, amps = _prune(keys, amps, prune_epsilon)
             continue
         if unsorted:
             keys, amps = _sort(keys, amps)
             unsorted = False
         partner = keys ^ bit
-        idx = np.searchsorted(keys, partner)
+        idx = keys.searchsorted(partner)
         np.minimum(idx, len(keys) - 1, out=idx)
         present = keys[idx] == partner
-        other = np.where(present, amps[idx], 0)
+        complete = np.count_nonzero(present) == len(keys)
+        other = amps[idx] if complete else np.where(present, amps[idx], 0)
         lo = partner > keys
         # m00*a_lo + m01*a_hi on a low key, m11*a_hi + m10*a_lo on a high one;
         # an absent partner's amplitude is the zero in ``other``.
         mixed = np.where(lo, m00, m11) * amps + np.where(lo, m01, m10) * other
-        if np.count_nonzero(present) < len(keys):
+        if not complete:
             miss = ~present
             lo_m = lo[miss]
             keys = np.concatenate((keys, partner[miss]))
@@ -219,8 +255,8 @@ def apply(state: SparseState, circuit: Circuit, *, debug: bool = False,
         keys, amps = _prune(keys, mixed, prune_epsilon)
         max_seen = max(max_seen, len(keys))
         _check_cap(len(keys), max_support, n)
-    if len(ops) in dealloc_by_pos:
-        _assert_zero(keys, amps, dealloc_by_pos[len(ops)])
+    if len(ops) in deallocs:
+        _assert_zero(keys, amps, deallocs[len(ops)])
     if unsorted:
         keys, amps = _sort(keys, amps)
     return SparseState(n, keys, amps, max_seen)

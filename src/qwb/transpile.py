@@ -28,6 +28,10 @@ from .synthesis import gray_transitions
 _X = gate_matrix(Gate(GateKind.X, 0))
 _H = gate_matrix(Gate(GateKind.H, 0))
 
+# Members read once: a GateKind member lookup costs more than the test it
+# feeds in per-gate code.
+_KIND_X, _KIND_MCZ, _KIND_U3 = GateKind.X, GateKind.MCZ, GateKind.U3
+
 
 def _arg(z) -> float:
     # Signed zeros make phase(-x - 0j) = -pi; normalize so -x maps to +pi.
@@ -66,9 +70,10 @@ class _Lowerer:
         self.pending: dict[int, tuple[complex, ...]] = {}
 
     def lower_gate(self, gate: Gate) -> None:
-        if gate.kind is GateKind.X and gate.controls:
+        kind = gate.kind
+        if kind is _KIND_X and gate.controls:
             self._mcx(gate.controls, gate.control_state, gate.target)
-        elif gate.kind is GateKind.MCZ:
+        elif kind is _KIND_MCZ:
             self._mcz(gate.qubits, (1,) + gate.control_state)
         else:
             self._mul(gate.target, gate_matrix(gate))
@@ -125,12 +130,12 @@ class _Lowerer:
         m = self.pending.pop(q, None)
         if m is not None and not _is_identity(m):
             _, theta, phi, lam = zyz(m)
-            self.gates.append(Gate(GateKind.U3, q, (theta, phi, lam)))
+            self.gates.append(Gate(_KIND_U3, q, (theta, phi, lam)))
 
     def _cx(self, ctrl: int, target: int) -> None:
         self._flush(target)
         self._flush(ctrl)
-        self.gates.append(Gate(GateKind.X, target, controls=(ctrl,), control_state=(1,)))
+        self.gates.append(Gate(_KIND_X, target, controls=(ctrl,), control_state=(1,)))
 
     def finish(self) -> list[Gate]:
         for q in sorted(self.pending):

@@ -36,10 +36,12 @@ lifted tree (``_lifted``), whose height register is relabeled one level up.
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit (each
 controlled step built once and its gates replayed with ``Circuit.extend``);
 ``bench`` and the transpiler measure it.  ``qpe_state`` simulates the same
-circuit from the root without building it: it runs the uncontrolled step on
-the nodes it reaches to get the step as a small unitary matrix W, forms the
-pre-QFT state sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT
-gate by gate.  Detection and search use ``qpe_state``.
+circuit from the root without building it: it builds and compiles the
+uncontrolled step once and runs that one program on the nodes it reaches, a
+level of new nodes per run (split into batches under a support cap), to get
+the step as a small unitary matrix W; it forms the pre-QFT state
+sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT gate by gate.
+Detection and search use ``qpe_state``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, UsageError, adjoint
-from .sim import ResourceLimitError, SparseState, apply, sample
+from .sim import (ResourceLimitError, SparseState, apply, compile as compile_circuit,
+                  sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
@@ -350,34 +353,36 @@ def _inverse_qft(circ, qubits):
         circ.h(qubits[j])
 
 
-def _run_halving(circ, num_qubits, keys, max_support):
-    """``apply`` on the uniform sum of the basis states ``keys``, returned as
-    a list of (batch length, result): a run that passes ``max_support`` is
-    split in halves and rerun, and only a single key's run raises."""
+def _run_halving(program, num_qubits, keys, max_support):
+    """``apply`` of a compiled program on the uniform sum of the basis states
+    ``keys``, returned as a list of (batch length, result): a run that passes
+    ``max_support`` is split in halves and rerun, and only a single key's run
+    raises."""
     try:
         return [(len(keys), apply(SparseState(num_qubits, keys,
                                               np.ones(len(keys), complex)),
-                                  circ, max_support=max_support))]
+                                  program, max_support=max_support))]
     except ResourceLimitError:
         if len(keys) == 1:
             raise
         half = len(keys) // 2
-        return (_run_halving(circ, num_qubits, keys[:half], max_support)
-                + _run_halving(circ, num_qubits, keys[half:], max_support))
+        return (_run_halving(program, num_qubits, keys[:half], max_support)
+                + _run_halving(program, num_qubits, keys[half:], max_support))
 
 
 def _step_matrix(tree: BacktrackingTree, max_support):
     """The walk step W as a dense matrix on the node states it reaches from
     the tree's root; returns (node basis indices, W, largest support seen).
 
-    The uncontrolled step is run on every new node at once, each tagged by a
-    column label on wires above the step's, until no new node appears.
-    Under ``max_support`` a level runs in batches sized from the previous
-    level's largest support per node, so few runs pass the cap and are
-    split again (``_run_halving``).
+    The uncontrolled step is compiled once and run on every new node at
+    once, each tagged by a column label on wires above the step's, until no
+    new node appears.  Under ``max_support`` a level runs in batches sized
+    from the previous level's largest support per node, so few runs pass
+    the cap and are split again (``_run_halving``).
     """
     step = tree.new_circuit()
     tree.quantum_step(step)
+    program = compile_circuit(step)
     width = step.num_qubits
     root = tree.node_index(())
     index = {root: 0}        # node basis index -> its row and column of W
@@ -394,7 +399,7 @@ def _step_matrix(tree: BacktrackingTree, max_support):
         batch = (len(keys) if max_support is None
                  else max(1, int(max_support // per_node)))
         runs = [run for lo in range(0, len(keys), batch)
-                for run in _run_halving(step, width + label_bits,
+                for run in _run_halving(program, width + label_bits,
                                         keys[lo:lo + batch], max_support)]
         outs = [out for _, out in runs]
         per_node = max(out.max_support_seen / size for size, out in runs)

@@ -153,6 +153,19 @@ def test_extend_rejects_an_out_of_range_wire():
         assert c.gates == []
 
 
+def test_rejected_extend_leaves_the_pool_and_events_unchanged():
+    # Wire 2 is free, so a valid fragment would claim it for the replay.
+    for bad in (5, -1):
+        c = Circuit(3)
+        c.x(0)
+        c.deallocate(2)
+        before = (c.free_pool, list(c.alloc_events), list(c.dealloc_events), list(c.gates))
+        with pytest.raises(UsageError, match="out-of-range"):
+            c.extend([Gate(GateKind.H, 2), Gate(GateKind.X, bad)])
+        assert (c.free_pool, c.alloc_events, c.dealloc_events, c.gates) == before
+        assert c.allocate() == 2
+
+
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.S, GateKind.SDG, GateKind.T,
                                   GateKind.TDG, GateKind.RY, GateKind.U3])
 def test_only_x_and_mcz_take_controls(kind):

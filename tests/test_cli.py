@@ -175,9 +175,9 @@ def test_viz_demo_tree(capsys, tmp_path):
     code, text, report = run_main(
         capsys, ["viz", "--demo-tree", "3", "--steps", "2", "--out", out])
     assert code == 0
-    step0 = open(out + "_step0.dot").read()
+    step0 = Path(out + "_step0.dot").read_text()
     assert step0.count("palegreen") == 1 and "plum" not in step0
-    step2 = open(out + "_step2.dot").read()
+    step2 = Path(out + "_step2.dot").read_text()
     assert '"[0]"' in step2
     assert '"[0,0]"' not in step2      # rejected subtree unexplored
     assert '"[1,0]"' in step2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwb import sim
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
                      dense_unitary, dump_state, gate_matrix, load_state, sample)
@@ -160,6 +161,63 @@ def test_property_one_pass_equals_chained_single_gate_applies(seed, n, num_gates
     state = SparseState.from_dict(c.num_qubits, amps)
     got = apply(state, c, prune_epsilon=eps, debug=True)
     _assert_same_sorted_pruned(got, _chained(state, c, prune_epsilon=eps), eps)
+
+
+def _run_outcome(state, circuit, **kwargs):
+    """What ``apply`` returns, as bytes, or the error it raises."""
+    try:
+        out = apply(state, circuit, **kwargs)
+    except (UsageError, ResourceLimitError) as err:
+        return type(err), str(err)
+    return out.num_qubits, out.keys.tobytes(), out.amps.tobytes(), out.max_support_seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       num_gates=st.integers(1, 25), eps=st.sampled_from([0.0, PRUNE_EPSILON]),
+       debug=st.booleans(), cap=st.one_of(st.none(), st.integers(1, 24)))
+def test_property_one_program_runs_like_its_circuit(seed, n, num_gates, eps, debug, cap):
+    # One compiled program on several states, against compiling on every
+    # call: the same keys and amplitude bytes, or the same error.  A dirty
+    # ancilla, freed without uncomputing, sometimes fails the debug check.
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, num_gates)
+    anc = c.allocate()
+    c.mcx([0, 1], anc, [int(b) for b in rng.integers(0, 2, 2)])
+    if rng.integers(2):
+        c.mcx([0, 1], anc, [1, 1])
+    c.deallocate(anc)
+    c.extend(random_circuit(rng, n, num_gates).gates)
+    program = sim.compile(c)
+    assert program.gates == tuple(c.gates) and program.num_qubits == c.num_qubits
+    for _ in range(3):
+        amps = random_sparse_dict(rng, n, int(rng.integers(1, 2 ** n + 1)))
+        state = SparseState.from_dict(c.num_qubits + int(rng.integers(2)), amps)
+        kwargs = dict(debug=debug, prune_epsilon=eps, max_support=cap)
+        assert _run_outcome(state, program, **kwargs) == _run_outcome(state, c, **kwargs)
+
+
+def test_program_outside_a_narrower_state_raises_before_any_gate_runs():
+    # The H on a one-key state would pass max_support=1 if it ran first.
+    wide = Circuit(4)
+    wide.h(0)
+    wide.x(3)
+    stray = Circuit(2)
+    stray.h(0)
+    stray.gates.append(Gate(GateKind.X, 5))
+    for circuit, narrow, match in ((wide, 2, "circuit uses 4 qubits"),
+                                   (stray, 5, "X on \\(5,\\) is outside the 5-qubit state")):
+        program = sim.compile(circuit)
+        with pytest.raises(UsageError, match=match):
+            apply(SparseState.zero(narrow), program, max_support=1)
+        with pytest.raises(UsageError, match=match):
+            apply(SparseState.zero(narrow), circuit, max_support=1)
+        out = apply(SparseState.zero(6), program)
+        assert out.support() == 2 and out.num_qubits == 6
+    negative = Circuit(2)
+    negative.gates.append(Gate(GateKind.H, -1))
+    with pytest.raises(UsageError, match="outside every state"):
+        sim.compile(negative)
 
 
 def test_permutations_on_many_keys_equal_chained_applies_and_the_map():

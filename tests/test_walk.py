@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwb import walk
-from qwb.circuit import GateKind, UsageError, to_text
+from qwb import sim, walk
+from qwb.circuit import Circuit, GateKind, UsageError, to_text
 from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sample
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import metrics, transpile
@@ -487,6 +487,40 @@ def test_qpe_state_caps_the_reachable_node_count():
     assert w.shape == (len(nodes), len(nodes))
     with pytest.raises(ResourceLimitError):
         qpe_state(tree, 1, max_support=len(nodes) - 1)
+
+
+@pytest.mark.parametrize("max_support", [None, 200])
+def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
+    # FIG1 at k = 3 reaches its nodes in three levels of step runs; under the
+    # cap, batches are split and one run passes the cap and is halved.
+    tree = _qpe_tree(("fig1", 3, False))
+    step = tree.new_circuit()
+    tree.quantum_step(step)
+    qft = Circuit(tree.num_tree_qubits + 2)
+    _inverse_qft(qft, range(tree.num_tree_qubits, tree.num_tree_qubits + 2))
+    compiled, runs, raised = [], [], []
+    compile_gate, run = sim._compile, walk.apply
+
+    def spy_compile(gate):
+        compiled.append(gate)
+        return compile_gate(gate)
+
+    def spy_run(state, program, **kwargs):
+        runs.append(program)
+        try:
+            return run(state, program, **kwargs)
+        except ResourceLimitError:
+            raised.append(program)
+            raise
+
+    monkeypatch.setattr(sim, "_compile", spy_compile)
+    monkeypatch.setattr(walk, "apply", spy_run)
+    qpe_state(tree, 2, max_support)
+    assert compiled == step.gates + qft.gates
+    step_runs = runs[:-1]       # the last run is the inverse QFT
+    assert all(program is step_runs[0] for program in step_runs)
+    assert step_runs[0].gates == tuple(step.gates)
+    assert (len(step_runs), len(raised)) == ((3, 0) if max_support is None else (8, 1))
 
 
 def test_detection_and_search_never_build_gate_level_phase_estimation(monkeypatch):
