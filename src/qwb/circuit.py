@@ -37,20 +37,11 @@ class GateKind(str, Enum):
     MCZ = "MCZ"
 
 
-_PARAM_COUNT = {GateKind.RY: 1, GateKind.U3: 3}
-
-_CONTROLLED_KINDS = (GateKind.X, GateKind.MCZ)
-
-# Members read once: a GateKind member lookup costs more than the test it
-# feeds in per-gate code.
-_RY, _U3 = GateKind.RY, GateKind.U3
-
-_ADJOINT_KIND = {
-    GateKind.S: GateKind.SDG,
-    GateKind.SDG: GateKind.S,
-    GateKind.T: GateKind.TDG,
-    GateKind.TDG: GateKind.T,
-}
+# Members read once and compared by identity: a GateKind member lookup, or
+# hashing a kind for a dict lookup, costs more than the test it feeds in
+# per-gate code.
+_X, _RY, _U3, _MCZ = GateKind.X, GateKind.RY, GateKind.U3, GateKind.MCZ
+_S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
 
 
 class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
@@ -71,9 +62,9 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
         if controls or control_state:
             if len(controls) != len(control_state):
                 raise UsageError("controls and control_state lengths differ")
-            if kind not in _CONTROLLED_KINDS:
+            if kind is not _X and kind is not _MCZ:
                 raise UsageError(f"{kind.value} takes no controls")
-        want = _PARAM_COUNT.get(kind, 0)
+        want = 1 if kind is _RY else 3 if kind is _U3 else 0
         if len(params) != want:
             raise UsageError(f"{kind.value} expects {want} params, got {len(params)}")
         if controls and len({target, *controls}) != 1 + len(controls):
@@ -94,8 +85,14 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
         elif kind is _U3:
             th, ph, lam = params
             params = (-th, -lam, -ph)
-        elif kind in _ADJOINT_KIND:
-            kind = _ADJOINT_KIND[kind]
+        elif kind is _S:
+            kind = _SDG
+        elif kind is _SDG:
+            kind = _S
+        elif kind is _T:
+            kind = _TDG
+        elif kind is _TDG:
+            kind = _T
         else:
             return self     # X, H and MCZ are their own inverses
         return Gate(kind, self.target, params, self.controls, self.control_state)
@@ -230,7 +227,8 @@ class Circuit:
         (ancillae it allocated and released itself) are claimed for the replay
         and released after it."""
         gates = tuple(gates)
-        wires = {q for g in gates for q in g.qubits}
+        # Over distinct gates: replayed copies repeat the same Gate objects.
+        wires = {q for g in set(gates) for q in g.qubits}
         reserved = sorted(wires & self._free_set)
         self._check_live(wires - self._free_set)
         if reserved:

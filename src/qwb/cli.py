@@ -11,6 +11,7 @@ Reports are byte-identical for identical seeds and flags apart from the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,7 +219,9 @@ def cmd_viz(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qwb`` argument parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="qwb", description="Quantum walk backtracking for Sudoku instances")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -259,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,15 +3,17 @@
 Lowering and fusion are one pass, exact up to a global phase.  Only X and MCZ
 carry controls (an invariant of ``Gate``), so every controlled gate has its
 own network: the MCZ phase network (``_mcz``) and the MCX as one CX or an
-H-conjugated MCZ (``_mcx``), open controls conjugated with X.  The lowerer
-keeps one pending 2x2 matrix per wire, a row-major 4-tuple of complex as
-``gate_matrix`` returns it, and writes each network straight into it: every
-single-qubit factor, and every uncontrolled gate, multiplies into its wire's
-matrix.  A CX first flushes its two wires; the end of the circuit
-flushes the rest in ascending wire order.  A flush drops a global phase times
-the identity and otherwise emits one U3 from one ``zyz`` call, so each wire
-carries at most one U3 between CXs; this fusion is what keeps the CX-dominant
-counts meaningful.  The only gates built are the U3s and CXs of the output.
+H-conjugated MCZ (``_mcx``), open controls conjugated with X.  A network
+yields ops: ``(wire, matrix)`` multiplies a row-major 2x2, a 4-tuple of
+complex as ``gate_matrix`` returns it, into the wire's pending matrix, and
+``(target, ctrl)`` is a CX; an uncontrolled gate is one multiply.  A CX first
+flushes its two wires; the end of the circuit flushes the rest in ascending
+wire order.  A flush drops a global phase times the identity and otherwise
+emits one U3 from one ``zyz`` call, so each wire carries at most one U3
+between CXs; this fusion is what keeps the CX-dominant counts meaningful.
+A network depends only on its gate and a U3 only on its wire and matrix, so
+one ``transpile`` call builds each distinct gate's ops once, as a tape that
+it replays against the pending matrices, and each distinct U3 and CX once.
 Depth counts the longest gate-dependency chain at unit cost per gate.
 """
 
@@ -31,6 +33,7 @@ _H = gate_matrix(Gate(GateKind.H, 0))
 # Members read once: a GateKind member lookup costs more than the test it
 # feeds in per-gate code.
 _KIND_X, _KIND_MCZ, _KIND_U3 = GateKind.X, GateKind.MCZ, GateKind.U3
+_UNSEEN = object()     # a flush not memoised yet
 
 
 def _arg(z) -> float:
@@ -62,80 +65,102 @@ def _is_identity(m, tol=1e-10) -> bool:
             and abs(m10) < tol and abs(m11 - m00) < tol)
 
 
+def _network(gate: Gate):
+    kind = gate.kind
+    if kind is _KIND_X and gate.controls:
+        yield from _mcx(gate.controls, gate.control_state, gate.target)
+    elif kind is _KIND_MCZ:
+        yield from _mcz(gate.qubits, (1,) + gate.control_state)
+    else:
+        yield gate.target, gate_matrix(gate)
+
+
+def _flip(qubits, state):
+    """X on every qubit whose control state is 0."""
+    for q, s in zip(qubits, state):
+        if not s:
+            yield q, _X
+
+
+def _mcx(controls, state, target: int):
+    """Exact multi-controlled X: one CX for one control (open ones
+    conjugated with X), else the H-conjugated MCZ network, 2^(k+1) - 2 CX."""
+    if len(controls) > 1:
+        yield target, _H
+        yield from _mcz(controls + (target,), state + (1,))
+        yield target, _H
+        return
+    yield from _flip(controls, state)
+    yield target, controls[0]
+    yield from _flip(controls, state)
+
+
+def _mcz(qubits, state):
+    """Exact C^(w-1)Z phase network over w qubits: 2^w - 2 CX.
+
+    Decomposes the all-ones AND phase pi into rotations over every
+    nonempty parity, walked level by level in Gray order; open qubits
+    are conjugated with X.
+    """
+    w = len(qubits)
+    theta = math.pi / 2 ** (w - 1)
+    plus, minus = _phase(theta), _phase(-theta)
+    yield from _flip(qubits, state)
+    for q in qubits:
+        yield q, plus
+    for j in range(1, w):
+        subset = 0
+        for t in gray_transitions(j):
+            yield qubits[j], qubits[t]
+            subset ^= 1 << t
+            if subset:
+                yield qubits[j], minus if bin(subset).count("1") % 2 else plus
+    yield from _flip(qubits, state)
+
+
 class _Lowerer:
-    """Rewrites arbitrary gates into CX and fused U3 (no controls)."""
+    """Rewrites arbitrary gates into CX and fused U3 (no controls), building
+    each distinct gate's network and each distinct flushed U3 or CX once."""
 
     def __init__(self):
         self.gates: list[Gate] = []
         self.pending: dict[int, tuple[complex, ...]] = {}
+        self._tapes: dict[Gate, tuple] = {}
+        self._u3s: dict[tuple, Gate | None] = {}
+        self._cxs: dict[tuple[int, int], Gate] = {}
 
     def lower_gate(self, gate: Gate) -> None:
-        kind = gate.kind
-        if kind is _KIND_X and gate.controls:
-            self._mcx(gate.controls, gate.control_state, gate.target)
-        elif kind is _KIND_MCZ:
-            self._mcz(gate.qubits, (1,) + gate.control_state)
-        else:
-            self._mul(gate.target, gate_matrix(gate))
-
-    def _flip(self, qubits, state) -> None:
-        """X on every qubit whose control state is 0."""
-        for q, s in zip(qubits, state):
-            if not s:
-                self._mul(q, _X)
-
-    def _mcx(self, controls, state, target: int) -> None:
-        """Exact multi-controlled X: one CX for one control (open ones
-        conjugated with X), else the H-conjugated MCZ network, 2^(k+1) - 2 CX."""
-        if len(controls) > 1:
-            self._mul(target, _H)
-            self._mcz(tuple(controls) + (target,), tuple(state) + (1,))
-            self._mul(target, _H)
-            return
-        self._flip(controls, state)
-        self._cx(controls[0], target)
-        self._flip(controls, state)
-
-    def _mcz(self, qubits, state) -> None:
-        """Exact C^(w-1)Z phase network over w qubits: 2^w - 2 CX.
-
-        Decomposes the all-ones AND phase pi into rotations over every
-        nonempty parity, walked level by level in Gray order; open qubits
-        are conjugated with X.
-        """
-        w = len(qubits)
-        theta = math.pi / 2 ** (w - 1)
-        plus, minus = _phase(theta), _phase(-theta)
-        self._flip(qubits, state)
-        for q in qubits:
-            self._mul(q, plus)
-        for j in range(1, w):
-            subset = 0
-            for t in gray_transitions(j):
-                self._cx(qubits[t], qubits[j])
-                subset ^= 1 << t
-                if subset:
-                    self._mul(qubits[j], minus if bin(subset).count("1") % 2 else plus)
-        self._flip(qubits, state)
-
-    def _mul(self, q: int, m) -> None:
-        prev = self.pending.get(q)
-        if prev is not None:
-            a, b, c, d = m
-            e, f, g, h = prev
-            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        self.pending[q] = m
+        tape = self._tapes.get(gate)
+        if tape is None:
+            tape = self._tapes[gate] = tuple(_network(gate))
+        pending = self.pending
+        for q, m in tape:
+            if m.__class__ is int:
+                self._cx(m, q)
+                continue
+            prev = pending.get(q)
+            if prev is not None:
+                a, b, c, d = m
+                e, f, g, h = prev
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            pending[q] = m
 
     def _flush(self, q: int) -> None:
         m = self.pending.pop(q, None)
-        if m is not None and not _is_identity(m):
-            _, theta, phi, lam = zyz(m)
-            self.gates.append(Gate(_KIND_U3, q, (theta, phi, lam)))
+        if m is not None:
+            u3 = self._u3s.get((q, m), _UNSEEN)
+            if u3 is _UNSEEN:
+                u3 = self._u3s[q, m] = None if _is_identity(m) else Gate(_KIND_U3, q, zyz(m)[1:])
+            if u3 is not None:
+                self.gates.append(u3)
 
     def _cx(self, ctrl: int, target: int) -> None:
         self._flush(target)
         self._flush(ctrl)
-        self.gates.append(Gate(_KIND_X, target, controls=(ctrl,), control_state=(1,)))
+        cx = self._cxs.get((ctrl, target))
+        if cx is None:
+            cx = self._cxs[ctrl, target] = Gate(_KIND_X, target, (), (ctrl,), (1,))
+        self.gates.append(cx)
 
     def finish(self) -> list[Gate]:
         for q in sorted(self.pending):

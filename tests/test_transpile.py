@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwb.circuit import Circuit, GateKind, UsageError
+from qwb.circuit import Circuit, GateKind, UsageError, adjoint, to_text
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, metrics, transpile
@@ -55,6 +56,30 @@ def test_round_trip_random_circuits():
         _only_basis(t)
         _assert_fusion_maximal(t)
         assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), num_gates=st.integers(1, 15))
+def test_property_repeated_gates_lower_under_any_pending_state(seed, n, num_gates):
+    # Every fragment gate recurs under different pending matrices: after
+    # random single-qubit gates, inside the fragment's adjoint and after it.
+    rng = np.random.default_rng(seed)
+    fragment = random_circuit(rng, n, num_gates).gates
+    c = Circuit(n)
+    c.extend(fragment)
+    for _ in range(int(rng.integers(1, 2 * n + 1))):
+        c.u3(*rng.uniform(-3, 3, 3), int(rng.integers(n)))
+    c.extend(adjoint(fragment))
+    c.extend(fragment)
+    other = Circuit(n)
+    other.extend(adjoint(fragment) + random_circuit(rng, n, num_gates).gates)
+    alone = to_text(transpile(other))
+    t = transpile(c)
+    _only_basis(t)
+    _assert_fusion_maximal(t)
+    assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
+    # Nothing carries over from one call to the next.
+    assert to_text(transpile(other)) == alone
 
 
 def test_fusion_cancels_adjacent_inverses():
@@ -136,3 +161,29 @@ def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(k, count, digest):
     text = "\n".join(f"{g.kind.value} {g.target} {','.join(map(str, g.controls))}"
                      for g in gates)
     assert (len(gates), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+
+
+def _fig1_qpe(k, subspace_opt):
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
+                             subspace_optimization=subspace_opt)
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    tree.estimate_phase(circ, 3)
+    return circ
+
+
+@pytest.mark.parametrize("k, subspace_opt, digest", [
+    (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
+    (3, False, "58eeb6e9173d5d71cf0918858b549ca5cdb8bd50da42a76548b17f336131ca65"),
+    (5, False, "5541dfe6934bcca8b90e4b517159e97eeb32f6b2a52261ff08e43e221167324c"),
+    (9, False, "ec48bcde43e8a1f75cb1c5467d65a053ddb3b6aa7c2d86cc2b36a2fd89c8620e"),
+    (1, True, "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80"),
+    (3, True, "86a8c65dfc969382e8ed40c57d0f6b2c3b24bdef4b125a1b9cc8b3705eabdf55"),
+    (5, True, "194bc2de2517fc14f8cf13948dae73971f8e0bc48dbcb9869c76dc99c92f3c7c"),
+    (9, True, "afc6ef80dc53589ae66586ed982df18bf80d40ff9d43896bb33d67faf4e67d2b"),
+])
+def test_transpiled_fig1_qpe_text_is_pinned(k, subspace_opt, digest):
+    # The whole serialized output, U3 parameters included, for the
+    # precision-3 QPE circuit.
+    text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
