@@ -31,9 +31,16 @@ PAPER_REFERENCE_K1 = {"qubit_count": 15, "u3_count": 1434, "cx_count": 1157,
 
 
 def _seed_from(args) -> int:
+    """``--seed``, else ``QWB_SEED``, else 0; either must be a non-negative
+    integer."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.seed
-    return int(os.environ.get("QWB_SEED", "0"))
+    text = os.environ.get("QWB_SEED", "0")
+    if not (text.isascii() and text.isdigit()):
+        raise UsageError(f"QWB_SEED must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _report(command: str, config: dict, outcome: dict, timings: dict,

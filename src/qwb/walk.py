@@ -33,15 +33,20 @@ the phase, emits the builder's adjoint and returns every allocated qubit to
 the pool, so builders never uncompute.  The reject builder receives the
 lifted tree (``_lifted``), whose height register is relabeled one level up.
 
-Phase estimation has two forms.  ``estimate_phase`` emits the circuit (each
-controlled step built once and its gates replayed with ``Circuit.extend``);
-``bench`` and the transpiler measure it.  ``qpe_state`` simulates the same
-circuit from the root without building it: it builds and compiles the
-uncontrolled step once and runs that one program on the nodes it reaches, a
-level of new nodes per run (split into batches under a support cap), to get
-the step as a small unitary matrix W; it forms the pre-QFT state
-sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT gate by gate.
-Detection and search use ``qpe_state``.
+Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
+step controlled on the first ancilla is built once, every other ancilla's
+step is the same gates with the control wire moved onto it (only the
+reflection phases carry the control), and the powers are replayed with
+``Circuit.extend``; ``bench`` and the transpiler measure it.  ``qpe_state``
+simulates the same circuit from the root without building it: it builds and
+compiles the uncontrolled step once and runs that one program on the nodes
+it reaches, a level of new nodes per run (split into batches under a support
+cap), to get the step as a small unitary matrix W; it forms the pre-QFT
+state sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT gate by
+gate.  Detection and search use ``qpe_state``.  The search hands each
+child's run the node states its parent's run reached below the child (a
+``Reach``); they run with the child's root in one first batch, so a
+subtree's W usually takes a single step run.
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, UsageError, adjoint
+from .circuit import Circuit, Gate, UsageError, adjoint
 from .sim import (ResourceLimitError, SparseState, apply, compile as compile_circuit,
                   sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
@@ -312,28 +318,36 @@ class BacktrackingTree:
     def estimate_phase(self, circ: Circuit, precision_bits: int) -> list[int]:
         """Standard phase estimation on the walk step; returns the ancilla
         register.  The all-zero outcome witnesses an eigenvalue-1 component.
-        The controlled power 2^k is the controlled step built once and its
-        gates replayed 2^k - 1 more times.  Raises ``ResourceLimitError``
-        before replaying if the circuit would pass ``MAX_QPE_GATES``."""
+        The step controlled on ancilla 0 is built once; ancilla k's step is
+        the same gates with the control wire moved to ancilla k (only the
+        reflection phases carry it), replayed 2^k times.  Raises
+        ``ResourceLimitError`` before replaying if the circuit would pass
+        ``MAX_QPE_GATES``."""
         if precision_bits < 1:
             raise UsageError("precision_bits must be >= 1")
         anc = circ.allocate_register(precision_bits)
         for a in anc:
             circ.h(a)
-        for k, a in enumerate(anc):
-            start = len(circ.gates)
-            self.quantum_step(circ, ctrl=(a,))
-            step = circ.gates[start:]
-            if k == 0:
-                total = start + len(step) * (2 ** precision_bits - 1)
-                if total > MAX_QPE_GATES:
-                    raise ResourceLimitError(
-                        f"phase estimation at precision {precision_bits} needs "
-                        f"about {total} gates, more than {MAX_QPE_GATES}")
-            for _ in range(2 ** k - 1):
+        start = len(circ.gates)
+        self.quantum_step(circ, ctrl=(anc[0],))
+        first = circ.gates[start:]
+        total = start + len(first) * (2 ** precision_bits - 1)
+        if total > MAX_QPE_GATES:
+            raise ResourceLimitError(
+                f"phase estimation at precision {precision_bits} needs "
+                f"about {total} gates, more than {MAX_QPE_GATES}")
+        for k, a in enumerate(anc[1:], 1):
+            step = [_rewired(g, anc[0], a) if anc[0] in g.qubits else g for g in first]
+            for _ in range(2 ** k):
                 circ.extend(step)
         _inverse_qft(circ, anc)
         return anc
+
+
+def _rewired(gate: Gate, old: int, new: int) -> Gate:
+    """``gate`` with wire ``old`` replaced by ``new``, as target or control."""
+    return Gate(gate.kind, new if gate.target == old else gate.target, gate.params,
+                tuple(new if q == old else q for q in gate.controls), gate.control_state)
 
 
 def _cphase(circ, theta, a, b):
@@ -370,45 +384,80 @@ def _run_halving(program, num_qubits, keys, max_support):
                 + _run_halving(program, num_qubits, keys[half:], max_support))
 
 
-def _step_matrix(tree: BacktrackingTree, max_support):
-    """The walk step W as a dense matrix on the node states it reaches from
-    the tree's root; returns (node basis indices, W, largest support seen).
+class Reach(NamedTuple):
+    """What one ``_step_matrix`` call found: the node states it reached
+    (basis indices, in W's order) and the largest support per node of its
+    step runs.  The part below a child's root is the child run's hint."""
 
-    The uncontrolled step is compiled once and run on every new node at
-    once, each tagged by a column label on wires above the step's, until no
-    new node appears.  Under ``max_support`` a level runs in batches sized
-    from the previous level's largest support per node, so few runs pass
-    the cap and are split again (``_run_halving``).
+    nodes: np.ndarray
+    per_node: float
+
+    def below(self, tree: BacktrackingTree) -> "Reach":
+        """The reached node states inside ``tree``'s (sub)tree."""
+        return Reach(np.array([key for key in self.nodes.tolist()
+                               if tree.decode_index(key) is not None], dtype=np.int64),
+                     self.per_node)
+
+
+def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None):
+    """The walk step W as a dense matrix on the node states it reaches from
+    the tree's root; returns (their ``Reach``, W, largest support seen).
+
+    The uncontrolled step is compiled once and run on many nodes at once,
+    each tagged by a column label on wires above the step's.  Nodes are
+    numbered breadth first from the root, each level's new nodes in sorted
+    order, and a level's nodes that have no column yet run together.  A
+    ``hint`` (a parent run's reach below this root) runs with the root in
+    the first batch; hinted nodes never reached are dropped, so a wrong or
+    partial hint costs runs but leaves W and its node order unchanged.
+    Under ``max_support`` a batch is sized from the previous runs' largest
+    support per node (the hint's at first), so few runs pass the cap and
+    are split again (``_run_halving``).
     """
     step = tree.new_circuit()
     tree.quantum_step(step)
     program = compile_circuit(step)
     width = step.num_qubits
     root = tree.node_index(())
+    # A hint only saves runs: keep what fits in the labels beside the root.
+    room = (1 << max(0, 62 - width)) - 1
+    hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root][:room]
+    columns = {}             # run but not yet on a level -> (reached, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
     rows, cols, amps = [], [], []
-    frontier, seen, per_node = [root], 0, 1.0
+    frontier, seen, peak = [root], 0, 0.0
+    per_node = 1.0 if hint is None else hint.per_node
     while frontier:
-        label_bits = max(1, (len(frontier) - 1).bit_length())
-        if width + label_bits > 62:
-            raise ResourceLimitError(
-                f"walk step on {width} wires plus {label_bits} label bits "
-                f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
-        keys = np.array([(j << width) | key for j, key in enumerate(frontier)],
-                        dtype=np.int64)
-        batch = (len(keys) if max_support is None
-                 else max(1, int(max_support // per_node)))
-        runs = [run for lo in range(0, len(keys), batch)
-                for run in _run_halving(program, width + label_bits,
-                                        keys[lo:lo + batch], max_support)]
-        outs = [out for _, out in runs]
-        per_node = max(out.max_support_seen / size for size, out in runs)
-        seen = max([seen] + [out.max_support_seen for out in outs])
-        out_keys = np.concatenate([out.keys for out in outs])
-        reached = out_keys & ((1 << width) - 1)
+        lacking = [key for key in frontier if key not in columns] + hinted
+        hinted = []
+        if lacking:
+            label_bits = max(1, (len(lacking) - 1).bit_length())
+            if width + label_bits > 62:
+                raise ResourceLimitError(
+                    f"walk step on {width} wires plus {label_bits} label bits "
+                    f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
+            keys = np.array([(j << width) | key for j, key in enumerate(lacking)],
+                            dtype=np.int64)
+            batch = (len(keys) if max_support is None
+                     else max(1, int(max_support // per_node)))
+            runs = [run for lo in range(0, len(keys), batch)
+                    for run in _run_halving(program, width + label_bits,
+                                            keys[lo:lo + batch], max_support)]
+            per_node = max(out.max_support_seen / size for size, out in runs)
+            peak = max(peak, per_node)
+            seen = max([seen] + [out.max_support_seen for _, out in runs])
+            out_keys = np.concatenate([out.keys for _, out in runs])
+            out_amps = np.concatenate([out.amps for _, out in runs])
+            bounds = np.searchsorted(out_keys >> width, np.arange(len(lacking) + 1)).tolist()
+            out_keys &= (1 << width) - 1
+            for key, lo, hi in zip(lacking, bounds, bounds[1:]):
+                columns[key] = out_keys[lo:hi], out_amps[lo:hi]
+        reached_by, amps_by = zip(*(columns.pop(key) for key in frontier))
+        reached = np.concatenate(reached_by)
         if np.any(reached >> tree.num_tree_qubits):
             raise UsageError("walk step leaves a workspace qubit set")
-        cols += [index[frontier[j]] for j in (out_keys >> width).tolist()]
+        cols.append(np.repeat([index[key] for key in frontier], list(map(len, reached_by))))
+        amps += amps_by
         frontier = [key for key in np.unique(reached).tolist() if key not in index]
         for key in frontier:
             index[key] = len(index)
@@ -416,34 +465,34 @@ def _step_matrix(tree: BacktrackingTree, max_support):
             raise ResourceLimitError(
                 f"walk step reaches more than {max_support} node states")
         rows += [index[key] for key in reached.tolist()]
-        amps += [out.amps for out in outs]
     nodes = np.array(list(index), dtype=np.int64)
     w = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    w[rows, cols] = np.concatenate(amps)
+    w[rows, np.concatenate(cols)] = np.concatenate(amps)
     err = np.abs(w.conj().T @ w - np.eye(len(nodes))).max()
     if err > 1e-10:
         raise UsageError(f"walk step is not unitary on its {len(nodes)} reachable "
                          f"node states (max |W^H W - I| = {err:.1e})")
-    return nodes, w, seen
+    return Reach(nodes, peak), w, seen
 
 
-def qpe_state(tree: BacktrackingTree, precision_bits: int,
-              max_support=None) -> tuple[SparseState, list[int]]:
+def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
+              hint: Reach | None = None) -> tuple[SparseState, list[int], Reach]:
     """The final state of ``estimate_phase`` from the tree's root, on the tree
-    wires and the ancillae (ancilla k on wire ``num_tree_qubits + k``), and
-    the ancilla wires.
+    wires and the ancillae (ancilla k on wire ``num_tree_qubits + k``), the
+    ancilla wires, and the ``Reach`` of the step run.
 
     Only the reflection phases take the phase-estimation control, so the
     controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
     inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), formed from W
-    on the reachable nodes (``_step_matrix``); the inverse QFT then runs
-    gate by gate as in the circuit.  ``max_support`` caps the reachable node
-    count, the pre-QFT state's 2^p x nodes amplitudes and the support of
-    every simulated run.
+    on the reachable nodes (``_step_matrix``, which runs the ``hint``'s nodes
+    with the root); the inverse QFT then runs gate by gate as in the
+    circuit.  ``max_support`` caps the reachable node count, the pre-QFT
+    state's 2^p x nodes amplitudes and the support of every simulated run.
     """
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
-    nodes, w, seen = _step_matrix(tree, max_support)
+    reach, w, seen = _step_matrix(tree, max_support, hint)
+    nodes = reach.nodes
     size = 2 ** precision_bits
     if max_support is not None and size * len(nodes) > max_support:
         raise ResourceLimitError(
@@ -462,7 +511,7 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int,
     qft = Circuit(n + precision_bits)
     anc = list(range(n, n + precision_bits))
     _inverse_qft(qft, anc)
-    return apply(pre, qft, max_support=max_support), anc
+    return apply(pre, qft, max_support=max_support), anc, reach
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +540,7 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
     """
     reps = max(1, math.ceil(config.gamma_const * math.log(1.0 / config.delta)))
     precision = detection_precision(tree, config)
-    state, anc = qpe_state(tree, precision, max_support)
+    state, anc, _ = qpe_state(tree, precision, max_support)
     counts = sample(state, anc, reps, seed)
     accept_number = counts.counts.get("0" * len(anc), 0)
     return DetectionResult(
@@ -524,19 +573,21 @@ def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
     tree-register outcomes that co-occur with the all-zero ancilla register,
     keep the ones extending the root path by one label, and recurse into the
     most frequent label first (ties to the smaller label).  Each level
-    rebuilds registers and re-runs phase estimation.  Returns the absolute
-    path of an accepted node, or None."""
+    rebuilds registers and re-runs phase estimation; a child's step run
+    starts from the node states its parent's run reached below the child
+    (``Reach.below``), so it finds the same W in fewer runs.  Returns the
+    absolute path of an accepted node, or None."""
     rng = np.random.default_rng(seed)
     return _search(tree, config, rng, max_support, stats)
 
 
-def _search(tree, config, rng, max_support, stats):
+def _search(tree, config, rng, max_support, stats, hint=None):
     if classically_accepted(tree, ()):
         return tree.root_path
     if tree.effective_depth == 0:
         return None
 
-    state, anc = qpe_state(tree, config.precision_bits, max_support)
+    state, anc, reach = qpe_state(tree, config.precision_bits, max_support, hint)
     if stats is not None:
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)
@@ -562,7 +613,8 @@ def _search(tree, config, rng, max_support, stats):
         child = tree.root_path + (label,)
         if stats is not None:
             stats.explored.append(child)
-        found = _search(tree.subtree(child), config, rng, max_support, stats)
+        sub = tree.subtree(child)
+        found = _search(sub, config, rng, max_support, stats, reach.below(sub))
         if found is not None:
             return found
     return None

@@ -226,6 +226,14 @@ def test_env_seed_fallback(capsys, k2_board, monkeypatch):
     assert report["config"]["seed"] == 13
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+def test_env_seed_must_be_a_non_negative_integer(capsys, k2_board, monkeypatch, value):
+    monkeypatch.setenv("QWB_SEED", value)
+    assert main(["detect", k2_board]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: QWB_SEED") and captured.out == ""
+
+
 def test_console_entry_point(tmp_path):
     p = tmp_path / "solved.board"
     p.write_text(SOLVED_TEXT)
@@ -245,7 +253,8 @@ def test_console_entry_point(tmp_path):
                                   ["solve", "--max-support", "0"],
                                   ["detect", "--max-support", "0"],
                                   ["detect", "--beta", "nan"], ["detect", "--beta", "inf"],
-                                  ["detect", "--gamma", "nan"], ["detect", "--gamma", "inf"]])
+                                  ["detect", "--gamma", "nan"], ["detect", "--gamma", "inf"],
+                                  ["solve", "--seed", "-1"], ["detect", "--seed", "-1"]])
 def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
     assert main([argv[0], k2_board] + argv[1:]) == 1
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from qwb import sim, walk
 from qwb.circuit import Circuit, GateKind, UsageError, to_text
 from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sample
-from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
+from qwb.sudoku import (FIG1_BOARD, SudokuBoard, classical_solve, parse_board,
+                        restrict_board, tree_for_board)
 from qwb.transpile import metrics, transpile
 from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_accepted,
                       decode_tree_state, demo_tree, detect_marked,
@@ -398,7 +400,7 @@ def test_estimate_phase_replays_built_steps(instance, subspace_opt, monkeypatch)
     circ = tree.new_circuit()
     tree.init_node(circ, ())
     tree.estimate_phase(circ, 3)
-    assert len(built) == 3
+    assert len(built) == 1
     assert to_text(circ) == want
     # every release of a workspace qubit, replayed copies included, finds |0>
     apply(SparseState.zero(circ.num_qubits), circ, debug=True)
@@ -451,7 +453,7 @@ def test_qpe_state_matches_gate_level_phase_estimation(spec, subtree):
         tree.init_node(circ, ())
         anc = tree.estimate_phase(circ, precision)
         want = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
-        got, got_anc = qpe_state(tree, precision)
+        got, got_anc, _ = qpe_state(tree, precision)
         assert got_anc == anc
         assert np.array_equal(got.keys, want.keys), precision
         assert np.abs(got.amps - want.amps).max() <= 1e-10, precision
@@ -483,7 +485,8 @@ def test_qpe_state_rejects_a_non_unitary_step(monkeypatch):
 
 def test_qpe_state_caps_the_reachable_node_count():
     tree = demo_tree(3)
-    nodes, w, _ = walk._step_matrix(tree, None)
+    reach, w, _ = walk._step_matrix(tree, None)
+    nodes = reach.nodes
     assert w.shape == (len(nodes), len(nodes))
     with pytest.raises(ResourceLimitError):
         qpe_state(tree, 1, max_support=len(nodes) - 1)
@@ -521,6 +524,64 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
     assert all(program is step_runs[0] for program in step_runs)
     assert step_runs[0].gates == tuple(step.gates)
     assert (len(step_runs), len(raised)) == ((3, 0) if max_support is None else (8, 1))
+
+
+@functools.cache
+def _grids():
+    """The 288 complete valid 4x4 grids."""
+    return classical_solve(parse_board("....\n" * 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
+    # A subtree's run given its parent's nodes below it (exact, one short, or
+    # with unreachable node states mixed in) finds the unhinted W.
+    grid = data.draw(st.sampled_from(_grids()))
+    blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=4))
+    cells = [[None if 4 * r + c in blanks else v for c, v in enumerate(row)]
+             for r, row in enumerate(grid.cells)]
+    tree, _ = tree_for_board(SudokuBoard(2, tuple(map(tuple, cells))),
+                             subspace_optimization=data.draw(st.booleans()))
+    parent, _, _ = walk._step_matrix(tree, None)
+    paths = [tree.decode_index(key) for key in parent.nodes.tolist()]
+    root = data.draw(st.sampled_from(
+        [p for p in paths if 1 <= len(p) <= min(2, tree.max_depth - 1)]))
+    sub = tree.subtree(root)
+    want, w, _ = walk._step_matrix(sub, None)
+
+    exact = parent.below(sub)
+    short = np.delete(exact.nodes, data.draw(st.integers(0, len(exact.nodes) - 1)))
+    unreached = sorted({tree.node_index(p) for p in all_paths(tree.max_depth, tree.deg)}
+                       - set(want.nodes.tolist()))
+    extra = data.draw(st.lists(st.sampled_from(unreached), min_size=1, max_size=5,
+                               unique=True))
+    mixed = data.draw(st.permutations(exact.nodes.tolist() + extra))
+    for nodes in (exact.nodes, short, mixed):
+        hint = walk.Reach(np.array(nodes, dtype=np.int64), parent.per_node)
+        got, got_w, _ = walk._step_matrix(sub, None, hint)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.abs(got_w - w).max() <= 1e-12
+
+
+def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
+    # FIG1 at k = 3: the root's run needs one step run per level (3); each
+    # of the 3 subtree runs already holds its nodes from its parent's run
+    # and runs once, so 6 step runs where a level-by-level search makes 10.
+    tree = _qpe_tree(("fig1", 3, False))
+    real, step_runs = walk.apply, []
+
+    def spy(state, program, **kwargs):
+        if isinstance(program, sim.Program):     # a step run, not a whole circuit
+            step_runs.append(program)
+        return real(state, program, **kwargs)
+
+    monkeypatch.setattr(walk, "apply", spy)
+    stats = walk.SearchStats()
+    path = find_solution(tree, WalkConfig(precision_bits=3, shots=10 ** 6), seed=1,
+                         stats=stats)
+    assert path == (1, 3, 3, 2)
+    assert (stats.qpe_runs, len(step_runs)) == (4, 6)
 
 
 def test_detection_and_search_never_build_gate_level_phase_estimation(monkeypatch):
