@@ -17,6 +17,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import heapq
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -313,7 +314,7 @@ def from_text(text: str) -> Circuit:
         except ValueError:
             raise UsageError(f"malformed gate line: {ln!r}") from None
         gate = Gate(*fields)
-        if set(gate.control_state) - {0, 1}:
+        if set(gate.control_state) - {0, 1} or not all(map(math.isfinite, gate.params)):
             raise UsageError(f"malformed gate line: {ln!r}")
         circ._check_live(gate.qubits)
         circ.gates.append(gate)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .circuit import UsageError
 from .sim import ResourceLimitError, SparseState, apply
-from .sudoku import (ParseError, board_with_path, format_board, parse_board,
-                     restrict_board, tree_for_board)
+from .sudoku import (ParseError, assignments_from_path, board_with_path, format_board,
+                     parse_board, restrict_board, tree_for_board)
 from .transpile import metrics, transpile
 from .walk import (DetectionResult, SearchStats, WalkConfig, decode_tree_state,
                    demo_tree, detect_marked, find_solution, to_dot)
@@ -112,7 +112,7 @@ def cmd_solve(args) -> int:
         return 2
     solved = board_with_path(board, path)
     assignments = {f"{r},{c}": v + 1
-                   for (r, c), v in zip(board.empty_cells(), path)}
+                   for (r, c), v in assignments_from_path(board, path).items()}
     print(format_board(solved), end="")
     _emit(_report("solve", config_echo,
                   {"solution": format_board(solved), "assignments": assignments,

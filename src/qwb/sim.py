@@ -7,15 +7,16 @@ vectorizes.  Qubit 0 is the least-significant bit of the basis index.
 Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
 controls.  Compile once, run many: ``compile`` turns a circuit into a
 ``Program``, each gate once into its control bits, target bit and matrix
-entries, and ``apply`` runs a program on a state (a circuit it is given is
-compiled first), so a circuit run on many states, such as the walk step, is
-compiled once.  The kernel works on the pairs of basis states that differ
-only in the target bit: a diagonal matrix scales amplitudes in place, X
-flips the target bit of the keys in place (no sort), and any other matrix
-(H, RY, U3, which never carry controls) finds each key's partner by binary
-search and mixes each pair once, appending the partners that were absent.
-Keys are sorted only before a mixing gate that follows a permutation and
-once at the end.
+entries; ``apply`` runs a program (or a circuit, compiled first) on a
+state, and ``run_columns`` on many basis states at once, each labelled on
+the wires above the program's (``dense_unitary``, the walk step's matrix).
+The kernel works on the pairs of basis states that differ only in the
+target bit: a diagonal matrix scales amplitudes in place, X flips the
+target bit of the keys in place (no sort), and any other matrix (H, RY, U3,
+which never carry controls) finds each key's partner by binary search and
+mixes each pair once, appending the partners that were absent.  Keys are
+sorted only before a mixing gate that follows a permutation and once at
+the end.
 
 Amplitudes below ``PRUNE_EPSILON`` are dropped after every mixing gate, the
 only kind that can shrink a magnitude: a diagonal gate's entries have
@@ -33,6 +34,8 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, UsageError
 
 PRUNE_EPSILON = 1e-12
+KEY_BITS = 62               # bits of a sparse key: an int64 basis index
+MAX_SHOTS = 2 ** 63 - 1     # numpy draws counts as int64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -96,10 +99,9 @@ class SparseState:
 
     @classmethod
     def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
-        if num_qubits > 62:
-            raise ResourceLimitError(
-                f"{num_qubits} qubits exceed the 62-qubit sparse index capacity",
-                qubit_count=num_qubits)
+        if num_qubits > KEY_BITS:
+            raise ResourceLimitError(f"{num_qubits} qubits exceed the {KEY_BITS}-qubit sparse "
+                                     f"index capacity", qubit_count=num_qubits)
         keys = np.array(sorted(amplitudes), dtype=np.int64)
         amps = np.array([amplitudes[int(k)] for k in keys], dtype=complex)
         return cls(num_qubits, keys, amps, len(keys))
@@ -201,7 +203,7 @@ def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False
     if circuit.num_qubits > n:
         raise UsageError(
             f"circuit uses {circuit.num_qubits} qubits, state has {n}")
-    if n > 62:
+    if n > KEY_BITS:
         raise ResourceLimitError(
             f"{n} qubits exceed sparse index capacity", qubit_count=n)
     program = circuit if isinstance(circuit, Program) else compile(circuit)
@@ -292,8 +294,8 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     measured = list(measured_qubits)
     if not measured:
         raise UsageError("measured_qubits must be nonempty")
-    if shots < 1:
-        raise UsageError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise UsageError(f"shots must lie in 1..{MAX_SHOTS}")
 
     width = len(measured)
     outcome_vals = np.zeros(len(state.keys), dtype=np.int64)
@@ -316,21 +318,47 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     return MeasurementCounts(shots, counts)
 
 
-def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """2^n x 2^n matrix from one run on the 2n-qubit state sum_c |c>|c>.
+def run_columns(program: Program, keys, batch: int | None = None,
+                max_support: int | None = None, prune_epsilon: float = PRUNE_EPSILON):
+    """``apply`` of ``program`` on each basis state ``keys[j]``, ``batch`` of
+    them per run (all when None), with state j labelled j on the wires above
+    the program's.  A run that passes ``max_support`` is split in halves and
+    rerun; only a single state's run raises.  Returns the outputs' labels,
+    rows (basis indices on the program's wires) and amplitudes, flat and in
+    label order, and each run's (states, largest support)."""
+    width, label_bits = program.num_qubits, (len(keys) - 1).bit_length()
+    if width + label_bits > KEY_BITS:
+        raise ResourceLimitError(f"{width} wires plus {label_bits} label bits exceed the "
+                                 f"{KEY_BITS}-bit sparse key", qubit_count=width + label_bits)
+    labelled = (np.arange(len(keys), dtype=np.int64) << width) | np.asarray(keys, np.int64)
+    batch = batch or len(keys)
+    todo = [labelled[lo:lo + batch] for lo in reversed(range(0, len(keys), batch))]
+    done = []
+    while todo:
+        part = todo.pop()
+        state = SparseState(width + label_bits, part, np.ones(len(part), complex))
+        try:
+            done.append((len(part), apply(state, program, max_support=max_support,
+                                          prune_epsilon=prune_epsilon)))
+        except ResourceLimitError:
+            if len(part) == 1:
+                raise
+            todo += [part[len(part) // 2:], part[:len(part) // 2]]
+    out = np.concatenate([run.keys for _, run in done])
+    return (out >> width, out & ((1 << width) - 1), np.concatenate([run.amps for _, run in done]),
+            [(size, run.max_support_seen) for size, run in done])
 
-    The circuit acts on the low n qubits; the high n qubits keep a copy of
-    each input column c, so basis index (c << n) | r holds entry (r, c).
-    """
+
+def dense_unitary(circuit: Circuit) -> np.ndarray:
+    """2^n x 2^n matrix of ``circuit``: column c is its unpruned run on |c>,
+    all columns at once (``run_columns``)."""
     n = circuit.num_qubits
     if n > 12:
         raise UsageError(f"dense_unitary supports at most 12 qubits, got {n}")
     dim = 2 ** n
-    cols = np.arange(dim, dtype=np.int64)
-    start = SparseState(2 * n, (cols << n) | cols, np.ones(dim, dtype=complex), dim)
-    st = apply(start, circuit, prune_epsilon=0.0)
+    cols, rows, amps, _ = run_columns(compile(circuit), np.arange(dim), prune_epsilon=0.0)
     out = np.zeros((dim, dim), dtype=complex)
-    out[st.keys & (dim - 1), st.keys >> n] = st.amps
+    out[rows, cols] = amps
     return out
 
 

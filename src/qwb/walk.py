@@ -39,14 +39,14 @@ step is the same gates with the control wire moved onto it (only the
 reflection phases carry the control), and the powers are replayed with
 ``Circuit.extend``; ``bench`` and the transpiler measure it.  ``qpe_state``
 simulates the same circuit from the root without building it: it builds and
-compiles the uncontrolled step once and runs that one program on the nodes
-it reaches, a level of new nodes per run (split into batches under a support
-cap), to get the step as a small unitary matrix W; it forms the pre-QFT
-state sum_a |a> W^a |root> / sqrt(2^p) and runs only the inverse QFT gate by
-gate.  Detection and search use ``qpe_state``.  The search hands each
-child's run the node states its parent's run reached below the child (a
-``Reach``); they run with the child's root in one first batch, so a
-subtree's W usually takes a single step run.
+compiles the uncontrolled step once and gets its columns on the nodes it
+reaches from ``sim.run_columns``, a level of new nodes at a time, as a small
+unitary matrix W; it forms the pre-QFT state sum_a |a> W^a |root> / sqrt(2^p)
+and runs only the inverse QFT gate by gate.  Detection and search use
+``qpe_state``.  The search hands each child's run the node states its
+parent's run reached below the child (a ``Reach``); they run with the
+child's root in one first batch, so a subtree's W usually takes a single
+step run.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Gate, UsageError, adjoint
-from .sim import (ResourceLimitError, SparseState, apply, compile as compile_circuit,
-                  sample)
+from .sim import (KEY_BITS, MAX_SHOTS, ResourceLimitError, SparseState, apply,
+                  compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
@@ -92,11 +92,18 @@ class WalkConfig:
             raise UsageError("precision_bits must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise UsageError("delta must lie in (0, 1)")
-        if self.shots < 1:
-            raise UsageError("shots must be >= 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise UsageError(f"shots must lie in 1..{MAX_SHOTS}")
         if not all(math.isfinite(c) and c > 0.0
                    for c in (self.beta_const, self.gamma_const)):
             raise UsageError("beta and gamma must be positive and finite")
+        if not self.gamma_const * math.log(1.0 / self.delta) <= MAX_SHOTS:
+            raise UsageError(f"gamma ln(1/delta) votes, drawn as shots, exceed {MAX_SHOTS}")
+
+    @property
+    def repetitions(self) -> int:
+        """Votes of ``detect_marked``: K = max(1, ceil(gamma ln(1/delta)))."""
+        return max(1, math.ceil(self.gamma_const * math.log(1.0 / self.delta)))
 
 
 @dataclass
@@ -367,23 +374,6 @@ def _inverse_qft(circ, qubits):
         circ.h(qubits[j])
 
 
-def _run_halving(program, num_qubits, keys, max_support):
-    """``apply`` of a compiled program on the uniform sum of the basis states
-    ``keys``, returned as a list of (batch length, result): a run that passes
-    ``max_support`` is split in halves and rerun, and only a single key's run
-    raises."""
-    try:
-        return [(len(keys), apply(SparseState(num_qubits, keys,
-                                              np.ones(len(keys), complex)),
-                                  program, max_support=max_support))]
-    except ResourceLimitError:
-        if len(keys) == 1:
-            raise
-        half = len(keys) // 2
-        return (_run_halving(program, num_qubits, keys[:half], max_support)
-                + _run_halving(program, num_qubits, keys[half:], max_support))
-
-
 class Reach(NamedTuple):
     """What one ``_step_matrix`` call found: the node states it reached
     (basis indices, in W's order) and the largest support per node of its
@@ -403,71 +393,51 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None)
     """The walk step W as a dense matrix on the node states it reaches from
     the tree's root; returns (their ``Reach``, W, largest support seen).
 
-    The uncontrolled step is compiled once and run on many nodes at once,
-    each tagged by a column label on wires above the step's.  Nodes are
-    numbered breadth first from the root, each level's new nodes in sorted
-    order, and a level's nodes that have no column yet run together.  A
-    ``hint`` (a parent run's reach below this root) runs with the root in
-    the first batch; hinted nodes never reached are dropped, so a wrong or
-    partial hint costs runs but leaves W and its node order unchanged.
-    Under ``max_support`` a batch is sized from the previous runs' largest
-    support per node (the hint's at first), so few runs pass the cap and
-    are split again (``_run_halving``).
+    The uncontrolled step is compiled once; ``run_columns`` gives its
+    columns.  Nodes are numbered breadth first from the root, each level's
+    new nodes in sorted order, and a level's nodes that have no column yet
+    run together.  A ``hint`` (a parent run's reach below this root) runs
+    with the root in the first batch; hinted nodes never reached are
+    dropped, so a wrong or partial hint costs runs but leaves W and its node
+    order unchanged.  Under ``max_support`` a batch is sized from the
+    previous runs' largest support per node (the hint's at first), so few
+    runs pass the cap and are split.
     """
     step = tree.new_circuit()
     tree.quantum_step(step)
     program = compile_circuit(step)
-    width = step.num_qubits
     root = tree.node_index(())
     # A hint only saves runs: keep what fits in the labels beside the root.
-    room = (1 << max(0, 62 - width)) - 1
+    room = (1 << max(0, KEY_BITS - step.num_qubits)) - 1
     hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root][:room]
-    columns = {}             # run but not yet on a level -> (reached, amplitudes)
+    columns = {}             # node basis index -> (reached rows, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
-    rows, cols, amps = [], [], []
     frontier, seen, peak = [root], 0, 0.0
     per_node = 1.0 if hint is None else hint.per_node
     while frontier:
-        lacking = [key for key in frontier if key not in columns] + hinted
-        hinted = []
+        lacking = [key for key in frontier + hinted if key not in columns]
         if lacking:
-            label_bits = max(1, (len(lacking) - 1).bit_length())
-            if width + label_bits > 62:
-                raise ResourceLimitError(
-                    f"walk step on {width} wires plus {label_bits} label bits "
-                    f"exceeds the 62-bit sparse key", qubit_count=width + label_bits)
-            keys = np.array([(j << width) | key for j, key in enumerate(lacking)],
-                            dtype=np.int64)
-            batch = (len(keys) if max_support is None
-                     else max(1, int(max_support // per_node)))
-            runs = [run for lo in range(0, len(keys), batch)
-                    for run in _run_halving(program, width + label_bits,
-                                            keys[lo:lo + batch], max_support)]
-            per_node = max(out.max_support_seen / size for size, out in runs)
+            batch = None if max_support is None else max(1, int(max_support // per_node))
+            labels, rows, amps, runs = run_columns(program, lacking, batch, max_support)
+            per_node = max(support / size for size, support in runs)
             peak = max(peak, per_node)
-            seen = max([seen] + [out.max_support_seen for _, out in runs])
-            out_keys = np.concatenate([out.keys for _, out in runs])
-            out_amps = np.concatenate([out.amps for _, out in runs])
-            bounds = np.searchsorted(out_keys >> width, np.arange(len(lacking) + 1)).tolist()
-            out_keys &= (1 << width) - 1
-            for key, lo, hi in zip(lacking, bounds, bounds[1:]):
-                columns[key] = out_keys[lo:hi], out_amps[lo:hi]
-        reached_by, amps_by = zip(*(columns.pop(key) for key in frontier))
-        reached = np.concatenate(reached_by)
+            seen = max([seen] + [support for _, support in runs])
+            cuts = np.searchsorted(labels, np.arange(1, len(lacking)))
+            columns.update(zip(lacking, zip(np.split(rows, cuts), np.split(amps, cuts))))
+        reached = np.concatenate([columns[key][0] for key in frontier])
         if np.any(reached >> tree.num_tree_qubits):
             raise UsageError("walk step leaves a workspace qubit set")
-        cols.append(np.repeat([index[key] for key in frontier], list(map(len, reached_by))))
-        amps += amps_by
         frontier = [key for key in np.unique(reached).tolist() if key not in index]
         for key in frontier:
             index[key] = len(index)
         if max_support is not None and len(index) > max_support:
             raise ResourceLimitError(
                 f"walk step reaches more than {max_support} node states")
-        rows += [index[key] for key in reached.tolist()]
     nodes = np.array(list(index), dtype=np.int64)
+    rows, amps = zip(*(columns[key] for key in index))
     w = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    w[rows, np.concatenate(cols)] = np.concatenate(amps)
+    w[[index[key] for key in np.concatenate(rows).tolist()],
+      np.repeat(np.arange(len(nodes)), list(map(len, rows)))] = np.concatenate(amps)
     err = np.abs(w.conj().T @ w - np.eye(len(nodes))).max()
     if err > 1e-10:
         raise UsageError(f"walk step is not unitary on its {len(nodes)} reachable "
@@ -538,7 +508,7 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
     The estimations are independent and identically distributed, so they are
     drawn as K seeded shots from one simulated outcome distribution.
     """
-    reps = max(1, math.ceil(config.gamma_const * math.log(1.0 / config.delta)))
+    reps = config.repetitions
     precision = detection_precision(tree, config)
     state, anc, _ = qpe_state(tree, precision, max_support)
     counts = sample(state, anc, reps, seed)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qwb
-from qwb import walk
+from qwb import sim, walk
 from qwb.cli import main
 from qwb.sim import ResourceLimitError
 from qwb.sudoku import FIG1_BOARD, format_board, parse_board, restrict_board
@@ -113,6 +113,7 @@ def test_step_batches_under_a_support_cap_rarely_fail(capsys, tmp_path, monkeypa
             raise
 
     monkeypatch.setattr(walk, "apply", spy)
+    monkeypatch.setattr(sim, "apply", spy)
     outcomes = _k4_precision_1_outcomes(capsys, tmp_path)
     assert outcomes[0] == outcomes[1]
     assert len(failed) <= 2
@@ -254,7 +255,9 @@ def test_console_entry_point(tmp_path):
                                   ["detect", "--max-support", "0"],
                                   ["detect", "--beta", "nan"], ["detect", "--beta", "inf"],
                                   ["detect", "--gamma", "nan"], ["detect", "--gamma", "inf"],
-                                  ["solve", "--seed", "-1"], ["detect", "--seed", "-1"]])
+                                  ["solve", "--seed", "-1"], ["detect", "--seed", "-1"],
+                                  ["detect", "--gamma", "1e19"], ["detect", "--delta", "1e-320"],
+                                  ["solve", "--shots", "100000000000000000000"]])
 def test_walk_parameters_out_of_range_exit_1(capsys, k2_board, argv):
     assert main([argv[0], k2_board] + argv[1:]) == 1
     captured = capsys.readouterr()

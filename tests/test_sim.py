@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwb import sim
+from qwb import sim, walk
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
 from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
-                     dense_unitary, dump_state, gate_matrix, load_state, sample)
+                     dense_unitary, dump_state, gate_matrix, load_state, run_columns,
+                     sample)
+from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.synthesis import xx_plus_yy
 
 from helpers import definitional_unitary, random_circuit, random_sparse_dict, xxyy_matrix
@@ -301,6 +304,8 @@ def test_sample_requires_qubits_and_shots():
         sample(st, [], 10, seed=0)
     with pytest.raises(UsageError):
         sample(st, [0], 0, seed=0)
+    with pytest.raises(UsageError):
+        sample(st, [0], 2 ** 63, seed=0)
 
 
 def test_marginal_sampling():
@@ -321,6 +326,98 @@ def test_amplitude_queries():
 def test_dense_unitary_qubit_cap():
     with pytest.raises(UsageError):
         dense_unitary(Circuit(13))
+
+
+def test_dense_unitary_of_no_qubits_is_one():
+    assert np.array_equal(dense_unitary(Circuit(0)), [[1]])
+
+
+def _columns(labels, rows, amps, count):
+    """Each label's (rows, amplitudes) in ``run_columns`` output."""
+    cuts = np.searchsorted(labels, np.arange(count + 1))
+    return [(rows[lo:hi], amps[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _assert_same_columns(got, want):
+    # Keys match exactly; amplitudes to 1e-12, not bit for bit, because the
+    # same arithmetic on arrays of other lengths can round differently in
+    # the last place.
+    assert len(got) == len(want)
+    for (rows, amps), (want_rows, want_amps) in zip(got, want):
+        assert np.array_equal(rows, want_rows)
+        assert np.abs(amps - want_amps).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       num_gates=st.integers(1, 25), count=st.integers(1, 20), data=st.data())
+def test_property_run_columns_equals_one_apply_per_key(seed, n, num_gates, count, data):
+    # Keys may repeat: each label still gets its own column.
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, num_gates)
+    program = sim.compile(c)
+    keys = rng.integers(0, 2 ** n, size=count).tolist()
+    labels, rows, amps, runs = run_columns(program, keys)
+    assert runs == [(count, runs[0][1])] and np.all(np.diff(labels) >= 0)
+    singles = [apply(SparseState.basis_state(c.num_qubits, key), program) for key in keys]
+    want = [(out.keys, out.amps) for out in singles]
+    _assert_same_columns(_columns(labels, rows, amps, count), want)
+
+    # A cap of the largest single-state support: the state that reaches it
+    # fits only alone, so the whole run is split, and the columns do not
+    # change.
+    cap = max(out.max_support_seen for out in singles)
+    capped = run_columns(program, keys, max_support=cap)
+    assert sum(size for size, _ in capped[3]) == count
+    assert (len(capped[3]) > 1) == (count > 1)
+    assert all(support <= cap for _, support in capped[3])
+    _assert_same_columns(_columns(*capped[:3], count), want)
+
+    batched = run_columns(program, keys, batch=data.draw(st.integers(1, count + 1)))
+    assert sum(size for size, _ in batched[3]) == count
+    _assert_same_columns(_columns(*batched[:3], count), want)
+
+
+def test_run_columns_splits_down_to_single_states_under_a_tight_cap():
+    # Every state spreads over all 8 rows, so no two fit under a cap of 8.
+    c = Circuit(3)
+    for q in range(3):
+        c.h(q)
+    program, keys = sim.compile(c), [0, 5, 5, 7, 2]
+    labels, rows, amps, runs = run_columns(program, keys, max_support=8)
+    assert runs == [(1, 8)] * len(keys)
+    want = _columns(*run_columns(program, keys)[:3], len(keys))
+    _assert_same_columns(_columns(labels, rows, amps, len(keys)), want)
+
+
+def test_run_columns_label_overflow_raises_before_any_run(monkeypatch):
+    monkeypatch.setattr(sim, "apply", lambda *a, **k: pytest.fail("ran"))
+    c = Circuit(60)
+    c.h(0)
+    with pytest.raises(ResourceLimitError,
+                       match="60 wires plus 3 label bits exceed the 62-bit sparse key"):
+        run_columns(sim.compile(c), list(range(8)))
+
+
+@pytest.mark.parametrize("k, subspace_opt, digest", [
+    (1, False, "830175e92c87fc67e926d12b1d7f885422921d743a8c8be7bbcf5cca2dcf3f3f"),
+    (1, True, "5723fc6983ad3ef1ade2fee11c9ab2b5259d1145a8a5aaf47ddcf2f540a79c0f"),
+    (2, False, "32261868bc76b0aeeff57db48b6b4adfd474fa967b66f574f75a2e69175aac46"),
+    (2, True, "5a7e956a6ce73fda015fffa6a76454f3d47684da818b467b4805bc673394ef28"),
+    (3, False, "61e03fab542160bcd51c161416f1225f20a25eb4bfd875c6b3b8c0f6be96b338"),
+    (3, True, "7459bb6d93ec8d47a9ab8e8a189b9ba78f50cd9f7905df324371160966fc4278"),
+    (4, False, "2948a2340d6adda660342a27c030eccb0490cd68b5eb77584906fd71a54d2cff"),
+    (4, True, "0d33190b45863bd63f92d8760bc73a1c4b4cc0620e54d35b6011d05ba46d0fd6"),
+    (5, False, "7dad41bfacdefab1f4f3858b5d12d9c5f6b6389ae47020b3d06836e14d987a10"),
+    (5, True, "1d42c7bf8d7a4c444a9ed9e72b3a98c8c07ceaed7d6106bc61473913dc90a8cb"),
+])
+def test_fig1_step_matrix_bytes_are_pinned(k, subspace_opt, digest):
+    # The walk step's node order and W, built from ``run_columns``, byte for
+    # byte as the labelled runs that preceded it built them.
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
+                             subspace_optimization=subspace_opt)
+    reach, w, _ = walk._step_matrix(tree, None)
+    assert hashlib.sha256(reach.nodes.tobytes() + w.tobytes()).hexdigest() == digest
 
 
 def test_support_cap_raises_resource_error():

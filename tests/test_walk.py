@@ -479,6 +479,7 @@ def test_qpe_state_rejects_a_non_unitary_step(monkeypatch):
         return out
 
     monkeypatch.setattr(walk, "apply", lossy_apply)
+    monkeypatch.setattr(sim, "apply", lossy_apply)
     with pytest.raises(UsageError, match="not unitary"):
         qpe_state(demo_tree(3), 2)
 
@@ -518,6 +519,7 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
 
     monkeypatch.setattr(sim, "_compile", spy_compile)
     monkeypatch.setattr(walk, "apply", spy_run)
+    monkeypatch.setattr(sim, "apply", spy_run)
     qpe_state(tree, 2, max_support)
     assert compiled == step.gates + qft.gates
     step_runs = runs[:-1]       # the last run is the inverse QFT
@@ -577,6 +579,7 @@ def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
         return real(state, program, **kwargs)
 
     monkeypatch.setattr(walk, "apply", spy)
+    monkeypatch.setattr(sim, "apply", spy)
     stats = walk.SearchStats()
     path = find_solution(tree, WalkConfig(precision_bits=3, shots=10 ** 6), seed=1,
                          stats=stats)
