@@ -3,7 +3,8 @@ circuit resources, and emit tree visualizations.
 
 Every command prints a single JSON run report to stdout (the solved grid is
 also printed as plain text).  Exit codes: 0 solution found / marked, 2 no
-solution / not marked, 1 usage or parse error, 3 simulator capacity.
+solution / not marked, 1 usage or parse error, 3 simulator capacity or a
+refused allocation.
 Reports are byte-identical for identical seeds and flags apart from the
 "timings" object.
 """
@@ -19,7 +20,7 @@ import time
 from pathlib import Path
 
 from .circuit import UsageError
-from .sim import ResourceLimitError, SparseState, apply
+from .sim import KEY_BITS, ResourceLimitError, SparseState, apply
 from .sudoku import (ParseError, assignments_from_path, board_with_path, format_board,
                      parse_board, restrict_board, tree_for_board)
 from .transpile import metrics, transpile
@@ -199,6 +200,10 @@ def cmd_viz(args) -> int:
                           {"files": []}, {"viz": time.perf_counter() - t0}))
             return 0
         tree, _ = tree_for_board(board)
+    if tree.num_tree_qubits > KEY_BITS:     # before building any diffuser
+        raise ResourceLimitError(f"{tree.num_tree_qubits} tree qubits exceed the "
+                                 f"{KEY_BITS}-qubit sparse index capacity",
+                                 qubit_count=tree.num_tree_qubits)
 
     # Diffuser s (from 0) has even parity iff depth + s is even; the walk
     # applies the two parities' circuits in turn to the root state.
@@ -275,7 +280,7 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,7 +11,7 @@ entries; ``apply`` runs a program (or a circuit, compiled first) on a
 state, and ``run_columns`` on many basis states at once, each labelled on
 the wires above the program's (``dense_unitary``, the walk step's matrix).
 The kernel works on the pairs of basis states that differ only in the
-target bit: a diagonal matrix scales amplitudes in place, X flips the
+target bit: a diagonal matrix scales the amplitudes it selects, X flips the
 target bit of the keys in place (no sort), and any other matrix (H, RY, U3,
 which never carry controls) finds each key's partner by binary search and
 mixes each pair once, appending the partners that were absent.  Keys are
@@ -232,7 +232,10 @@ def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False
         if path == _DIAG:
             for half, factor in ((0, m00), (bit, m11)):
                 if factor != 1:
-                    amps[(keys & (cmask | bit)) == (cval | half)] *= factor
+                    # Out of place: numpy rounds an in-place product of one
+                    # element unlike the same product in a longer array.
+                    sel = (keys & (cmask | bit)) == (cval | half)
+                    amps[sel] = amps[sel] * factor
             continue
         if unsorted:
             keys, amps = _sort(keys, amps)
@@ -301,21 +304,13 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     outcome_vals = np.zeros(len(state.keys), dtype=np.int64)
     for i, q in enumerate(measured):
         outcome_vals |= ((state.keys >> q) & 1) << i
-    probs: dict[int, float] = {}
-    weights = np.abs(state.amps) ** 2
-    for v, w in zip(outcome_vals, weights):
-        probs[int(v)] = probs.get(int(v), 0.0) + float(w)
-
-    vals = sorted(probs)
-    p = np.array([probs[v] for v in vals])
+    # Each outcome's probabilities are summed in key order, from 0.0.
+    vals, outcome = np.unique(outcome_vals, return_inverse=True)
+    p = np.bincount(outcome, weights=np.abs(state.amps) ** 2)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p)
-    counts = {}
-    for v, n in zip(vals, draws):
-        if n:
-            counts[format(v, f"0{width}b")] = int(n)
-    return MeasurementCounts(shots, counts)
+    draws = np.random.default_rng(seed).multinomial(shots, p)
+    return MeasurementCounts(shots, {format(v, f"0{width}b"): n for v, n
+                                     in zip(vals.tolist(), draws.tolist()) if n})
 
 
 def run_columns(program: Program, keys, batch: int | None = None,

@@ -42,7 +42,8 @@ simulates the same circuit from the root without building it: it builds and
 compiles the uncontrolled step once and gets its columns on the nodes it
 reaches from ``sim.run_columns``, a level of new nodes at a time, as a small
 unitary matrix W; it forms the pre-QFT state sum_a |a> W^a |root> / sqrt(2^p)
-and runs only the inverse QFT gate by gate.  Detection and search use
+as a dense table and applies the circuit's inverse QFT to it, with no gate
+simulated.  Detection and search use
 ``qpe_state``.  The search hands each child's run the node states its
 parent's run reached below the child (a ``Reach``); they run with the
 child's root in one first batch, so a subtree's W usually takes a single
@@ -60,8 +61,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Gate, UsageError, adjoint
-from .sim import (KEY_BITS, MAX_SHOTS, ResourceLimitError, SparseState, apply,
-                  compile as compile_circuit, run_columns, sample)
+from .sim import (KEY_BITS, MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
+                  apply, compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
@@ -453,14 +454,23 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
 
     Only the reflection phases take the phase-estimation control, so the
     controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
-    inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), formed from W
-    on the reachable nodes (``_step_matrix``, which runs the ``hint``'s nodes
-    with the root); the inverse QFT then runs gate by gate as in the
-    circuit.  ``max_support`` caps the reachable node count, the pre-QFT
-    state's 2^p x nodes amplitudes and the support of every simulated run.
+    inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), a dense
+    2^p x nodes table formed from W on the reachable nodes (``_step_matrix``,
+    which runs the ``hint``'s nodes with the root).  The circuit's inverse
+    QFT runs on the table in place, per ancilla the lower ancillae's phases
+    then an unscaled H (the root's 1/2^p holds the 1/sqrt(2^p) and every H's
+    1/sqrt(2)), and amplitudes below ``PRUNE_EPSILON`` are dropped once.
+    Raises ``ResourceLimitError`` before any step run if the tree wires and
+    the ancillae pass the sparse key, and after them if the node count, a
+    step run's support or the table passes ``max_support``.
     """
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
+    n = tree.num_tree_qubits
+    if n + precision_bits > KEY_BITS:
+        raise ResourceLimitError(
+            f"{n} tree wires plus {precision_bits} ancillae exceed the {KEY_BITS}-bit "
+            f"sparse key", qubit_count=n + precision_bits)
     reach, w, seen = _step_matrix(tree, max_support, hint)
     nodes = reach.nodes
     size = 2 ** precision_bits
@@ -470,18 +480,20 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
             f"node states needs up to {size * len(nodes)} amplitudes, "
             f"more than {max_support}")
     powers = np.zeros((size, len(nodes)), dtype=complex)
-    powers[0, 0] = 1.0
+    powers[0, 0] = 1.0 / size
     for a in range(1, size):
         powers[a] = w @ powers[a - 1]
-    n = tree.num_tree_qubits
+    for j in range(precision_bits):
+        pairs = powers.reshape(-1, 2, 2 ** j, len(nodes))    # [.., bit j, lower bits, node]
+        pairs[:, 1] *= np.exp(-1j * math.pi * np.arange(2 ** j) / 2 ** j)[:, None]
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     keys = ((np.arange(size, dtype=np.int64)[:, None] << n) | nodes).ravel()
+    amps = powers.ravel()
+    keep = np.abs(amps) >= PRUNE_EPSILON
+    keys, amps = keys[keep], amps[keep]
     order = np.argsort(keys)
-    pre = SparseState(n + precision_bits, keys[order],
-                      powers.ravel()[order] / math.sqrt(size), seen)
-    qft = Circuit(n + precision_bits)
-    anc = list(range(n, n + precision_bits))
-    _inverse_qft(qft, anc)
-    return apply(pre, qft, max_support=max_support), anc, reach
+    state = SparseState(n + precision_bits, keys[order], amps[order], max(seen, len(keys)))
+    return state, list(range(n, n + precision_bits)), reach
 
 
 # ---------------------------------------------------------------------------

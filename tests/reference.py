@@ -78,3 +78,43 @@ def reference_step(tree, accept, reject):
 def algorithmic_indices(tree):
     return [tree.node_index(rel)
             for rel in all_paths(tree.effective_depth, tree.deg)]
+
+
+def reachable_walk_step(tree, accept, reject):
+    """The walk step W = R_B R_A on the node states reachable from the
+    (sub)tree's root, built from the diffuser definition; returns their basis
+    indices and W, in the same order.
+
+    ``accept``/``reject`` are classical predicates on absolute paths.  A node
+    is reached when its parent is reached and neither accepted nor rejected.
+    R_A acts on the nodes at even distance from the root, R_B on those at odd
+    distance: the identity on an accepted node, -1 on a rejected node or a
+    non-accepted leaf, and otherwise the reflection about |x> + c sum of its
+    children, with c = sqrt(n) at the root and 1 elsewhere.
+    """
+    n = tree.effective_depth
+    paths = [()]
+    for rel in paths:       # grows while it is read: breadth first
+        absolute = tree.root_path + rel
+        if len(rel) < n and not accept(absolute) and not reject(absolute):
+            paths += [rel + (w,) for w in range(tree.deg)]
+    index = {rel: j for j, rel in enumerate(paths)}
+
+    def diffuser(parity):
+        op = np.eye(len(paths), dtype=complex)
+        for rel in paths:
+            absolute = tree.root_path + rel
+            if len(rel) % 2 != parity or accept(absolute):
+                continue
+            x = index[rel]
+            if reject(absolute) or len(rel) == n:
+                op[x, x] = -1.0
+                continue
+            block = [x] + [index[rel + (w,)] for w in range(tree.deg)]
+            psi = np.array([1.0] + [math.sqrt(n) if not rel else 1.0] * tree.deg)
+            psi /= np.linalg.norm(psi)
+            op[np.ix_(block, block)] -= 2.0 * np.outer(psi, psi)
+        return op
+
+    keys = np.array([tree.node_index(rel) for rel in paths], dtype=np.int64)
+    return keys, diffuser(1) @ diffuser(0)

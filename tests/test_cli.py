@@ -284,6 +284,30 @@ def test_detect_full_fig1_exits_3_without_gate_level_qpe(capsys, fig1_board, mon
     assert err.startswith("resource error:") and "62-bit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--precision", "40", "--max-support", str(10 ** 20)],
+    ["detect", "--beta", "1e-30", "--max-support", str(10 ** 40)],
+])
+def test_phase_estimation_past_the_sparse_key_or_memory_exits_3(capsys, tmp_path, argv):
+    # FIG1 at 3 blanks: the system refuses 2^40 x 21 amplitudes, and precision
+    # 105 puts the ancillae past the 62-bit key before any step run.
+    p = tmp_path / "k3.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 3)))
+    assert main([argv[0], str(p)] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource error:")
+    assert captured.out == ""
+
+
+def test_viz_past_the_sparse_key_exits_3_before_building(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(BacktrackingTree, "qstep_diffuser",
+                        lambda *args, **kwargs: pytest.fail("diffuser built"))
+    out = str(tmp_path / "wide")
+    assert main(["viz", "--demo-tree", "20000", "--steps", "1", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("resource error: 40001 tree qubits")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch):
     # Precision 20 would replay the controlled step about 2^20 times; the cap
     # fires after the first step is built.

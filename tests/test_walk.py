@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwb import sim, walk
-from qwb.circuit import Circuit, GateKind, UsageError, to_text
+from qwb.circuit import GateKind, UsageError, to_text
 from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sample
 from qwb.sudoku import (FIG1_BOARD, SudokuBoard, classical_solve, parse_board,
                         restrict_board, tree_for_board)
@@ -17,7 +17,8 @@ from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_ac
                       qpe_state, to_dot, trivial_oracle)
 
 from helpers import phi_state
-from reference import algorithmic_indices, all_paths, reference_diffuser
+from reference import (algorithmic_indices, all_paths, reachable_walk_step,
+                       reference_diffuser)
 
 
 def _tree_state(tree, path):
@@ -500,8 +501,6 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
     tree = _qpe_tree(("fig1", 3, False))
     step = tree.new_circuit()
     tree.quantum_step(step)
-    qft = Circuit(tree.num_tree_qubits + 2)
-    _inverse_qft(qft, range(tree.num_tree_qubits, tree.num_tree_qubits + 2))
     compiled, runs, raised = [], [], []
     compile_gate, run = sim._compile, walk.apply
 
@@ -521,11 +520,10 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
     monkeypatch.setattr(walk, "apply", spy_run)
     monkeypatch.setattr(sim, "apply", spy_run)
     qpe_state(tree, 2, max_support)
-    assert compiled == step.gates + qft.gates
-    step_runs = runs[:-1]       # the last run is the inverse QFT
-    assert all(program is step_runs[0] for program in step_runs)
-    assert step_runs[0].gates == tuple(step.gates)
-    assert (len(step_runs), len(raised)) == ((3, 0) if max_support is None else (8, 1))
+    assert compiled == step.gates       # the inverse QFT is read out without gates
+    assert all(program is runs[0] for program in runs)
+    assert runs[0].gates == tuple(step.gates)
+    assert (len(runs), len(raised)) == ((3, 0) if max_support is None else (8, 1))
 
 
 @functools.cache
@@ -563,7 +561,80 @@ def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
         hint = walk.Reach(np.array(nodes, dtype=np.int64), parent.per_node)
         got, got_w, _ = walk._step_matrix(sub, None, hint)
         assert np.array_equal(got.nodes, want.nodes)
-        assert np.abs(got_w - w).max() <= 1e-12
+        assert np.array_equal(got_w, w)
+
+
+def _peers(cell):
+    """The cells sharing a row, a column or a 2x2 box with ``cell`` on a 4x4
+    board."""
+    r, c = cell
+    return {(i, j) for i in range(4) for j in range(4) if (i, j) != cell
+            and (i == r or j == c or (i // 2, j // 2) == (r // 2, c // 2))}
+
+
+def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
+    # Accept: every blank assigned plus the extra level.  Reject: an assigned
+    # cell holds the value of a peer's given or of an earlier assignment.
+    empties = board.empty_cells()
+    givens = {(r, c): v for r, row in enumerate(board.cells)
+              for c, v in enumerate(row) if v is not None}
+
+    def accept(path):
+        return len(path) == len(empties) + 1
+
+    def reject(path):
+        filled = dict(givens)
+        for cell, label in zip(empties, path):
+            if any(filled.get(p) == label for p in _peers(cell)):
+                return True
+            filled[cell] = label
+        return False
+
+    tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+    sub = tree.subtree(root)
+    reach, w, _ = walk._step_matrix(sub, None)
+    keys, want = reachable_walk_step(sub, accept, reject)
+    assert sorted(reach.nodes.tolist()) == sorted(keys.tolist())
+    position = {key: i for i, key in enumerate(keys.tolist())}
+    order = [position[key] for key in reach.nodes.tolist()]
+    assert np.abs(want[np.ix_(order, order)] - w).max() <= 1e-12
+
+
+@pytest.mark.parametrize("subspace_opt", [False, True])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_fig1_step_matrix_is_the_definitional_walk_step(k, subspace_opt):
+    board = restrict_board(parse_board(FIG1_BOARD), k)
+    for root in ((), (1,), (3,)):
+        _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_step_matrix_is_the_definitional_walk_step(data):
+    # Random puzzles, at the root or at a subtree the search could run: a
+    # reached child or grandchild (a rejected one reaches only itself).
+    grid = data.draw(st.sampled_from(_grids()))
+    blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=5))
+    board = SudokuBoard(2, tuple(tuple(None if 4 * r + c in blanks else v
+                                       for c, v in enumerate(row))
+                                 for r, row in enumerate(grid.cells)))
+    subspace_opt = data.draw(st.booleans())
+    tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+    paths = [tree.decode_index(key) for key in walk._step_matrix(tree, None)[0].nodes.tolist()]
+    root = data.draw(st.sampled_from([p for p in paths if len(p) <= 2]))
+    _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root)
+
+
+@pytest.mark.parametrize("subspace_opt", [False, True])
+@pytest.mark.parametrize("k", [3, 4, 5, 7])
+def test_step_matrix_bytes_do_not_depend_on_the_support_cap(k, subspace_opt):
+    # The cap changes how the nodes are batched into step runs, never W's bits.
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
+                             subspace_optimization=subspace_opt)
+    free, w, _ = walk._step_matrix(tree, None)
+    capped, capped_w, _ = walk._step_matrix(tree, 300)
+    assert free.nodes.tobytes() == capped.nodes.tobytes()
+    assert w.tobytes() == capped_w.tobytes()
 
 
 def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
