@@ -231,10 +231,19 @@ def cmd_viz(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors print the usage and raise
+    ``UsageError`` (exit 1), not exit 2, the code for "no solution"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``qwb`` argument parser, built on first use and shared after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwb", description="Quantum walk backtracking for Sudoku instances")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -8,8 +8,9 @@ Every gate is one 2x2 matrix (``gate_matrix``) on one target wire under
 controls.  Compile once, run many: ``compile`` turns a circuit into a
 ``Program``, each gate once into its control bits, target bit and matrix
 entries; ``apply`` runs a program (or a circuit, compiled first) on a
-state, and ``run_columns`` on many basis states at once, each labelled on
-the wires above the program's (``dense_unitary``, the walk step's matrix).
+state, and ``run_columns`` on many basis states at once, in runs of as many
+as the labels on the wires above the program's can tell apart
+(``dense_unitary``, the walk step's matrix).
 The kernel works on the pairs of basis states that differ only in the
 target bit: a diagonal matrix scales the amplitudes it selects, X flips the
 target bit of the keys in place (no sort), and any other matrix (H, RY, U3,
@@ -316,32 +317,40 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
 def run_columns(program: Program, keys, batch: int | None = None,
                 max_support: int | None = None, prune_epsilon: float = PRUNE_EPSILON):
     """``apply`` of ``program`` on each basis state ``keys[j]``, ``batch`` of
-    them per run (all when None), with state j labelled j on the wires above
-    the program's.  A run that passes ``max_support`` is split in halves and
-    rerun; only a single state's run raises.  Returns the outputs' labels,
-    rows (basis indices on the program's wires) and amplitudes, flat and in
-    label order, and each run's (states, largest support)."""
-    width, label_bits = program.num_qubits, (len(keys) - 1).bit_length()
-    if width + label_bits > KEY_BITS:
-        raise ResourceLimitError(f"{width} wires plus {label_bits} label bits exceed the "
-                                 f"{KEY_BITS}-bit sparse key", qubit_count=width + label_bits)
-    labelled = (np.arange(len(keys), dtype=np.int64) << width) | np.asarray(keys, np.int64)
-    batch = batch or len(keys)
-    todo = [labelled[lo:lo + batch] for lo in reversed(range(0, len(keys), batch))]
+    them per run (all when None) and at most the 2^(62 - wires) that fit the
+    sparse key, each state labelled by its place in its run on the wires
+    above the program's.  A run that passes ``max_support`` is split in
+    halves and rerun; only a single state's run raises.  Raises before any
+    run if the program alone passes the key.  Returns the outputs' labels
+    (j for ``keys[j]``), rows (basis indices on the program's wires) and
+    amplitudes, flat and in label order, and each run's (states, largest
+    support)."""
+    width = program.num_qubits
+    if width > KEY_BITS:
+        raise ResourceLimitError(f"{width} wires exceed the {KEY_BITS}-bit sparse key",
+                                 qubit_count=width)
+    keys = np.asarray(keys, np.int64)
+    batch = min(batch or len(keys), 1 << (KEY_BITS - width))
+    todo = [(lo, keys[lo:lo + batch]) for lo in reversed(range(0, len(keys), batch))]
     done = []
     while todo:
-        part = todo.pop()
-        state = SparseState(width + label_bits, part, np.ones(len(part), complex))
+        lo, part = todo.pop()
+        labelled = (np.arange(len(part), dtype=np.int64) << width) | part
+        state = SparseState(width + (len(part) - 1).bit_length(), labelled,
+                            np.ones(len(part), complex))
         try:
-            done.append((len(part), apply(state, program, max_support=max_support,
-                                          prune_epsilon=prune_epsilon)))
+            run = apply(state, program, max_support=max_support, prune_epsilon=prune_epsilon)
         except ResourceLimitError:
             if len(part) == 1:
                 raise
-            todo += [part[len(part) // 2:], part[:len(part) // 2]]
-    out = np.concatenate([run.keys for _, run in done])
-    return (out >> width, out & ((1 << width) - 1), np.concatenate([run.amps for _, run in done]),
-            [(size, run.max_support_seen) for size, run in done])
+            half = len(part) // 2
+            todo += [(lo + half, part[half:]), (lo, part[:half])]
+            continue
+        done.append((lo, len(part), run))
+    out = np.concatenate([run.keys for *_, run in done])
+    labels = np.concatenate([(run.keys >> width) + lo for lo, _, run in done])
+    return (labels, out & ((1 << width) - 1), np.concatenate([run.amps for *_, run in done]),
+            [(size, run.max_support_seen) for _, size, run in done])
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:

@@ -8,7 +8,8 @@ being accepted at height 0, so accept and reject never fire together.
 Assignment a (row-major over empty cells) is path entry a: the reject oracle
 reads it from the register ``tree.level(a)`` names and checks it under that
 level's height qubit, so comparisons involving not-yet-assigned cells stay
-inert.  ``check_plan`` lists those comparisons straight from the board:
+inert, and each diffuser's oracle holds only the levels of its own parents.
+``check_plan`` lists those comparisons straight from the board:
 classical-quantum (cq) batches of forbidden values and quantum-quantum (qq)
 pairs of assignments.
 """
@@ -164,13 +165,17 @@ def accept_builder(tree: BacktrackingTree, circ: Circuit) -> int:
 
 
 def make_reject_builder(plan: CheckPlan):
-    """Reject oracle: one phase-tolerant comparison per cq batch and qq pair,
-    each controlled on the height qubit of its most recent assignment,
-    aggregated by an all-zero-state MCX and a final X."""
+    """Reject oracle: one phase-tolerant comparison per cq batch and qq pair
+    whose most recent assignment ``tree.fires`` (on one diffuser's lifted
+    tree, only the checks of that diffuser's parents), each controlled on
+    that assignment's height qubit, aggregated by an all-zero-state MCX and
+    a final X."""
 
     def builder(tree: BacktrackingTree, circ: Circuit) -> int:
         comparisons = []
         for a in sorted(plan.cq_batches):
+            if not tree.fires(a):
+                continue
             height, reg = tree.level(a)
             q = circ.allocate()
             cq_in_set(circ, reg, plan.cq_batches[a], q, ctrl=height,
@@ -178,6 +183,8 @@ def make_reject_builder(plan: CheckPlan):
             comparisons.append(q)
         for (a, b) in sorted(plan.qq_pairs):
             # b > a is the newer assignment; its height qubit gates the check.
+            if not tree.fires(b):
+                continue
             (_, reg_a), (height_b, reg_b) = tree.level(a), tree.level(b)
             q = circ.allocate()
             qq_equal(circ, reg_a, reg_b, q, ctrl=height_b, phase_tolerant=True)

@@ -31,7 +31,10 @@ Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 runs each builder as the compute step of ``Circuit.within``, which applies
 the phase, emits the builder's adjoint and returns every allocated qubit to
 the pool, so builders never uncompute.  The reject builder receives the
-lifted tree (``_lifted``), whose height register is relabeled one level up.
+lifted tree (``_lifted``), whose height register is relabeled one level up
+and whose ``parents`` are the diffuser's own parent heights: a builder may
+leave out every check whose path entry does not ``fire`` there, since the
+diffuser masks its phase (R_A is the direct sum of D_x over x in A).
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
@@ -158,6 +161,9 @@ class BacktrackingTree:
         self.subspace_optimization = subspace_optimization
         self.root_path = tuple(root_path)
         self.h = list(range(max_depth + 1))
+        # Heights whose checks can change a phase: all of them, unless this
+        # is one diffuser's lifted tree (``_lifted``).
+        self.parents = range(max_depth + 1)
         base = max_depth + 1
         self._branch = [tuple(base + i * branch_bits + j for j in range(branch_bits))
                         for i in range(max_depth)]
@@ -189,6 +195,11 @@ class BacktrackingTree:
         node ``a + 1`` steps below the full tree's root puts its last label."""
         i = self.max_depth - 1 - a
         return self.h[i], self._branch[i]
+
+    def fires(self, a: int) -> bool:
+        """Whether a check gated on path entry ``a``'s height qubit can change
+        a phase: its height is one of ``parents``."""
+        return self.max_depth - 1 - a in self.parents
 
     # -- node states --------------------------------------------------------
 
@@ -267,6 +278,7 @@ class BacktrackingTree:
         n = self.effective_depth
         ev = int(even)
         ctrl = tuple(ctrl)
+        lifted = self._lifted(even)
 
         def unprep():
             start = len(circ.gates)
@@ -282,11 +294,12 @@ class BacktrackingTree:
                 for i in range(ev, n, 2):
                     for j, q in enumerate(self.branch_reg(i)):
                         fredkin(circ, temp[j], q, ctrl=self.h[i])
-            return self._lifted()
+            return lifted
 
         def reflection(_):
+            # The oddity is 1 on this diffuser's parents.
             oddity = circ.allocate()
-            for i in range(1 - ev, n + 1, 2):
+            for i in lifted.parents:
                 circ.cx(self.h[i], oddity)
             # Phase the non-accepted parents.
             circ.within(lambda: self.accept_builder(self, circ),
@@ -303,18 +316,24 @@ class BacktrackingTree:
                 lambda rej: phase(rej, oddity)))
             if root_fix:
                 circ.cx(self.h[n], oddity)
-            for i in range(1 - ev, n + 1, 2):
+            for i in lifted.parents:
                 circ.cx(self.h[i], oddity)
             circ.deallocate(oddity)
 
         circ.within(unprep, reflection)
 
-    def _lifted(self) -> "BacktrackingTree":
+    def _lifted(self, even: bool) -> "BacktrackingTree":
         """This tree with height j read from wire ``h[j - 1]`` and height 0
-        from the root's wire: the lift's one-hot increment, with no gates."""
+        from the root's wire: the lift's one-hot increment, with no gates.
+        Its ``parents`` are the parity-``even`` diffuser's parent heights, up
+        to the effective depth.  The reject phase fires only on states whose
+        oddity is 0, which the lift reads at those heights, and no height
+        above the root is ever set, so a check gated on any other height
+        cannot change the phase (``fires``)."""
         n = self.effective_depth
         lifted = copy.copy(self)
         lifted.h = [self.h[n]] + self.h[:n] + self.h[n + 1:]
+        lifted.parents = range(1 - int(even), n + 1, 2)
         return lifted
 
     def quantum_step(self, circ: Circuit, ctrl=()) -> None:
@@ -408,9 +427,7 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None)
     tree.quantum_step(step)
     program = compile_circuit(step)
     root = tree.node_index(())
-    # A hint only saves runs: keep what fits in the labels beside the root.
-    room = (1 << max(0, KEY_BITS - step.num_qubits)) - 1
-    hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root][:room]
+    hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root]
     columns = {}             # node basis index -> (reached rows, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
     frontier, seen, peak = [root], 0, 0.0

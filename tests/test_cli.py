@@ -10,7 +10,8 @@ import qwb
 from qwb import sim, walk
 from qwb.cli import main
 from qwb.sim import ResourceLimitError
-from qwb.sudoku import FIG1_BOARD, format_board, parse_board, restrict_board
+from qwb.sudoku import (FIG1_BOARD, classical_solve, format_board, parse_board,
+                        restrict_board)
 from qwb.walk import BacktrackingTree
 
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
@@ -272,16 +273,62 @@ def fig1_board(tmp_path):
     return str(p)
 
 
-def test_detect_full_fig1_exits_3_without_gate_level_qpe(capsys, fig1_board, monkeypatch):
-    # The walk step on the full board needs more than the 62-bit sparse key;
-    # detection must say so before building any phase-estimation circuit.
+@pytest.fixture()
+def nine_board(tmp_path):
+    # A solved 9x9 grid with its first 10 cells blank: 56 tree wires.
+    rows = [[str((r * 3 + r // 3 + c) % 9 + 1) for c in range(9)] for r in range(9)]
+    for i in range(10):
+        rows[i // 9][i % 9] = "."
+    p = tmp_path / "nine.board"
+    p.write_text("".join("".join(row) + "\n" for row in rows))
+    return str(p)
+
+
+@pytest.mark.parametrize("cmd, message", [
+    ("solve", "resource error: 110 wires exceed the 62-bit sparse key"),
+    ("detect", "resource error: 56 tree wires plus 24 ancillae exceed the 62-bit sparse key"),
+], ids=["solve", "detect"])
+def test_past_the_sparse_key_exits_3_without_gate_level_qpe(capsys, nine_board, monkeypatch,
+                                                            cmd, message):
+    # Solve's walk step, or detect's tree wires and ancillae, need more than
+    # the 62-bit sparse key; the command must say so before building any
+    # phase-estimation circuit.
     def refuse(*args, **kwargs):
         raise AssertionError("estimate_phase called")
 
     monkeypatch.setattr(BacktrackingTree, "estimate_phase", refuse)
-    assert main(["detect", fig1_board, "--seed", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource error:") and "62-bit" in err
+    assert main([cmd, nine_board, "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_fig1_k8_and_full_board_detect_marked_and_solve(capsys, tmp_path, k):
+    # The paper's largest FIG1 instances: 50 and 61 step wires fit the key.
+    board = parse_board(FIG1_BOARD)
+    p = tmp_path / "fig1.board"
+    p.write_text(format_board(restrict_board(board, k)))
+    code, text, report = run_main(capsys, ["detect", str(p), "--seed", "1"])
+    assert (code, text, report["outcome"]["marked"]) == (0, "marked node exists\n", True)
+    code, text, report = run_main(capsys, ["solve", str(p), "--seed", "1"])
+    assert code == 0
+    assert parse_board(text) in classical_solve(board)
+    assert report["outcome"]["solution"] == text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "BOARD", "--max-support", "1e40"],
+     "error: argument --max-support: invalid int value: '1e40'"),
+    (["solve"], "error: the following arguments are required: board"),
+])
+def test_argument_errors_exit_1_with_argparse_message(capsys, fig1_board, argv, message):
+    # Exit 2 means "no solution"; a malformed command line is a usage error.
+    assert main([fig1_board if a == "BOARD" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: qwb ")
+    assert captured.err.rstrip().endswith(message)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,11 +367,22 @@ def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch
     assert len(built) == 1
 
 
+# (qubits, U3, CX, depth) of ``bench --precision 3`` on FIG1 at k = 1..9.
+FIG1_BENCH_ROWS = [
+    (15, 1289, 1196, 1522), (19, 2110, 1966, 2054), (23, 2980, 2834, 2586),
+    (31, 3915, 3912, 3181), (34, 4559, 4514, 3377), (41, 5442, 5368, 3713),
+    (46, 6804, 6670, 4518), (53, 7833, 7748, 4875), (64, 9585, 9498, 5428),
+]
+
+
 def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board):
-    # The gate cap leaves every benchmarked row buildable and unchanged.
+    # The gate cap leaves every benchmarked row buildable; each row equals
+    # its pin and lies at or below the row the benchmark recorded.
     recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
-    for k in range(1, 10):
+    fields = ("qubit_count", "u3_count", "cx_count", "depth")
+    for k, pinned in enumerate(FIG1_BENCH_ROWS, 1):
         code, _, report = run_main(capsys, ["bench", fig1_board, "--missing", str(k),
                                             "--precision", "3"])
         assert code == 0
-        assert report["outcome"]["row"] == recorded["rows"][str(k)], k
+        assert report["outcome"]["row"] == dict(zip(fields, pinned)), k
+        assert all(got <= recorded["rows"][str(k)][f] for f, got in zip(fields, pinned)), k

@@ -415,35 +415,50 @@ def test_run_columns_splits_down_to_single_states_under_a_tight_cap():
     _assert_same_columns(_columns(labels, rows, amps, len(keys)), want)
 
 
-def test_run_columns_label_overflow_raises_before_any_run(monkeypatch):
-    monkeypatch.setattr(sim, "apply", lambda *a, **k: pytest.fail("ran"))
+def test_run_columns_batches_within_the_key_and_raises_only_past_it(monkeypatch):
+    # 60 wires leave 2 label bits: 8 keys run as two batches of 4, with the
+    # columns of one unbatched run.  Wider than 62 wires raises before any run.
     c = Circuit(60)
     c.h(0)
+    c.cx(0, 59)
+    keys = [0, 1, 2, 3, 1 << 59, 5, 6, 7]
+    labels, rows, amps, runs = run_columns(sim.compile(c), keys)
+    assert [size for size, _ in runs] == [4, 4]
+    want = [(out.keys, out.amps) for out in
+            (apply(SparseState.basis_state(60, key), c) for key in keys)]
+    _assert_same_columns(_columns(labels, rows, amps, len(keys)), want)
+
+    monkeypatch.setattr(sim, "apply", lambda *a, **k: pytest.fail("ran"))
     with pytest.raises(ResourceLimitError,
-                       match="60 wires plus 3 label bits exceed the 62-bit sparse key"):
-        run_columns(sim.compile(c), list(range(8)))
+                       match="63 wires exceed the 62-bit sparse key"):
+        run_columns(sim.compile(Circuit(63)), [0])
 
 
-@pytest.mark.parametrize("k, subspace_opt, digest", [
-    (1, False, "1397254aed9253f3b0ae8fd4eb56c0dee17756d1d02e349adf2ccb1542bd3f65"),
-    (1, True, "39753beb1e0222dbcd5b9b66a3e7120ac3a962fa3a3f3bbd05a76bab51efc9b9"),
-    (2, False, "0924e8f35dee1a7debeeb911130cc930a28b82be27e9e85f977d5d0577fcce37"),
-    (2, True, "9205d4cbd904201174a4cff54973f499bb1a4542e2ab266cad6c7f919754c503"),
-    (3, False, "e7ae2621cab893e59630da8ca36f2ef96a489854d7cf52965317044171a95d11"),
-    (3, True, "2820ad4d52e19eaf7304e048610287273dacfb33f5cb8e864499ef19f9052ca2"),
-    (4, False, "a875d4676e012f76881d435e448d60e7123ba4143ebe9c03a4939bf4cbcfc06f"),
-    (4, True, "779cfea3215d190ce73965fd19786eaecad291c4c73aab1e408030ab0a7a2c24"),
-    (5, False, "4d1e473110d576dc5ce16bba69548d3053b1bdcc1a56b1dca869b829611d3716"),
-    (5, True, "db95bf8682bea0b69e1158a56bd3a16718f00b2c1e0c1b011ef7b0178041e694"),
-])
-def test_fig1_step_matrix_bytes_are_pinned(k, subspace_opt, digest):
+# SHA-256 of the walk step's node order and W per (k, subspace_opt).
+FIG1_STEP_DIGESTS = {
+    (1, False): "f5f970905c4a63b4fbeb22dc3c5e287a7edafce6edf9f0808abca92d9d04c520",
+    (1, True): "f5f970905c4a63b4fbeb22dc3c5e287a7edafce6edf9f0808abca92d9d04c520",
+    (2, False): "8c30397371479819b413778835ebad62f864fa2479dbcf4478e3a59b7fdac96f",
+    (2, True): "8c30397371479819b413778835ebad62f864fa2479dbcf4478e3a59b7fdac96f",
+    (3, False): "c2d6e0dd8189e00a743f243491499b017f25072fe4304a88d08cf187b636f0f8",
+    (3, True): "dba3fde6ecaf6738d11b9796beca6942c3818609f4a8342c8b0a792e11931c09",
+    (4, False): "be3afa4d4e4af8f5f6d267eb2df32db31fc969a6ba92a4cbc1620ebb11371aa2",
+    (4, True): "a6550f8f48189c7f49032790eb1afca78f0084cfb52422d936be368020e1bdb7",
+    (5, False): "858508ca2885251015b49160739d3539de582e0eb404ecf66b65a23bf60595ac",
+    (5, True): "9c450e4b0c7e6d6ab325acc2bc91e8dc3b67a90378f3ead8f373629e45deba71",
+}
+
+
+@pytest.mark.parametrize("k, subspace_opt", sorted(FIG1_STEP_DIGESTS))
+def test_fig1_step_matrix_bytes_are_pinned(k, subspace_opt):
     # The walk step's node order and W, built from ``run_columns``, byte for
     # byte; ``test_fig1_step_matrix_is_the_definitional_walk_step`` checks
     # these W against the operator's definition.
     tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
                              subspace_optimization=subspace_opt)
     reach, w, _ = walk._step_matrix(tree, None)
-    assert hashlib.sha256(reach.nodes.tobytes() + w.tobytes()).hexdigest() == digest
+    digest = hashlib.sha256(reach.nodes.tobytes() + w.tobytes()).hexdigest()
+    assert digest == FIG1_STEP_DIGESTS[k, subspace_opt]
 
 
 def test_support_cap_raises_resource_error():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwb import sudoku
 from qwb.circuit import UsageError
 from qwb.sim import SparseState, apply
 from qwb.sudoku import (FIG1_BOARD, ParseError, SudokuBoard, board_with_path,
@@ -289,6 +290,44 @@ def test_sibling_leaves_never_trigger_contract_violation():
         acc = _oracle_value(tree, tree.accept_builder, leaf)
         rej = _oracle_value(tree, tree.reject_builder, leaf)
         assert acc and not rej
+
+
+@pytest.mark.parametrize("root", [(), (1,), (3,), (1, 3, 3)])
+def test_each_diffuser_checks_only_its_own_parents(monkeypatch, root):
+    # A check on path entry a fires on the nodes of length a + 1.  The
+    # diffuser holding the subtree root gets the checks on its parents, the
+    # nodes an even distance d below the root, the other one those at odd d;
+    # checks above the root (d < 0) go to neither.
+    board = parse_board(FIG1_BOARD)
+    tree, plan = tree_for_board(board)
+    sub = tree.subtree(root)
+    entry = {tree.level(a)[1]: a for a in range(tree.max_depth)}
+    made = []
+    cq, qq = sudoku.cq_in_set, sudoku.qq_equal
+    monkeypatch.setattr(sudoku, "cq_in_set", lambda circ, reg, *rest, **kw: (
+        made.append((entry[reg],)) or cq(circ, reg, *rest, **kw)))
+    monkeypatch.setattr(sudoku, "qq_equal", lambda circ, reg_a, reg_b, *rest, **kw: (
+        made.append((entry[reg_a], entry[reg_b])) or qq(circ, reg_a, reg_b, *rest, **kw)))
+    checks = [(a,) for a in plan.cq_batches] + sorted(plan.qq_pairs)
+    distance = {check: check[-1] + 1 - len(root) for check in checks}
+    n = sub.effective_depth
+    for parity, even in ((0, n % 2 == 0), (1, n % 2 == 1)):
+        made.clear()
+        sub.qstep_diffuser(sub.new_circuit(), even=even)
+        want = [c for c in checks if distance[c] >= 0 and distance[c] % 2 == parity]
+        assert sorted(made) == sorted(want), (root, parity)
+
+
+def test_fig1_step_wires_are_pinned():
+    # Tree wires, the lift's temporaries and each diffuser's own comparisons.
+    board = parse_board(FIG1_BOARD)
+    wires = []
+    for k in range(1, 10):
+        tree, _ = tree_for_board(restrict_board(board, k))
+        circ = tree.new_circuit()
+        tree.quantum_step(circ)
+        wires.append(circ.num_qubits)
+    assert wires == [12, 16, 20, 28, 31, 38, 43, 50, 61]
 
 
 def test_board_with_path_fills_cells():

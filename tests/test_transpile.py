@@ -146,21 +146,21 @@ def test_metrics_rejects_untranspiled():
             metrics(c)
 
 
-@pytest.mark.parametrize("k, count, digest", [
-    (1, 2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
-    (2, 5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
-])
-def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(k, count, digest):
+# Gate count and SHA-256 of every output gate's kind, target and controls.
+FIG1_QPE_GATE_ORDER = {
+    1: (2485, "04e6b1601f1aab53b8c37dd0748aa417b6b14de15120cd94b66e4bac13f1f167"),
+    2: (4076, "f1d96cf5fa26b9258ed8d98f0661b5cb05ccab2f19ef4fb1e3d8330f73c97888"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(FIG1_QPE_GATE_ORDER))
+def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(k):
     # The bench rows pin only counts; this pins every output gate's kind,
     # target and controls, in order, for the precision-3 QPE circuit.
-    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k))
-    circ = tree.new_circuit()
-    tree.init_node(circ, ())
-    tree.estimate_phase(circ, 3)
-    gates = transpile(circ).gates
+    gates = transpile(_fig1_qpe(k, False)).gates
     text = "\n".join(f"{g.kind.value} {g.target} {','.join(map(str, g.controls))}"
                      for g in gates)
-    assert (len(gates), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+    assert (len(gates), hashlib.sha256(text.encode()).hexdigest()) == FIG1_QPE_GATE_ORDER[k]
 
 
 def _fig1_qpe(k, subspace_opt):
@@ -172,18 +172,22 @@ def _fig1_qpe(k, subspace_opt):
     return circ
 
 
-@pytest.mark.parametrize("k, subspace_opt, digest", [
-    (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
-    (3, False, "58eeb6e9173d5d71cf0918858b549ca5cdb8bd50da42a76548b17f336131ca65"),
-    (5, False, "5541dfe6934bcca8b90e4b517159e97eeb32f6b2a52261ff08e43e221167324c"),
-    (9, False, "ec48bcde43e8a1f75cb1c5467d65a053ddb3b6aa7c2d86cc2b36a2fd89c8620e"),
-    (1, True, "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80"),
-    (3, True, "86a8c65dfc969382e8ed40c57d0f6b2c3b24bdef4b125a1b9cc8b3705eabdf55"),
-    (5, True, "194bc2de2517fc14f8cf13948dae73971f8e0bc48dbcb9869c76dc99c92f3c7c"),
-    (9, True, "afc6ef80dc53589ae66586ed982df18bf80d40ff9d43896bb33d67faf4e67d2b"),
-])
-def test_transpiled_fig1_qpe_text_is_pinned(k, subspace_opt, digest):
+# SHA-256 of the serialized output per (k, subspace_opt).
+FIG1_QPE_TEXT_DIGESTS = {
+    (1, False): "015d05058fab6f941ee9b8f6519291921d9bec279cbdbbebe89e3ae8412763d7",
+    (3, False): "7acf2ef1f9a119e1651d1a84dc0bc2fe12fbb64149e236c7046da754151a179b",
+    (5, False): "129559801cfa414617fc6fdcc44a150ab2c7337035633ce7981ec25d3676b2e6",
+    (9, False): "c4ebfd2d2cbfbe6320bb44255ad24da6c8d742724469777d1616b7d96f98da96",
+    (1, True): "4668fd449cbaa81fbb63d7c7920ae55563df59fb0754e800d2e6998eca0e49d8",
+    (3, True): "caa3189a5da5d444dce2db704f6eb77c83b9f97d09c58995825ca05e58519061",
+    (5, True): "cefcecf8be2e308393098fcc63a14e4216185e07c4ef32a839daa55e8ca091e2",
+    (9, True): "e0f9c1dca1d759f86ab8e3b38174b26ea73fd9db6e96195254532dbcfa9fbac0",
+}
+
+
+@pytest.mark.parametrize("k, subspace_opt", sorted(FIG1_QPE_TEXT_DIGESTS))
+def test_transpiled_fig1_qpe_text_is_pinned(k, subspace_opt):
     # The whole serialized output, U3 parameters included, for the
     # precision-3 QPE circuit.
     text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == FIG1_QPE_TEXT_DIGESTS[k, subspace_opt]

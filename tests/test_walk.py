@@ -87,7 +87,7 @@ def _tree_and_paths(draw):
 
 
 def test_decode_index_reads_the_lifted_height_register():
-    lifted = demo_tree(3)._lifted()
+    lifted = demo_tree(3)._lifted(True)
     assert lifted.decode_index(lifted.node_index((1, 0))) == (1, 0)
 
 
@@ -103,7 +103,7 @@ def test_path_encoder_round_trip_and_validation(case):
                             root_path=root)
     idx = tree.node_index(path)
     sub = BacktrackingTree(depth, bits, trivial_oracle, trivial_oracle).subtree(root)
-    for t in (tree, tree._lifted(), sub, sub._lifted()):
+    for t in (tree, tree._lifted(True), sub, sub._lifted(False)):
         assert t.decode_index(t.node_index(path)) == root + path
     circ = tree.new_circuit()
     tree.init_node(circ, path)
@@ -601,7 +601,7 @@ def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
 
 
 @pytest.mark.parametrize("subspace_opt", [False, True])
-@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("k", range(1, 10))
 def test_fig1_step_matrix_is_the_definitional_walk_step(k, subspace_opt):
     board = restrict_board(parse_board(FIG1_BOARD), k)
     for root in ((), (1,), (3,)):
