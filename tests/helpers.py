@@ -1,5 +1,7 @@
 """Shared test utilities: an independent dense-gate oracle, random
-circuit generation and the walk's eigenvector witness ``phi_state``.
+circuit generation, the walk's eigenvector witness ``phi_state`` and
+``every_check``, which restores the reject oracle that kept every check in
+both diffusers.
 
 ``definitional_unitary`` computes circuit matrices straight from the gate
 definitions with per-basis-state bit arithmetic, sharing no code with the
@@ -16,6 +18,7 @@ import numpy as np
 from qwb.circuit import Circuit, Gate, GateKind
 from qwb.sim import SparseState
 from qwb.synthesis import xx_plus_yy
+from qwb.walk import BacktrackingTree
 
 
 def _matrix_1q(gate: Gate) -> np.ndarray:
@@ -174,3 +177,9 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol=1e-9) -> bool:
         return False
     phase = b[k] / a[k]
     return bool(np.max(np.abs(a * phase - b)) <= tol)
+
+
+def every_check(monkeypatch) -> None:
+    """Keep every reject check in both diffusers, as before each diffuser's
+    oracle held only its own parents' checks (``BacktrackingTree.fires``)."""
+    monkeypatch.setattr(BacktrackingTree, "fires", lambda self, a: True)

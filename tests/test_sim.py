@@ -13,7 +13,8 @@ from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.synthesis import xx_plus_yy
 
-from helpers import definitional_unitary, random_circuit, random_sparse_dict, xxyy_matrix
+from helpers import (definitional_unitary, every_check, random_circuit, random_sparse_dict,
+                     xxyy_matrix)
 
 
 def test_x_on_zero():
@@ -415,9 +416,9 @@ def test_run_columns_splits_down_to_single_states_under_a_tight_cap():
     _assert_same_columns(_columns(labels, rows, amps, len(keys)), want)
 
 
-def test_run_columns_batches_within_the_key_and_raises_only_past_it(monkeypatch):
+def test_run_columns_batches_within_the_key():
     # 60 wires leave 2 label bits: 8 keys run as two batches of 4, with the
-    # columns of one unbatched run.  Wider than 62 wires raises before any run.
+    # columns of one unbatched run.
     c = Circuit(60)
     c.h(0)
     c.cx(0, 59)
@@ -428,10 +429,18 @@ def test_run_columns_batches_within_the_key_and_raises_only_past_it(monkeypatch)
             (apply(SparseState.basis_state(60, key), c) for key in keys)]
     _assert_same_columns(_columns(labels, rows, amps, len(keys)), want)
 
+
+def test_run_columns_label_overflow_raises_before_any_run(monkeypatch):
+    # 62 wires leave no label bit, so each state runs alone; a program wider
+    # than the key raises before any run, however few its states.
+    c = Circuit(62)
+    c.h(61)
+    assert [size for size, _ in run_columns(sim.compile(c), [0, 1])[3]] == [1, 1]
     monkeypatch.setattr(sim, "apply", lambda *a, **k: pytest.fail("ran"))
-    with pytest.raises(ResourceLimitError,
-                       match="63 wires exceed the 62-bit sparse key"):
-        run_columns(sim.compile(Circuit(63)), [0])
+    for keys in ([0], list(range(8))):
+        with pytest.raises(ResourceLimitError,
+                           match="63 wires exceed the 62-bit sparse key"):
+            run_columns(sim.compile(Circuit(63)), keys)
 
 
 # SHA-256 of the walk step's node order and W per (k, subspace_opt).
@@ -449,16 +458,35 @@ FIG1_STEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k, subspace_opt", sorted(FIG1_STEP_DIGESTS))
-def test_fig1_step_matrix_bytes_are_pinned(k, subspace_opt):
+# ``digest`` is the same SHA-256 with every reject check kept (``every_check``).
+@pytest.mark.parametrize("k, subspace_opt, digest", [
+    (1, False, "1397254aed9253f3b0ae8fd4eb56c0dee17756d1d02e349adf2ccb1542bd3f65"),
+    (1, True, "39753beb1e0222dbcd5b9b66a3e7120ac3a962fa3a3f3bbd05a76bab51efc9b9"),
+    (2, False, "0924e8f35dee1a7debeeb911130cc930a28b82be27e9e85f977d5d0577fcce37"),
+    (2, True, "9205d4cbd904201174a4cff54973f499bb1a4542e2ab266cad6c7f919754c503"),
+    (3, False, "e7ae2621cab893e59630da8ca36f2ef96a489854d7cf52965317044171a95d11"),
+    (3, True, "2820ad4d52e19eaf7304e048610287273dacfb33f5cb8e864499ef19f9052ca2"),
+    (4, False, "a875d4676e012f76881d435e448d60e7123ba4143ebe9c03a4939bf4cbcfc06f"),
+    (4, True, "779cfea3215d190ce73965fd19786eaecad291c4c73aab1e408030ab0a7a2c24"),
+    (5, False, "4d1e473110d576dc5ce16bba69548d3053b1bdcc1a56b1dca869b829611d3716"),
+    (5, True, "db95bf8682bea0b69e1158a56bd3a16718f00b2c1e0c1b011ef7b0178041e694"),
+])
+def test_fig1_step_matrix_bytes_are_pinned(monkeypatch, k, subspace_opt, digest):
     # The walk step's node order and W, built from ``run_columns``, byte for
     # byte; ``test_fig1_step_matrix_is_the_definitional_walk_step`` checks
-    # these W against the operator's definition.
+    # these W against the operator's definition.  With every check kept,
+    # the step is the one pinned before the per-diffuser filter, and W moves
+    # only by rounding: the filter is the whole difference.
     tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
                              subspace_optimization=subspace_opt)
     reach, w, _ = walk._step_matrix(tree, None)
-    digest = hashlib.sha256(reach.nodes.tobytes() + w.tobytes()).hexdigest()
-    assert digest == FIG1_STEP_DIGESTS[k, subspace_opt]
+    assert (hashlib.sha256(reach.nodes.tobytes() + w.tobytes()).hexdigest()
+            == FIG1_STEP_DIGESTS[k, subspace_opt])
+    every_check(monkeypatch)
+    reach_all, w_all, _ = walk._step_matrix(tree, None)
+    assert hashlib.sha256(reach_all.nodes.tobytes() + w_all.tobytes()).hexdigest() == digest
+    assert np.array_equal(reach.nodes, reach_all.nodes)
+    assert np.abs(w - w_all).max() <= 1e-13
 
 
 def test_support_cap_raises_resource_error():

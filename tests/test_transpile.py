@@ -10,7 +10,7 @@ from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, metrics, transpile
 
-from helpers import equal_up_to_global_phase, random_circuit
+from helpers import equal_up_to_global_phase, every_check, random_circuit
 
 
 def _only_basis(circ):
@@ -153,14 +153,27 @@ FIG1_QPE_GATE_ORDER = {
 }
 
 
-@pytest.mark.parametrize("k", sorted(FIG1_QPE_GATE_ORDER))
-def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(k):
-    # The bench rows pin only counts; this pins every output gate's kind,
-    # target and controls, in order, for the precision-3 QPE circuit.
-    gates = transpile(_fig1_qpe(k, False)).gates
+def _gate_order(circ):
+    gates = transpile(circ).gates
     text = "\n".join(f"{g.kind.value} {g.target} {','.join(map(str, g.controls))}"
                      for g in gates)
-    assert (len(gates), hashlib.sha256(text.encode()).hexdigest()) == FIG1_QPE_GATE_ORDER[k]
+    return len(gates), hashlib.sha256(text.encode()).hexdigest()
+
+
+# ``count`` and ``digest`` are the same pin with every reject check kept
+# (``every_check``).
+@pytest.mark.parametrize("k, count, digest", [
+    (1, 2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
+    (2, 5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
+])
+def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k, count, digest):
+    # The bench rows pin only counts; this pins every output gate's kind,
+    # target and controls, in order, for the precision-3 QPE circuit, and
+    # the circuit pinned before each diffuser held only its own parents'
+    # checks.
+    assert _gate_order(_fig1_qpe(k, False)) == FIG1_QPE_GATE_ORDER[k]
+    every_check(monkeypatch)
+    assert _gate_order(_fig1_qpe(k, False)) == (count, digest)
 
 
 def _fig1_qpe(k, subspace_opt):
@@ -185,9 +198,23 @@ FIG1_QPE_TEXT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k, subspace_opt", sorted(FIG1_QPE_TEXT_DIGESTS))
-def test_transpiled_fig1_qpe_text_is_pinned(k, subspace_opt):
+# ``digest`` is the same SHA-256 with every reject check kept (``every_check``).
+@pytest.mark.parametrize("k, subspace_opt, digest", [
+    (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
+    (3, False, "58eeb6e9173d5d71cf0918858b549ca5cdb8bd50da42a76548b17f336131ca65"),
+    (5, False, "5541dfe6934bcca8b90e4b517159e97eeb32f6b2a52261ff08e43e221167324c"),
+    (9, False, "ec48bcde43e8a1f75cb1c5467d65a053ddb3b6aa7c2d86cc2b36a2fd89c8620e"),
+    (1, True, "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80"),
+    (3, True, "86a8c65dfc969382e8ed40c57d0f6b2c3b24bdef4b125a1b9cc8b3705eabdf55"),
+    (5, True, "194bc2de2517fc14f8cf13948dae73971f8e0bc48dbcb9869c76dc99c92f3c7c"),
+    (9, True, "afc6ef80dc53589ae66586ed982df18bf80d40ff9d43896bb33d67faf4e67d2b"),
+])
+def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt, digest):
     # The whole serialized output, U3 parameters included, for the
-    # precision-3 QPE circuit.
+    # precision-3 QPE circuit, and the one pinned before each diffuser held
+    # only its own parents' checks.
     text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
     assert hashlib.sha256(text.encode()).hexdigest() == FIG1_QPE_TEXT_DIGESTS[k, subspace_opt]
+    every_check(monkeypatch)
+    text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
