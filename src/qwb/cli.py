@@ -94,17 +94,21 @@ def cmd_solve(args) -> int:
 
     t0 = time.perf_counter()
     tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
+    step = tree.new_circuit()
+    tree.quantum_step(step)
+    if step.num_qubits > KEY_BITS:      # as the search's first step run would
+        raise ResourceLimitError(f"{step.num_qubits} wires exceed the {KEY_BITS}-bit sparse key")
     timings["build"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()            # the gate cap fires here, before any QPE run
+    m = root_metrics(tree, args.precision)
+    timings["metrics"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     stats = SearchStats()
     path = find_solution(tree, config, seed=seed,
                          max_support=args.max_support, stats=stats)
     timings["search"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    m = root_metrics(tree, args.precision)
-    timings["metrics"] = time.perf_counter() - t0
 
     if path is None:
         _emit(_report("solve", config_echo,
@@ -220,8 +224,11 @@ def cmd_viz(args) -> int:
         if step:
             state = apply(state, diffusers[(step - 1) % 2])
         out_path = f"{args.out}_step{step}.dot"
-        with open(out_path, "w") as fh:
-            fh.write(to_dot(decode_tree_state(tree, state)))
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(to_dot(decode_tree_state(tree, state)))
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: {exc}") from None
         paths.append(out_path)
     timings = {"viz": time.perf_counter() - t0}
     for p in paths:
@@ -286,7 +293,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ParseError, UsageError, FileNotFoundError) as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ResourceLimitError, MemoryError) as exc:

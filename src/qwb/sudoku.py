@@ -158,10 +158,9 @@ def check_plan(board: SudokuBoard) -> CheckPlan:
 
 
 def accept_builder(tree: BacktrackingTree, circ: Circuit) -> int:
-    """Height-zero acceptance: copy h[0] into the result."""
-    res = circ.allocate()
-    circ.cx(tree.h[0], res)
-    return res
+    """Height-zero acceptance: the result is the wire ``h[0]`` itself, with
+    no gate and no ancilla, since the diffuser only reads it."""
+    return tree.h[0]
 
 
 def make_reject_builder(plan: CheckPlan):
@@ -262,17 +261,14 @@ def classical_solve(board: SudokuBoard, limit: int | None = None) -> list[Sudoku
     return solutions
 
 
-def restrict_board(board: SudokuBoard, keep: int,
-                   solution: SudokuBoard | None = None) -> SudokuBoard:
-    """Fill all but the first ``keep`` empty cells from a solution."""
-    if solution is None:
-        sols = classical_solve(board, limit=1)
-        if not sols:
-            raise UsageError("board has no solution to restrict against")
-        solution = sols[0]
+def restrict_board(board: SudokuBoard, keep: int) -> SudokuBoard:
+    """Fill all but the first ``keep`` empty cells from the first solution."""
+    sols = classical_solve(board, limit=1)
+    if not sols:
+        raise UsageError("board has no solution to restrict against")
     out = board
     for cell in board.empty_cells()[keep:]:
-        out = out.with_value(cell, solution.value(cell))
+        out = out.with_value(cell, sols[0].value(cell))
     return out
 
 

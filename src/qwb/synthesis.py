@@ -97,15 +97,10 @@ def _emit_phase_walk(circ: Circuit, inputs, wire, angles, *, start_phase=True):
     ``angles[S]`` is applied while the wire holds (its own bit) xor parity_S.
     The rotation at S=0 is applied first iff ``start_phase``.
     """
-    n = len(inputs)
-    if n == 0:
-        if start_phase and abs(angles[0]) > 1e-15:
-            circ.phase(angles[0], wire)
-        return
     if start_phase and abs(angles[0]) > 1e-15:
         circ.phase(angles[0], wire)
     subset = 0
-    for t in gray_transitions(n):
+    for t in gray_transitions(len(inputs)):
         circ.cx(inputs[t], wire)
         subset ^= 1 << t
         if subset and abs(angles[subset]) > 1e-15:

@@ -58,11 +58,11 @@ def zyz(m):
     return alpha, theta, phi, lam
 
 
-def _is_identity(m, tol=1e-10) -> bool:
-    """True when the row-major 2x2 ``m`` is a global phase times the identity."""
+def _is_identity(m) -> bool:
+    """True when the row-major 2x2 ``m`` is a global phase times I, to 1e-10."""
     m00, m01, m10, m11 = m
-    return (abs(abs(m00) - 1.0) <= tol and abs(m01) < tol
-            and abs(m10) < tol and abs(m11 - m00) < tol)
+    return (abs(abs(m00) - 1.0) <= 1e-10 and abs(m01) < 1e-10
+            and abs(m10) < 1e-10 and abs(m11 - m00) < 1e-10)
 
 
 def _network(gate: Gate):

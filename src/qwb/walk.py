@@ -28,13 +28,15 @@ state, and the diffusers never map them onto algorithmic states.
 
 Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 ``circuit.allocate``, emit gates, and return the result qubit.  The diffuser
-runs each builder as the compute step of ``Circuit.within``, which applies
-the phase, emits the builder's adjoint and returns every allocated qubit to
-the pool, so builders never uncompute.  The reject builder receives the
-lifted tree (``_lifted``), whose height register is relabeled one level up
-and whose ``parents`` are the diffuser's own parent heights: a builder may
-leave out every check whose path entry does not ``fire`` there, since the
-diffuser masks its phase (R_A is the direct sum of D_x over x in A).
+runs each builder as the compute step of ``Circuit.within``, whose action, a
+diagonal phase controlled on the result, never writes it; ``within`` then
+emits the builder's adjoint and returns every allocated qubit to the pool.
+So builders never uncompute, and may return a wire they only read (Sudoku's
+accept returns ``h[0]``).  The reject builder receives the lifted tree
+(``_lifted``), whose height register is relabeled one level up and whose
+``parents`` are the diffuser's own parent heights: a builder may leave out
+every check whose path entry does not ``fire`` there, since the diffuser
+masks its phase (R_A is the direct sum of D_x over x in A).
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
@@ -632,17 +634,16 @@ class DecodedState:
         return sum(abs(a) ** 2 for a in self.non_algorithmic.values())
 
 
-def decode_tree_state(tree: BacktrackingTree, state: SparseState,
-                      amp_epsilon: float = 1e-11) -> DecodedState:
-    """Group amplitudes by decoded node identity; everything that is not an
-    algorithmic node state (with clean workspace) goes to the separate
-    non-algorithmic bucket."""
+def decode_tree_state(tree: BacktrackingTree, state: SparseState) -> DecodedState:
+    """Group amplitudes of at least 1e-11 by decoded node identity; everything
+    that is not an algorithmic node state (with clean workspace) goes to the
+    separate non-algorithmic bucket."""
     nodes: dict[NodePath, complex] = {}
     other: dict[int, complex] = {}
     for idx, amp in zip(state.keys, state.amps):
         idx = int(idx)
         amp = complex(amp)
-        if abs(amp) < amp_epsilon:
+        if abs(amp) < 1e-11:
             continue
         path = tree.decode_index(idx)
         if path is None:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from qwb import sudoku
 from qwb.circuit import Circuit, Gate, GateKind
 from qwb.sim import SparseState
 from qwb.synthesis import xx_plus_yy
@@ -183,3 +184,16 @@ def every_check(monkeypatch) -> None:
     """Keep every reject check in both diffusers, as before each diffuser's
     oracle held only its own parents' checks (``BacktrackingTree.fires``)."""
     monkeypatch.setattr(BacktrackingTree, "fires", lambda self, a: True)
+
+
+def copied_accept(monkeypatch) -> None:
+    """Copy ``h[0]`` into a fresh ancilla for the accept phase, as Sudoku's
+    accept builder did before it returned ``h[0]`` itself.  ``tree_for_board``
+    binds the builder, so only trees built after the patch use it."""
+
+    def builder(tree, circ):
+        res = circ.allocate()
+        circ.cx(tree.h[0], res)
+        return res
+
+    monkeypatch.setattr(sudoku, "accept_builder", builder)

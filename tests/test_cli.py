@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import qwb
-from qwb import sim, walk
+from helpers import copied_accept
+from qwb import cli, sim, walk
 from qwb.cli import main
 from qwb.sim import ResourceLimitError
 from qwb.sudoku import (FIG1_BOARD, classical_solve, format_board, parse_board,
@@ -185,6 +186,21 @@ def test_viz_demo_tree(capsys, tmp_path):
     assert '"[1,0]"' in step2
 
 
+@pytest.mark.parametrize("blocked", ["regular file", "directory"])
+def test_viz_unwritable_out_exits_1(capsys, tmp_path, blocked):
+    # An --out under a regular file, or a step file that is a directory.
+    if blocked == "regular file":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "w"
+    else:
+        out = tmp_path / "w"
+        (tmp_path / "w_step0.dot").mkdir()
+    assert main(["viz", "--demo-tree", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+
+
 def test_viz_already_solved(capsys, tmp_path):
     # A complete board is its own solution: no tree, no DOT file.
     p = tmp_path / "solved.board"
@@ -346,6 +362,19 @@ def test_phase_estimation_past_the_sparse_key_or_memory_exits_3(capsys, tmp_path
     assert captured.out == ""
 
 
+def test_solve_gate_cap_exits_3_before_any_qpe_run(capsys, tmp_path, monkeypatch):
+    # Precision 13 needs about 5.0M gates for the report's circuit, past
+    # the gate cap; the search must not start.
+    monkeypatch.setattr(cli, "find_solution",
+                        lambda *args, **kwargs: pytest.fail("search ran"))
+    p = tmp_path / "k3.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 3)))
+    assert main(["solve", str(p), "--precision", "13", "--max-support", "10000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource error: phase estimation at precision 13")
+    assert captured.out == ""
+
+
 def test_viz_past_the_sparse_key_exits_3_before_building(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(BacktrackingTree, "qstep_diffuser",
                         lambda *args, **kwargs: pytest.fail("diffuser built"))
@@ -369,20 +398,39 @@ def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch
 
 # (qubits, U3, CX, depth) of ``bench --precision 3`` on FIG1 at k = 1..9.
 FIG1_BENCH_ROWS = [
+    (15, 1282, 1168, 1389), (19, 2103, 1938, 1921), (23, 2973, 2806, 2446),
+    (31, 3908, 3884, 3041), (34, 4552, 4486, 3230), (41, 5435, 5340, 3566),
+    (46, 6797, 6642, 4364), (53, 7826, 7720, 4721), (64, 9578, 9470, 5267),
+]
+
+# The same rows with the accept result copied into an ancilla (``copied_accept``).
+COPIED_ACCEPT_BENCH_ROWS = [
     (15, 1289, 1196, 1522), (19, 2110, 1966, 2054), (23, 2980, 2834, 2586),
     (31, 3915, 3912, 3181), (34, 4559, 4514, 3377), (41, 5442, 5368, 3713),
     (46, 6804, 6670, 4518), (53, 7833, 7748, 4875), (64, 9585, 9498, 5428),
 ]
 
 
-def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board):
-    # The gate cap leaves every benchmarked row buildable; each row equals
-    # its pin and lies at or below the row the benchmark recorded.
-    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
-    fields = ("qubit_count", "u3_count", "cx_count", "depth")
-    for k, pinned in enumerate(FIG1_BENCH_ROWS, 1):
-        code, _, report = run_main(capsys, ["bench", fig1_board, "--missing", str(k),
+BENCH_FIELDS = ("qubit_count", "u3_count", "cx_count", "depth")
+
+
+def _bench_rows(capsys, board):
+    rows = []
+    for k in range(1, 10):
+        code, _, report = run_main(capsys, ["bench", board, "--missing", str(k),
                                             "--precision", "3"])
-        assert code == 0
-        assert report["outcome"]["row"] == dict(zip(fields, pinned)), k
-        assert all(got <= recorded["rows"][str(k)][f] for f, got in zip(fields, pinned)), k
+        assert code == 0, k
+        rows.append(tuple(report["outcome"]["row"][f] for f in BENCH_FIELDS))
+    return rows
+
+
+def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board, monkeypatch):
+    # The gate cap leaves every benchmarked row buildable; each row equals
+    # its pin and lies at or below the row the benchmark recorded, and the
+    # rows pinned while the accept oracle copied h[0] are still reproduced.
+    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
+    assert _bench_rows(capsys, fig1_board) == FIG1_BENCH_ROWS
+    for k, pinned in enumerate(FIG1_BENCH_ROWS, 1):
+        assert all(got <= recorded["rows"][str(k)][f] for f, got in zip(BENCH_FIELDS, pinned)), k
+    copied_accept(monkeypatch)
+    assert _bench_rows(capsys, fig1_board) == COPIED_ACCEPT_BENCH_ROWS

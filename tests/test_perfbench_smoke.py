@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_cli import FIG1_BENCH_ROWS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,6 +32,13 @@ def test_traced_detect_run_is_correct_and_replays_exactly():
     # batches and the inverse QFT); each is replayed gate by gate.
     result = _traced_run("detect")
     assert result["metrics"]["sim.replay.ok"]["value"] == 1
+
+
+def test_traced_resources_run_is_correct():
+    # The bench sweep passes perfbench's row check, and the rows it reads
+    # are the rows pinned in test_cli.
+    result = _traced_run("resources")
+    assert result["metrics"]["transpile.row1.cx"]["value"] == FIG1_BENCH_ROWS[0][2]
 
 
 def test_traced_verify_run_is_correct_and_replays_exactly():

@@ -220,6 +220,15 @@ def test_accept_oracle_height_zero():
     assert _oracle_value(tree, tree.accept_builder, (1, 0))   # height 0
 
 
+def test_accept_oracle_is_the_height_zero_wire():
+    # The diffuser only reads the accept result, so h[0] itself is the
+    # result: no ancilla, no gate.
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), 3))
+    circ = tree.new_circuit()
+    assert tree.accept_builder(tree, circ) == tree.h[0]
+    assert (circ.num_qubits, circ.gates, circ.alloc_events) == (tree.num_tree_qubits, [], [])
+
+
 def test_accept_and_reject_never_both_true():
     board = restrict_board(parse_board(FIG1_BOARD), 2)
     tree, _ = tree_for_board(board)

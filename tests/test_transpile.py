@@ -10,7 +10,7 @@ from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, metrics, transpile
 
-from helpers import equal_up_to_global_phase, every_check, random_circuit
+from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
 
 
 def _only_basis(circ):
@@ -148,6 +148,12 @@ def test_metrics_rejects_untranspiled():
 
 # Gate count and SHA-256 of every output gate's kind, target and controls.
 FIG1_QPE_GATE_ORDER = {
+    1: (2450, "b2178b857c23027cdc083ae2354a2cd6487be6cff16a76a6d2d2d8899d447e1b"),
+    2: (4041, "8852777e9e1df110842a7b11dd549a25dc6d0ded0a332c9bb8289f7273f830fd"),
+}
+
+# The same pin with the accept result copied into an ancilla (``copied_accept``).
+COPIED_ACCEPT_QPE_GATE_ORDER = {
     1: (2485, "04e6b1601f1aab53b8c37dd0748aa417b6b14de15120cd94b66e4bac13f1f167"),
     2: (4076, "f1d96cf5fa26b9258ed8d98f0661b5cb05ccab2f19ef4fb1e3d8330f73c97888"),
 }
@@ -160,18 +166,20 @@ def _gate_order(circ):
     return len(gates), hashlib.sha256(text.encode()).hexdigest()
 
 
-# ``count`` and ``digest`` are the same pin with every reject check kept
-# (``every_check``).
+# ``count`` and ``digest`` are the same pin with the accept result copied
+# and every reject check kept (``copied_accept``, ``every_check``).
 @pytest.mark.parametrize("k, count, digest", [
     (1, 2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
     (2, 5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
 ])
 def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k, count, digest):
     # The bench rows pin only counts; this pins every output gate's kind,
-    # target and controls, in order, for the precision-3 QPE circuit, and
-    # the circuit pinned before each diffuser held only its own parents'
-    # checks.
+    # target and controls, in order, for the precision-3 QPE circuit, the
+    # circuit pinned while the accept oracle copied h[0], and the one pinned
+    # before each diffuser held only its own parents' checks.
     assert _gate_order(_fig1_qpe(k, False)) == FIG1_QPE_GATE_ORDER[k]
+    copied_accept(monkeypatch)
+    assert _gate_order(_fig1_qpe(k, False)) == COPIED_ACCEPT_QPE_GATE_ORDER[k]
     every_check(monkeypatch)
     assert _gate_order(_fig1_qpe(k, False)) == (count, digest)
 
@@ -187,6 +195,19 @@ def _fig1_qpe(k, subspace_opt):
 
 # SHA-256 of the serialized output per (k, subspace_opt).
 FIG1_QPE_TEXT_DIGESTS = {
+    (1, False): "f965ae4106cb0f5ff6afee88795a467a3aeb008197614e84190fd1e10cd629b6",
+    (3, False): "5e945fde82c821ea6ebfea00f22376c13ca26f820a5954bdfdf0864313aa8863",
+    (5, False): "213621c0d3093239e7429e5563747e2311bb38ae8c29979be9a7ddfa187bb361",
+    (9, False): "d563ad759e94b34262656d17b898de24eea7de8d713c490429201f89e760afc9",
+    (1, True): "57585498aaedc6a4ce8383e45927e76958e2ae59e4797a0533ea9299051f78a0",
+    (3, True): "fb0ae5f475ccda80f60b1c7f45ba08cb0565815c74acf450525ffae87b65b765",
+    (5, True): "b82e25547e57b94a00d77da7a9ba3eb687f21b1538e676bcccf6083bb3e2b2b6",
+    (9, True): "4ba4dcf15fbd3828feb6608d22521802005ae4681cff7a69fb306454cd29220f",
+}
+
+# The same SHA-256 with the accept result copied into an ancilla
+# (``copied_accept``).
+COPIED_ACCEPT_QPE_TEXT_DIGESTS = {
     (1, False): "015d05058fab6f941ee9b8f6519291921d9bec279cbdbbebe89e3ae8412763d7",
     (3, False): "7acf2ef1f9a119e1651d1a84dc0bc2fe12fbb64149e236c7046da754151a179b",
     (5, False): "129559801cfa414617fc6fdcc44a150ab2c7337035633ce7981ec25d3676b2e6",
@@ -198,7 +219,13 @@ FIG1_QPE_TEXT_DIGESTS = {
 }
 
 
-# ``digest`` is the same SHA-256 with every reject check kept (``every_check``).
+def _text_digest(k, subspace_opt):
+    text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ``digest`` is the same SHA-256 with the accept result copied and every
+# reject check kept (``copied_accept``, ``every_check``).
 @pytest.mark.parametrize("k, subspace_opt, digest", [
     (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
     (3, False, "58eeb6e9173d5d71cf0918858b549ca5cdb8bd50da42a76548b17f336131ca65"),
@@ -211,10 +238,11 @@ FIG1_QPE_TEXT_DIGESTS = {
 ])
 def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt, digest):
     # The whole serialized output, U3 parameters included, for the
-    # precision-3 QPE circuit, and the one pinned before each diffuser held
-    # only its own parents' checks.
-    text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
-    assert hashlib.sha256(text.encode()).hexdigest() == FIG1_QPE_TEXT_DIGESTS[k, subspace_opt]
+    # precision-3 QPE circuit, the one pinned while the accept oracle copied
+    # h[0], and the one pinned before each diffuser held only its own
+    # parents' checks.
+    assert _text_digest(k, subspace_opt) == FIG1_QPE_TEXT_DIGESTS[k, subspace_opt]
+    copied_accept(monkeypatch)
+    assert _text_digest(k, subspace_opt) == COPIED_ACCEPT_QPE_TEXT_DIGESTS[k, subspace_opt]
     every_check(monkeypatch)
-    text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _text_digest(k, subspace_opt) == digest

@@ -16,7 +16,7 @@ from qwb.walk import (BacktrackingTree, _inverse_qft, WalkConfig, classically_ac
                       detection_precision, find_solution, oracle_from_paths,
                       qpe_state, to_dot, trivial_oracle)
 
-from helpers import phi_state
+from helpers import copied_accept, phi_state
 from reference import (algorithmic_indices, all_paths, reachable_walk_step,
                        reference_diffuser)
 
@@ -623,6 +623,44 @@ def test_step_matrix_is_the_definitional_walk_step(data):
     paths = [tree.decode_index(key) for key in walk._step_matrix(tree, None)[0].nodes.tolist()]
     root = data.draw(st.sampled_from([p for p in paths if len(p) <= 2]))
     _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root)
+
+
+def _assert_w_as_with_copied_accept(board, subspace_opt, root):
+    # The accept phase is diagonal, so phasing on h[0] itself or on a copy
+    # of it gives W bit for bit.
+    tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+    reach, w, _ = walk._step_matrix(tree.subtree(root), None)
+    with pytest.MonkeyPatch.context() as patch:
+        copied_accept(patch)
+        copied, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+        copied_reach, copied_w, _ = walk._step_matrix(copied.subtree(root), None)
+    assert copied.accept_builder is not tree.accept_builder
+    assert reach.nodes.tobytes() == copied_reach.nodes.tobytes()
+    assert w.tobytes() == copied_w.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_step_matrix_is_unchanged_from_the_copied_accept(data):
+    # Random puzzles, at the root or at a reached child.
+    grid = data.draw(st.sampled_from(_grids()))
+    blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=5))
+    board = SudokuBoard(2, tuple(tuple(None if 4 * r + c in blanks else v
+                                       for c, v in enumerate(row))
+                                 for r, row in enumerate(grid.cells)))
+    subspace_opt = data.draw(st.booleans())
+    tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
+    paths = [tree.decode_index(key) for key in walk._step_matrix(tree, None)[0].nodes.tolist()]
+    root = data.draw(st.sampled_from([p for p in paths if len(p) <= 1]))
+    _assert_w_as_with_copied_accept(board, subspace_opt, root)
+
+
+@pytest.mark.parametrize("subspace_opt", [False, True])
+@pytest.mark.parametrize("k", [8, 9])
+def test_fig1_k8_and_full_board_step_matrix_is_unchanged_from_the_copied_accept(
+        k, subspace_opt):
+    _assert_w_as_with_copied_accept(restrict_board(parse_board(FIG1_BOARD), k),
+                                    subspace_opt, ())
 
 
 @pytest.mark.parametrize("subspace_opt", [False, True])
