@@ -126,6 +126,11 @@ class Circuit:
         # simulator's debug mode to assert the |0> contract.
         self.dealloc_events: list[tuple[int, int]] = []
         self.alloc_events: list[tuple[int, int]] = []
+        # (start, fragment, times, moved) per span of ``times`` copies of a
+        # fragment, written by ``repeat`` (a caller may record a span it
+        # emitted itself as one copy, unmoved); the transpiler lowers each
+        # fragment once and checks a span's gates before it trusts it.
+        self.repeats: list[tuple[int, tuple[Gate, ...], int, tuple[int, int] | None]] = []
 
     # -- allocation ---------------------------------------------------------
 
@@ -229,7 +234,31 @@ class Circuit:
         and released after it."""
         gates = tuple(gates)
         # Over distinct gates: replayed copies repeat the same Gate objects.
-        wires = {q for g in set(gates) for q in g.qubits}
+        self._append(gates, {q for g in set(gates) for q in g.qubits})
+
+    def repeat(self, gates, times: int, moved: tuple[int, int] | None = None) -> None:
+        """Append ``times`` copies of a gate fragment, each as ``extend``
+        appends it, with wire ``old`` moved to ``new`` when ``moved`` is
+        ``(old, new)``; ``new`` must be a wire the fragment does not use.
+        Records the span in ``repeats``."""
+        fragment = tuple(gates)
+        if times < 1:
+            raise UsageError("repeat needs at least one copy")
+        wires = {q for g in set(fragment) for q in g.qubits}
+        copy = fragment
+        if moved is not None:
+            old, new = moved
+            if new in wires:
+                raise UsageError(f"wire {new} is already used by the fragment")
+            copy = tuple(rewired(fragment, old, new))
+            if old in wires:
+                wires = wires - {old} | {new}
+        start = len(self.gates)
+        for _ in range(times):
+            self._append(copy, wires)
+        self.repeats.append((start, fragment, times, moved))
+
+    def _append(self, gates: tuple, wires: set) -> None:
         reserved = sorted(wires & self._free_set)
         self._check_live(wires - self._free_set)
         if reserved:
@@ -253,6 +282,13 @@ class Circuit:
         for _, q in reversed(self.alloc_events[allocs:]):
             if q not in self._free_set:
                 self.deallocate(q)
+
+
+def rewired(gates, old: int, new: int) -> list[Gate]:
+    """``gates`` with wire ``old`` replaced by ``new``, as target or control."""
+    return [Gate(g.kind, new if g.target == old else g.target, g.params,
+                 tuple(new if q == old else q for q in g.controls), g.control_state)
+            if g.target == old or old in g.controls else g for g in gates]
 
 
 def adjoint(gates) -> list[Gate]:

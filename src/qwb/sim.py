@@ -124,6 +124,7 @@ class SparseState:
         return len(self.keys)
 
     def probability(self, qubit: int, value: int = 1) -> float:
+        _check_wires(self, (qubit,))
         mask = ((self.keys >> qubit) & 1) == value
         return float(np.sum(np.abs(self.amps[mask]) ** 2))
 
@@ -283,6 +284,12 @@ def _assert_zero(keys, amps, qubits):
                 f"deallocated qubit {q} is not |0> (P(1)={p1:.3e})")
 
 
+def _check_wires(state: SparseState, wires) -> None:
+    for q in wires:
+        if not 0 <= q < state.num_qubits:
+            raise UsageError(f"wire {q} is outside the {state.num_qubits}-qubit state")
+
+
 @dataclass
 class MeasurementCounts:
     shots: int
@@ -298,6 +305,7 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     measured = list(measured_qubits)
     if not measured:
         raise UsageError("measured_qubits must be nonempty")
+    _check_wires(state, measured)
     if not 1 <= shots <= MAX_SHOTS:
         raise UsageError(f"shots must lie in 1..{MAX_SHOTS}")
 

@@ -13,7 +13,10 @@ emits one U3 from one ``zyz`` call, so each wire carries at most one U3
 between CXs; this fusion is what keeps the CX-dominant counts meaningful.
 A network depends only on its gate and a U3 only on its wire and matrix, so
 one ``transpile`` call builds each distinct gate's ops once, as a tape that
-it replays against the pending matrices, and each distinct U3 and CX once.
+it replays against the pending matrices, each distinct U3 and CX once, and
+each recorded fragment once: a span of copies that ``Circuit.repeat``
+recorded is lowered from one template (``_Lowerer.splice``), byte-identical
+to lowering it gate by gate.
 Depth counts the longest gate-dependency chain at unit cost per gate.
 """
 
@@ -22,8 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .circuit import Circuit, Gate, GateKind, UsageError
+from .circuit import Circuit, Gate, GateKind, UsageError, rewired
 from .sim import gate_matrix
 from .synthesis import gray_transitions
 
@@ -120,7 +124,8 @@ def _mcz(qubits, state):
 
 class _Lowerer:
     """Rewrites arbitrary gates into CX and fused U3 (no controls), building
-    each distinct gate's network and each distinct flushed U3 or CX once."""
+    each distinct gate's network, each distinct flushed U3 or CX and each
+    recorded fragment's template once."""
 
     def __init__(self):
         self.gates: list[Gate] = []
@@ -128,6 +133,7 @@ class _Lowerer:
         self._tapes: dict[Gate, tuple] = {}
         self._u3s: dict[tuple, Gate | None] = {}
         self._cxs: dict[tuple[int, int], Gate] = {}
+        self._templates: dict[int, tuple] = {}   # by id(fragment)
 
     def lower_gate(self, gate: Gate) -> None:
         tape = self._tapes.get(gate)
@@ -162,10 +168,108 @@ class _Lowerer:
             cx = self._cxs[ctrl, target] = Gate(_KIND_X, target, (), (ctrl,), (1,))
         self.gates.append(cx)
 
+    def splice(self, fragment: tuple, times: int, moved) -> None:
+        """Lower ``times`` copies of ``fragment``, wire ``old`` moved to
+        ``new`` when ``moved`` is ``(old, new)``, as ``lower_gate`` would
+        lower them one by one.  Past a wire's first CX the output does not
+        depend on what was pending at the copy's entry, so each copy is the
+        fragment's template, relabelled, with only each wire's first flush
+        rebuilt: the entry's pending matrix times the matrices the template
+        took before it, multiplied in the same order."""
+        hit = self._templates.get(id(fragment))
+        if hit is None or hit[0] is not fragment:
+            hit = self._templates[id(fragment)] = fragment, self._template(fragment)
+        template = hit[1] if moved is None else _relabel(hit[1], *moved)
+        items, carried, closing = template
+        pending, out, flush = self.pending, self.gates, self._flush
+        for _ in range(times):
+            for item in items:
+                if item.__class__ is tuple:
+                    q, mats = item
+                    m = _fold(pending.get(q), mats)
+                    if m is not None:
+                        pending[q] = m
+                        flush(q)
+                else:
+                    out += item
+            for q, mats in carried:
+                pending[q] = _fold(pending.get(q), mats)
+            pending.update(closing)
+
+    def _template(self, fragment: tuple):
+        """Lower ``fragment`` from no pending matrices.  Returns its output
+        as runs of gates with, in place of each wire's first flush, a slot
+        ``(wire, matrices taken before its first CX)``; the wires it never
+        CXs with all the matrices they take; and the pending matrices it
+        leaves on the wires it CXs."""
+        gates, pending = self.gates, self.pending
+        self.gates, self.pending = [], {}
+        for g in fragment:
+            self.lower_gate(g)
+        out, left = self.gates, self.pending
+        self.gates, self.pending = gates, pending
+        # A CX first flushes its target, then its control; only this CX's
+        # flushes lie between it and the CX before it.
+        items, run, flushed, cxd = [], [], {}, {}
+        for g in out:
+            if g.kind is _KIND_U3:
+                flushed[g.target] = g
+                continue
+            for q in (g.target, g.controls[0]):
+                if q not in cxd:
+                    cxd[q] = taken = []
+                    if run:
+                        items.append(run)
+                    items.append((q, taken))
+                    run = []
+                elif q in flushed:
+                    run.append(flushed[q])
+            flushed.clear()
+            run.append(g)
+        if run:
+            items.append(run)
+        # The matrices each wire takes before its first CX: all of them on a
+        # wire with none, so the walk stops early only when every wire has one.
+        carried = {q: [] for q in left if q not in cxd}
+        taken, first = cxd | carried, set()
+        for g in fragment:
+            if not carried and len(first) == len(cxd):
+                break
+            for q, m in self._tapes[g]:
+                if m.__class__ is int:
+                    first.add(q)
+                    first.add(m)
+                elif q not in first:
+                    taken[q].append(m)
+        closing = {q: m for q, m in left.items() if q in cxd}
+        return items, list(carried.items()), closing
+
     def finish(self) -> list[Gate]:
         for q in sorted(self.pending):
             self._flush(q)
         return self.gates
+
+
+def _fold(m, mats):
+    """The pending matrix ``m`` (None for none) with ``mats`` multiplied
+    into it in turn, in the same arithmetic as ``_Lowerer.lower_gate``."""
+    for a, b, c, d in mats:
+        if m is None:
+            m = a, b, c, d
+        else:
+            e, f, g, h = m
+            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return m
+
+
+def _relabel(template, old: int, new: int):
+    """A ``_Lowerer._template`` with wire ``old`` renamed ``new``."""
+    items, carried, closing = template
+    wire = {old: new}
+    return ([(wire.get(item[0], item[0]), item[1]) if item.__class__ is tuple
+             else rewired(item, old, new) for item in items],
+            [(wire.get(q, q), mats) for q, mats in carried],
+            {wire.get(q, q): m for q, m in closing.items()})
 
 
 def _phase(a):
@@ -173,10 +277,23 @@ def _phase(a):
 
 
 def transpile(circuit: Circuit) -> Circuit:
-    """Rewrite into {U3, CX}; equal to the input up to global phase."""
+    """Rewrite into {U3, CX}; equal to the input up to global phase.  Each
+    span in ``circuit.repeats`` whose gates still match its record is
+    lowered from its fragment's template; every other gate one by one."""
     lw = _Lowerer()
-    for g in circuit.gates:
-        lw.lower_gate(g)
+    gates, lower = circuit.gates, lw.lower_gate
+    done = 0
+    for start, fragment, times, moved in circuit.repeats:
+        copy = list(fragment) if moved is None else rewired(fragment, *moved)
+        end = start + len(copy) * times
+        if start < done or gates[start:end] != copy * times:
+            continue
+        for g in islice(gates, done, start):
+            lower(g)
+        lw.splice(fragment, times, moved)
+        done = end
+    for g in islice(gates, done, None):
+        lower(g)
     out = Circuit(circuit.num_qubits)
     out.extend(lw.finish())
     return out

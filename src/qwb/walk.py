@@ -41,8 +41,9 @@ masks its phase (R_A is the direct sum of D_x over x in A).
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
 step is the same gates with the control wire moved onto it (only the
-reflection phases carry the control), and the powers are replayed with
-``Circuit.extend``; ``bench`` and the transpiler measure it.  ``qpe_state``
+reflection phases carry the control), and the powers are appended with
+``Circuit.repeat``, which records each span so that the transpiler lowers
+the step once; ``bench`` and the transpiler measure it.  ``qpe_state``
 simulates the same circuit from the root without building it: it builds and
 compiles the uncontrolled step once and gets its columns on the nodes it
 reaches from ``sim.run_columns``, a level of new nodes at a time, as a small
@@ -65,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate, UsageError, adjoint
+from .circuit import Circuit, UsageError, adjoint
 from .sim import (KEY_BITS, MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
                   apply, compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
@@ -347,11 +348,11 @@ class BacktrackingTree:
     def estimate_phase(self, circ: Circuit, precision_bits: int) -> list[int]:
         """Standard phase estimation on the walk step; returns the ancilla
         register.  The all-zero outcome witnesses an eigenvalue-1 component.
-        The step controlled on ancilla 0 is built once; ancilla k's step is
-        the same gates with the control wire moved to ancilla k (only the
-        reflection phases carry it), replayed 2^k times.  Raises
-        ``ResourceLimitError`` before replaying if the circuit would pass
-        ``MAX_QPE_GATES``."""
+        The step controlled on ancilla 0 is built once and recorded as a
+        repeat; ancilla k's step is the same gates with the control wire
+        moved to ancilla k (only the reflection phases carry it), repeated
+        2^k times.  Raises ``ResourceLimitError`` before repeating if the
+        circuit would pass ``MAX_QPE_GATES``."""
         if precision_bits < 1:
             raise UsageError("precision_bits must be >= 1")
         anc = circ.allocate_register(precision_bits)
@@ -359,24 +360,17 @@ class BacktrackingTree:
             circ.h(a)
         start = len(circ.gates)
         self.quantum_step(circ, ctrl=(anc[0],))
-        first = circ.gates[start:]
+        first = tuple(circ.gates[start:])
         total = start + len(first) * (2 ** precision_bits - 1)
         if total > MAX_QPE_GATES:
             raise ResourceLimitError(
                 f"phase estimation at precision {precision_bits} needs "
                 f"about {total} gates, more than {MAX_QPE_GATES}")
+        circ.repeats.append((start, first, 1, None))
         for k, a in enumerate(anc[1:], 1):
-            step = [_rewired(g, anc[0], a) if anc[0] in g.qubits else g for g in first]
-            for _ in range(2 ** k):
-                circ.extend(step)
+            circ.repeat(first, 2 ** k, (anc[0], a))
         _inverse_qft(circ, anc)
         return anc
-
-
-def _rewired(gate: Gate, old: int, new: int) -> Gate:
-    """``gate`` with wire ``old`` replaced by ``new``, as target or control."""
-    return Gate(gate.kind, new if gate.target == old else gate.target, gate.params,
-                tuple(new if q == old else q for q in gate.controls), gate.control_state)
 
 
 def _cphase(circ, theta, a, b):

@@ -166,6 +166,41 @@ def test_rejected_extend_leaves_the_pool_and_events_unchanged():
         assert c.allocate() == 2
 
 
+def test_repeat_appends_moved_copies_and_records_the_span():
+    c = Circuit(3)
+    c.h(0)
+    fragment = [Gate(GateKind.X, 1, (), (0,), (1,)), Gate(GateKind.T, 0)]
+    c.repeat(fragment, 2, (0, 2))
+    moved = [Gate(GateKind.X, 1, (), (2,), (1,)), Gate(GateKind.T, 2)]
+    assert c.gates == [Gate(GateKind.H, 0)] + moved * 2
+    assert c.repeats == [(1, tuple(fragment), 2, (0, 2))]
+    c.repeat(fragment, 1)
+    assert c.gates[5:] == fragment
+    assert c.repeats[1] == (5, tuple(fragment), 1, None)
+
+
+def test_repeat_claims_free_wires_per_copy_as_extend_does():
+    a, b = Circuit(3), Circuit(3)
+    for c in (a, b):
+        c.deallocate(2)
+    fragment = [Gate(GateKind.X, 2, (), (0,), (1,)), Gate(GateKind.X, 2, (), (0,), (1,))]
+    a.repeat(fragment, 3)
+    for _ in range(3):
+        b.extend(fragment)
+    assert (a.gates, a.alloc_events, a.dealloc_events) == (b.gates, b.alloc_events,
+                                                          b.dealloc_events)
+    assert a.free_pool == b.free_pool == {2}
+
+
+def test_rejected_repeat_appends_and_records_nothing():
+    fragment = [Gate(GateKind.X, 1, (), (0,), (1,))]
+    for times, moved in ((0, None), (2, (0, 1)), (1, (0, 5))):
+        c = Circuit(3)
+        with pytest.raises(UsageError):
+            c.repeat(fragment, times, moved)
+        assert (c.gates, c.repeats, c.alloc_events) == ([], [], [])
+
+
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.S, GateKind.SDG, GateKind.T,
                                   GateKind.TDG, GateKind.RY, GateKind.U3])
 def test_only_x_and_mcz_take_controls(kind):

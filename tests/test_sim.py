@@ -309,6 +309,21 @@ def test_sample_requires_qubits_and_shots():
         sample(st, [0], 2 ** 63, seed=0)
 
 
+def test_sample_and_probability_refuse_wires_outside_the_state():
+    st = SparseState.basis_state(3, 0b101)
+    for wire in (5, 70, -1, 3):
+        with pytest.raises(UsageError, match=f"wire {wire} is outside the 3-qubit state"):
+            sample(st, [wire], 10, 1)
+        with pytest.raises(UsageError):
+            sample(st, [0, wire], 10, 1)
+        with pytest.raises(UsageError):
+            st.probability(wire)
+    with pytest.raises(UsageError):
+        st.probability(7)
+    assert sample(st, [2, 1], 10, 1).counts == {"01": 10}
+    assert (st.probability(0), st.probability(1), st.probability(2)) == (1.0, 0.0, 1.0)
+
+
 def test_marginal_sampling():
     c = Circuit(2)
     c.h(0)

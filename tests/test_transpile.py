@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwb.circuit import Circuit, GateKind, UsageError, adjoint, to_text
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, from_text, to_text
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
-from qwb.transpile import ResourceMetrics, metrics, transpile
+from qwb.transpile import ResourceMetrics, _Lowerer, metrics, transpile
 
 from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
 
@@ -80,6 +80,55 @@ def test_property_repeated_gates_lower_under_any_pending_state(seed, n, num_gate
     assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
     # Nothing carries over from one call to the next.
     assert to_text(transpile(other)) == alone
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), num_gates=st.integers(1, 12),
+       times=st.integers(1, 4), move=st.booleans(), stale=st.booleans())
+def test_property_recorded_repeats_transpile_as_their_flat_copy(seed, n, num_gates, times,
+                                                                  move, stale):
+    # The fragment lies on wires 0..n-1; wire n is the one a move may
+    # target.  Random gates on every wire, before and after, leave pending
+    # matrices at each copy's entry and on its way out.
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n + 1, int(rng.integers(0, 8)))
+    fragment = random_circuit(rng, n, num_gates).gates
+    moved = (int(rng.integers(n)), n) if move else None
+    start = len(c.gates)
+    c.repeat(fragment, times, moved)
+    c.extend(random_circuit(rng, n + 1, int(rng.integers(0, 8))).gates)
+    assert c.repeats == [(start, tuple(fragment), times, moved)]
+    if stale:
+        # A gate inside the recorded span replaced: the span is lowered
+        # gate by gate.
+        at = start + int(rng.integers(len(fragment) * times))
+        params = tuple(rng.uniform(-3, 3, 3).tolist())
+        c.gates[at] = Gate(GateKind.U3, c.gates[at].target, params)
+    flat = from_text(to_text(c))
+    assert flat.repeats == []
+    assert to_text(transpile(c)) == to_text(transpile(flat))
+
+
+@pytest.mark.parametrize("precision", [3, 5])
+def test_transpile_lowers_the_recorded_step_once_per_call(monkeypatch, precision):
+    # A silent fall-back to gate-by-gate lowering of the 2^p - 1 steps fails
+    # here: only the gates outside the recorded spans and one step are
+    # lowered one by one, and again on the next call.
+    circ = _fig1_qpe(3, False, precision)
+    assert len(circ.repeats) == precision
+    start, step = circ.repeats[0][:2]
+    last, _, times, _ = circ.repeats[-1]
+    end = last + len(step) * times
+    want = circ.gates[:start] + list(step) + circ.gates[end:]
+    assert len(want) < len(circ.gates) // 3
+    lowered = []
+    lower = _Lowerer.lower_gate
+    monkeypatch.setattr(_Lowerer, "lower_gate",
+                        lambda self, g: lowered.append(g) or lower(self, g))
+    for _ in range(2):
+        lowered.clear()
+        transpile(circ)
+        assert lowered == want
 
 
 def test_fusion_cancels_adjacent_inverses():
@@ -184,12 +233,12 @@ def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k, cou
     assert _gate_order(_fig1_qpe(k, False)) == (count, digest)
 
 
-def _fig1_qpe(k, subspace_opt):
+def _fig1_qpe(k, subspace_opt, precision=3):
     tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), k),
                              subspace_optimization=subspace_opt)
     circ = tree.new_circuit()
     tree.init_node(circ, ())
-    tree.estimate_phase(circ, 3)
+    tree.estimate_phase(circ, precision)
     return circ
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwb import sim, walk
-from qwb.circuit import GateKind, UsageError, to_text
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, to_text
 from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sample
 from qwb.sudoku import (FIG1_BOARD, SudokuBoard, classical_solve, parse_board,
                         restrict_board, tree_for_board)
@@ -405,6 +405,59 @@ def test_estimate_phase_replays_built_steps(instance, subspace_opt, monkeypatch)
     assert to_text(circ) == want
     # every release of a workspace qubit, replayed copies included, finds |0>
     apply(SparseState.zero(circ.num_qubits), circ, debug=True)
+
+
+def _rewired_extend_phase_estimation(tree, precision):
+    """Phase estimation as built by rewiring ancilla 0's step gate by gate
+    onto ancilla k and appending the copy with ``extend``, 2^k times."""
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    anc = circ.allocate_register(precision)
+    for a in anc:
+        circ.h(a)
+    start = len(circ.gates)
+    tree.quantum_step(circ, ctrl=(anc[0],))
+    first = circ.gates[start:]
+    for k, a in enumerate(anc[1:], 1):
+        step = [Gate(g.kind, a if g.target == anc[0] else g.target, g.params,
+                     tuple(a if q == anc[0] else q for q in g.controls), g.control_state)
+                for g in first]
+        for _ in range(2 ** k):
+            circ.extend(step)
+    _inverse_qft(circ, anc)
+    return circ
+
+
+def test_estimate_phase_builds_the_rewired_extend_circuit():
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), 3))
+    want = _rewired_extend_phase_estimation(tree, 3)
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+    anc = tree.estimate_phase(circ, 3)
+    assert to_text(circ) == to_text(want)
+    assert circ.alloc_events == want.alloc_events
+    assert circ.dealloc_events == want.dealloc_events
+    # Ancilla 0's step is recorded as one copy of itself, the others as
+    # moved copies of the same fragment.
+    step = circ.repeats[0][1]
+    assert circ.repeats == [(circ.repeats[0][0], step, 1, None),
+                            (circ.repeats[1][0], step, 2, (anc[0], anc[1])),
+                            (circ.repeats[2][0], step, 4, (anc[0], anc[2]))]
+
+
+def test_estimate_phase_refuses_before_any_copy(monkeypatch):
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), 3))
+    circ = tree.new_circuit()
+    tree.init_node(circ, ())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a copy was appended")
+
+    monkeypatch.setattr(Circuit, "repeat", refuse)
+    monkeypatch.setattr(walk, "MAX_QPE_GATES", 1000)
+    with pytest.raises(ResourceLimitError, match="more than 1000"):
+        tree.estimate_phase(circ, 3)
+    assert circ.repeats == []
 
 
 def test_walk_config_validation():
