@@ -188,11 +188,18 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _check_tree_width(width: int) -> None:
+    if width > KEY_BITS:
+        raise ResourceLimitError(f"{width} tree qubits exceed the "
+                                 f"{KEY_BITS}-qubit sparse index capacity", qubit_count=width)
+
+
 def cmd_viz(args) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     t0 = time.perf_counter()
     if args.demo_tree is not None:
+        _check_tree_width(2 * args.demo_tree + 1)     # demo_tree's wires, before building it
         tree = demo_tree(args.demo_tree)
     else:
         if args.board is None:
@@ -204,10 +211,7 @@ def cmd_viz(args) -> int:
                           {"files": []}, {"viz": time.perf_counter() - t0}))
             return 0
         tree, _ = tree_for_board(board)
-    if tree.num_tree_qubits > KEY_BITS:     # before building any diffuser
-        raise ResourceLimitError(f"{tree.num_tree_qubits} tree qubits exceed the "
-                                 f"{KEY_BITS}-qubit sparse index capacity",
-                                 qubit_count=tree.num_tree_qubits)
+    _check_tree_width(tree.num_tree_qubits)     # before building any diffuser
 
     # Diffuser s (from 0) has even parity iff depth + s is even; the walk
     # applies the two parities' circuits in turn to the root state.

@@ -1,22 +1,29 @@
 """Transpilation to the {U3, CX} basis and resource metrics.
 
-Lowering and fusion are one pass, exact up to a global phase.  Only X and MCZ
-carry controls (an invariant of ``Gate``), so every controlled gate has its
-own network: the MCZ phase network (``_mcz``) and the MCX as one CX or an
-H-conjugated MCZ (``_mcx``), open controls conjugated with X.  A network
+Lowering and fusion are one routine, exact up to a global phase.  Only X and
+MCZ carry controls (an invariant of ``Gate``), so every controlled gate has
+its own network: the MCZ phase network (``_mcz``) and the MCX as one CX or
+an H-conjugated MCZ (``_mcx``), open controls conjugated with X.  A network
 yields ops: ``(wire, matrix)`` multiplies a row-major 2x2, a 4-tuple of
 complex as ``gate_matrix`` returns it, into the wire's pending matrix, and
-``(target, ctrl)`` is a CX; an uncontrolled gate is one multiply.  A CX first
-flushes its two wires; the end of the circuit flushes the rest in ascending
-wire order.  A flush drops a global phase times the identity and otherwise
-emits one U3 from one ``zyz`` call, so each wire carries at most one U3
-between CXs; this fusion is what keeps the CX-dominant counts meaningful.
-A network depends only on its gate and a U3 only on its wire and matrix, so
-one ``transpile`` call builds each distinct gate's ops once, as a tape that
-it replays against the pending matrices, each distinct U3 and CX once, and
-each recorded fragment once: a span of copies that ``Circuit.repeat``
-recorded is lowered from one template (``_Lowerer.splice``), byte-identical
-to lowering it gate by gate.
+``(target, ctrl)`` is a CX.  A CX first flushes its target, then its
+control; the end of the circuit flushes the rest in ascending wire order.
+A flush drops a global phase times the identity and otherwise emits one U3
+from one ``zyz`` call, so each wire carries at most one U3 between CXs;
+this fusion is what keeps the CX-dominant counts meaningful.
+
+Every gate is lowered as part of a fragment (``_Lowerer.splice``): each span
+that ``Circuit.repeat`` recorded, and the gates before, between and after
+those spans as fragments of one copy.  A fragment's template is one pass
+over its gates' ops from no pending matrices (``_Lowerer._template``).  Past
+a wire's first CX the output no longer depends on what was pending at the
+fragment's entry, so the template is the output with a slot in place of
+each wire's first flush, and each copy only fills the slots from the
+pending matrices at its entry.  All 2x2 products are ``_fold``'s, in one
+order, so the output is byte-identical to lowering gate by gate.  A network
+depends only on its gate and a U3 only on its wire and matrix, so one
+``transpile`` call builds each distinct gate's ops, each distinct U3 and CX
+and each fragment's template once.
 Depth counts the longest gate-dependency chain at unit cost per gate.
 """
 
@@ -25,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .circuit import Circuit, Gate, GateKind, UsageError, rewired
 from .sim import gate_matrix
@@ -123,9 +129,9 @@ def _mcz(qubits, state):
 
 
 class _Lowerer:
-    """Rewrites arbitrary gates into CX and fused U3 (no controls), building
-    each distinct gate's network, each distinct flushed U3 or CX and each
-    recorded fragment's template once."""
+    """Rewrites gate fragments into CX and fused U3 (no controls), building
+    each distinct gate's network, each distinct U3 or CX and each fragment's
+    template once."""
 
     def __init__(self):
         self.gates: list[Gate] = []
@@ -135,124 +141,91 @@ class _Lowerer:
         self._cxs: dict[tuple[int, int], Gate] = {}
         self._templates: dict[int, tuple] = {}   # by id(fragment)
 
-    def lower_gate(self, gate: Gate) -> None:
-        tape = self._tapes.get(gate)
-        if tape is None:
-            tape = self._tapes[gate] = tuple(_network(gate))
-        pending = self.pending
-        for q, m in tape:
-            if m.__class__ is int:
-                self._cx(m, q)
-                continue
-            prev = pending.get(q)
-            if prev is not None:
-                a, b, c, d = m
-                e, f, g, h = prev
-                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            pending[q] = m
-
-    def _flush(self, q: int) -> None:
-        m = self.pending.pop(q, None)
-        if m is not None:
-            u3 = self._u3s.get((q, m), _UNSEEN)
-            if u3 is _UNSEEN:
-                u3 = self._u3s[q, m] = None if _is_identity(m) else Gate(_KIND_U3, q, zyz(m)[1:])
-            if u3 is not None:
-                self.gates.append(u3)
-
-    def _cx(self, ctrl: int, target: int) -> None:
-        self._flush(target)
-        self._flush(ctrl)
-        cx = self._cxs.get((ctrl, target))
-        if cx is None:
-            cx = self._cxs[ctrl, target] = Gate(_KIND_X, target, (), (ctrl,), (1,))
-        self.gates.append(cx)
+    def _u3(self, q: int, m) -> Gate | None:
+        """The U3 that flushes matrix ``m`` from wire ``q``; None when ``m``
+        is a global phase times the identity."""
+        u3 = self._u3s.get((q, m), _UNSEEN)
+        if u3 is _UNSEEN:
+            u3 = self._u3s[q, m] = None if _is_identity(m) else Gate(_KIND_U3, q, zyz(m)[1:])
+        return u3
 
     def splice(self, fragment: tuple, times: int, moved) -> None:
         """Lower ``times`` copies of ``fragment``, wire ``old`` moved to
-        ``new`` when ``moved`` is ``(old, new)``, as ``lower_gate`` would
-        lower them one by one.  Past a wire's first CX the output does not
-        depend on what was pending at the copy's entry, so each copy is the
-        fragment's template, relabelled, with only each wire's first flush
-        rebuilt: the entry's pending matrix times the matrices the template
-        took before it, multiplied in the same order."""
+        ``new`` when ``moved`` is ``(old, new)``.  Past a wire's first CX the
+        output does not depend on what was pending at the copy's entry, so
+        each copy is the fragment's template, relabelled, with only each
+        wire's first flush rebuilt: the entry's pending matrix times the
+        matrices the template took before it.  That flush empties the wire,
+        so the matrices the copy leaves are folded into no pending matrix
+        on a wire it CXs and into the entry's on any other."""
         hit = self._templates.get(id(fragment))
         if hit is None or hit[0] is not fragment:
             hit = self._templates[id(fragment)] = fragment, self._template(fragment)
         template = hit[1] if moved is None else _relabel(hit[1], *moved)
-        items, carried, closing = template
-        pending, out, flush = self.pending, self.gates, self._flush
+        items, left = template
+        pending, out, u3 = self.pending, self.gates, self._u3
         for _ in range(times):
             for item in items:
                 if item.__class__ is tuple:
                     q, mats = item
-                    m = _fold(pending.get(q), mats)
-                    if m is not None:
-                        pending[q] = m
-                        flush(q)
+                    m = _fold(pending.pop(q, None), mats)
+                    if m is not None and (g := u3(q, m)) is not None:
+                        out.append(g)
                 else:
                     out += item
-            for q, mats in carried:
+            for q, mats in left:
                 pending[q] = _fold(pending.get(q), mats)
-            pending.update(closing)
 
     def _template(self, fragment: tuple):
-        """Lower ``fragment`` from no pending matrices.  Returns its output
-        as runs of gates with, in place of each wire's first flush, a slot
-        ``(wire, matrices taken before its first CX)``; the wires it never
-        CXs with all the matrices they take; and the pending matrices it
-        leaves on the wires it CXs."""
-        gates, pending = self.gates, self.pending
-        self.gates, self.pending = [], {}
+        """Lower ``fragment`` from no pending matrices in one pass over its
+        tapes, keeping per wire the matrices taken since its last flush.
+        Returns the output as runs of gates with, in place of each wire's
+        first flush, a slot ``(wire, matrices taken before its first CX)``,
+        and the matrices left on each wire at the end, all it takes on a
+        wire it never CXs."""
+        tapes, cxs, u3 = self._tapes, self._cxs, self._u3
+        items, run, taken, cxd = [], [], {}, set()
         for g in fragment:
-            self.lower_gate(g)
-        out, left = self.gates, self.pending
-        self.gates, self.pending = gates, pending
-        # A CX first flushes its target, then its control; only this CX's
-        # flushes lie between it and the CX before it.
-        items, run, flushed, cxd = [], [], {}, {}
-        for g in out:
-            if g.kind is _KIND_U3:
-                flushed[g.target] = g
-                continue
-            for q in (g.target, g.controls[0]):
-                if q not in cxd:
-                    cxd[q] = taken = []
-                    if run:
-                        items.append(run)
-                    items.append((q, taken))
-                    run = []
-                elif q in flushed:
-                    run.append(flushed[q])
-            flushed.clear()
-            run.append(g)
+            tape = tapes.get(g)
+            if tape is None:
+                tape = tapes[g] = tuple(_network(g))
+            for q, m in tape:
+                if m.__class__ is not int:
+                    if q in taken:
+                        taken[q].append(m)
+                    else:
+                        taken[q] = [m]
+                    continue
+                for w in (q, m):        # a CX flushes its target, then its control
+                    mats = taken.pop(w, ())
+                    if w not in cxd:
+                        cxd.add(w)
+                        if run:
+                            items.append(run)
+                            run = []
+                        items.append((w, mats))
+                    elif mats and (flushed := u3(w, _fold(None, mats))) is not None:
+                        run.append(flushed)
+                cx = cxs.get((m, q))
+                if cx is None:
+                    cx = cxs[m, q] = Gate(_KIND_X, q, (), (m,), (1,))
+                run.append(cx)
         if run:
             items.append(run)
-        # The matrices each wire takes before its first CX: all of them on a
-        # wire with none, so the walk stops early only when every wire has one.
-        carried = {q: [] for q in left if q not in cxd}
-        taken, first = cxd | carried, set()
-        for g in fragment:
-            if not carried and len(first) == len(cxd):
-                break
-            for q, m in self._tapes[g]:
-                if m.__class__ is int:
-                    first.add(q)
-                    first.add(m)
-                elif q not in first:
-                    taken[q].append(m)
-        closing = {q: m for q, m in left.items() if q in cxd}
-        return items, list(carried.items()), closing
+        return items, list(taken.items())
 
     def finish(self) -> list[Gate]:
+        """The output, each wire's pending matrix flushed in ascending wire
+        order."""
         for q in sorted(self.pending):
-            self._flush(q)
+            if (g := self._u3(q, self.pending[q])) is not None:
+                self.gates.append(g)
         return self.gates
 
 
 def _fold(m, mats):
     """The pending matrix ``m`` (None for none) with ``mats`` multiplied
-    into it in turn, in the same arithmetic as ``_Lowerer.lower_gate``."""
+    into it in turn, each on the left: the lowering's only 2x2 product."""
     for a, b, c, d in mats:
         if m is None:
             m = a, b, c, d
@@ -264,12 +237,11 @@ def _fold(m, mats):
 
 def _relabel(template, old: int, new: int):
     """A ``_Lowerer._template`` with wire ``old`` renamed ``new``."""
-    items, carried, closing = template
+    items, left = template
     wire = {old: new}
     return ([(wire.get(item[0], item[0]), item[1]) if item.__class__ is tuple
              else rewired(item, old, new) for item in items],
-            [(wire.get(q, q), mats) for q, mats in carried],
-            {wire.get(q, q): m for q, m in closing.items()})
+            [(wire.get(q, q), mats) for q, mats in left])
 
 
 def _phase(a):
@@ -279,21 +251,20 @@ def _phase(a):
 def transpile(circuit: Circuit) -> Circuit:
     """Rewrite into {U3, CX}; equal to the input up to global phase.  Each
     span in ``circuit.repeats`` whose gates still match its record is
-    lowered from its fragment's template; every other gate one by one."""
+    lowered as its fragment's copies; the gates before, between and after
+    those spans are each lowered as a fragment of one copy."""
     lw = _Lowerer()
-    gates, lower = circuit.gates, lw.lower_gate
+    gates = circuit.gates
     done = 0
     for start, fragment, times, moved in circuit.repeats:
         copy = list(fragment) if moved is None else rewired(fragment, *moved)
         end = start + len(copy) * times
         if start < done or gates[start:end] != copy * times:
             continue
-        for g in islice(gates, done, start):
-            lower(g)
+        lw.splice(tuple(gates[done:start]), 1, None)
         lw.splice(fragment, times, moved)
         done = end
-    for g in islice(gates, done, None):
-        lower(g)
+    lw.splice(tuple(gates[done:]), 1, None)
     out = Circuit(circuit.num_qubits)
     out.extend(lw.finish())
     return out

@@ -61,7 +61,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -352,9 +352,14 @@ class BacktrackingTree:
         repeat; ancilla k's step is the same gates with the control wire
         moved to ancilla k (only the reflection phases carry it), repeated
         2^k times.  Raises ``ResourceLimitError`` before repeating if the
-        circuit would pass ``MAX_QPE_GATES``."""
+        circuit would pass ``MAX_QPE_GATES``, and before allocating any
+        ancilla if the 2^p - 1 steps alone would."""
         if precision_bits < 1:
             raise UsageError("precision_bits must be >= 1")
+        if precision_bits > MAX_QPE_GATES.bit_length():
+            raise ResourceLimitError(
+                f"phase estimation at precision {precision_bits} repeats the step "
+                f"2^{precision_bits} - 1 times, more than {MAX_QPE_GATES}")
         anc = circ.allocate_register(precision_bits)
         for a in anc:
             circ.h(a)
@@ -559,7 +564,6 @@ def classically_accepted(tree: BacktrackingTree, path: NodePath = ()) -> bool:
 class SearchStats:
     qpe_runs: int = 0
     max_support: int = 0
-    explored: list[NodePath] = field(default_factory=list)
 
 
 def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
@@ -605,10 +609,7 @@ def _search(tree, config, rng, max_support, stats, hint=None):
             labels[path[-1]] += count
 
     for label, _ in sorted(labels.items(), key=lambda kv: (-kv[1], kv[0])):
-        child = tree.root_path + (label,)
-        if stats is not None:
-            stats.explored.append(child)
-        sub = tree.subtree(child)
+        sub = tree.subtree(tree.root_path + (label,))
         found = _search(sub, config, rng, max_support, stats, reach.below(sub))
         if found is not None:
             return found

@@ -1,9 +1,12 @@
-"""Independent dense reference for the walk operators.
+"""Independent references: dense walk operators and a plain lowering.
 
 Builds R_A / R_B directly from the diffuser definitions: enumerate the tree
 nodes classically, form each child superposition as an explicit vector, and
 assemble the block operator with numpy.  No circuit machinery is used, so
 this is a genuinely independent oracle for the compiled walk.
+
+``lowered_gate_by_gate`` lowers a circuit into {U3, CX} one gate at a time,
+with no template or interning, as the oracle for ``qwb.transpile``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import itertools
 import math
 
 import numpy as np
+
+from qwb.circuit import Circuit, Gate, GateKind
+from qwb.transpile import _is_identity, _network, zyz
 
 
 def all_paths(depth, deg):
@@ -118,3 +124,35 @@ def reachable_walk_step(tree, accept, reject):
 
     keys = np.array([tree.node_index(rel) for rel in paths], dtype=np.int64)
     return keys, diffuser(1) @ diffuser(0)
+
+
+def lowered_gate_by_gate(circuit):
+    """``circuit`` in {U3, CX}, lowered one gate at a time and ignoring
+    ``circuit.repeats``.  Each op of a gate's network multiplies a 2x2 into
+    its wire's pending matrix on the left or, as a CX, flushes its target,
+    then its control; the end flushes the rest in ascending wire order.  A
+    flush drops a global phase times the identity and otherwise emits one
+    U3."""
+    pending, out = {}, []
+
+    def flush(q):
+        m = pending.pop(q, None)
+        if m is not None and not _is_identity(m):
+            out.append(Gate(GateKind.U3, q, zyz(m)[1:]))
+
+    for gate in circuit.gates:
+        for q, m in _network(gate):
+            if isinstance(m, int):
+                flush(q)
+                flush(m)
+                out.append(Gate(GateKind.X, q, (), (m,), (1,)))
+            elif q in pending:
+                (a, b, c, d), (e, f, g, h) = m, pending[q]
+                pending[q] = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            else:
+                pending[q] = m
+    for q in sorted(pending):
+        flush(q)
+    lowered = Circuit(circuit.num_qubits)
+    lowered.extend(out)
+    return lowered

@@ -9,6 +9,7 @@ import pytest
 import qwb
 from helpers import copied_accept
 from qwb import cli, sim, walk
+from qwb.circuit import Circuit
 from qwb.cli import main
 from qwb.sim import ResourceLimitError
 from qwb.sudoku import (FIG1_BOARD, classical_solve, format_board, parse_board,
@@ -382,6 +383,38 @@ def test_viz_past_the_sparse_key_exits_3_before_building(capsys, tmp_path, monke
     assert main(["viz", "--demo-tree", "20000", "--steps", "1", "--out", out]) == 3
     assert capsys.readouterr().err.startswith("resource error: 40001 tree qubits")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_viz_demo_tree_past_the_sparse_key_exits_3_before_building_it(capsys, tmp_path,
+                                                                      monkeypatch):
+    # The demo tree's 2D + 1 wires are refused before its D levels are built.
+    monkeypatch.setattr(cli, "demo_tree", lambda *args, **kwargs: pytest.fail("tree built"))
+    out = str(tmp_path / "huge")
+    assert main(["viz", "--demo-tree", str(10 ** 12), "--steps", "1", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("resource error: 2000000000001 tree qubits")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd, precision", [
+    ("bench", 14000), ("solve", 15000), ("bench", 10 ** 9), ("solve", 10 ** 9),
+])
+def test_precision_past_the_gate_cap_exits_3_before_any_ancilla(capsys, tmp_path, monkeypatch,
+                                                                 cmd, precision):
+    # Past 22 bits the 2^p - 1 steps alone pass the gate cap, so the
+    # refusal comes before any ancilla, and its message does not write out
+    # 2^p (past 4,300 digits, formatting it raises).
+    allocate = Circuit.allocate_register
+    monkeypatch.setattr(Circuit, "allocate_register",
+                        lambda self, size: allocate(self, size) if size <= 64
+                        else pytest.fail(f"{size} wires allocated"))
+    p = tmp_path / "k3.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 3)))
+    extra = ["--missing", "1"] if cmd == "bench" else []
+    assert main([cmd, str(p), "--precision", str(precision)] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"resource error: phase estimation at precision {precision} ")
+    assert len(captured.err) < 200
+    assert captured.out == ""
 
 
 def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch):

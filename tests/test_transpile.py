@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, from_text, to_text
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, to_text
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, _Lowerer, metrics, transpile
 
 from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
+from reference import lowered_gate_by_gate
 
 
 def _only_basis(circ):
@@ -78,6 +79,7 @@ def test_property_repeated_gates_lower_under_any_pending_state(seed, n, num_gate
     _only_basis(t)
     _assert_fusion_maximal(t)
     assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
+    assert to_text(t) == to_text(lowered_gate_by_gate(c))
     # Nothing carries over from one call to the next.
     assert to_text(transpile(other)) == alone
 
@@ -100,20 +102,18 @@ def test_property_recorded_repeats_transpile_as_their_flat_copy(seed, n, num_gat
     assert c.repeats == [(start, tuple(fragment), times, moved)]
     if stale:
         # A gate inside the recorded span replaced: the span is lowered
-        # gate by gate.
+        # as part of one copy of the whole circuit.
         at = start + int(rng.integers(len(fragment) * times))
         params = tuple(rng.uniform(-3, 3, 3).tolist())
         c.gates[at] = Gate(GateKind.U3, c.gates[at].target, params)
-    flat = from_text(to_text(c))
-    assert flat.repeats == []
-    assert to_text(transpile(c)) == to_text(transpile(flat))
+    assert to_text(transpile(c)) == to_text(lowered_gate_by_gate(c))
 
 
 @pytest.mark.parametrize("precision", [3, 5])
 def test_transpile_lowers_the_recorded_step_once_per_call(monkeypatch, precision):
-    # A silent fall-back to gate-by-gate lowering of the 2^p - 1 steps fails
-    # here: only the gates outside the recorded spans and one step are
-    # lowered one by one, and again on the next call.
+    # A silent fall-back to lowering the 2^p - 1 steps one by one fails
+    # here: templates are built for the recorded step once and for the
+    # gates outside the recorded spans, and again on the next call.
     circ = _fig1_qpe(3, False, precision)
     assert len(circ.repeats) == precision
     start, step = circ.repeats[0][:2]
@@ -121,14 +121,14 @@ def test_transpile_lowers_the_recorded_step_once_per_call(monkeypatch, precision
     end = last + len(step) * times
     want = circ.gates[:start] + list(step) + circ.gates[end:]
     assert len(want) < len(circ.gates) // 3
-    lowered = []
-    lower = _Lowerer.lower_gate
-    monkeypatch.setattr(_Lowerer, "lower_gate",
-                        lambda self, g: lowered.append(g) or lower(self, g))
+    templated = []
+    template = _Lowerer._template
+    monkeypatch.setattr(_Lowerer, "_template",
+                        lambda self, fragment: templated.extend(fragment) or template(self, fragment))
     for _ in range(2):
-        lowered.clear()
+        templated.clear()
         transpile(circ)
-        assert lowered == want
+        assert templated == want
 
 
 def test_fusion_cancels_adjacent_inverses():
