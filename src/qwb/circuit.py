@@ -41,8 +41,14 @@ class GateKind(str, Enum):
 # Members read once and compared by identity: a GateKind member lookup, or
 # hashing a kind for a dict lookup, costs more than the test it feeds in
 # per-gate code.
-_X, _RY, _U3, _MCZ = GateKind.X, GateKind.RY, GateKind.U3, GateKind.MCZ
+_X, _H, _RY, _U3, _MCZ = GateKind.X, GateKind.H, GateKind.RY, GateKind.U3, GateKind.MCZ
 _S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
+
+# Builds a Gate without ``Gate.__new__``'s checks.  Only for fields derived
+# from a checked gate's in a way that keeps them valid (an adjoint, a wire
+# moved to one the gate does not use): a gate is checked once, where it is
+# built from caller arguments.
+_derive = tuple.__new__
 
 
 class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
@@ -96,7 +102,7 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
             kind = _T
         else:
             return self     # X, H and MCZ are their own inverses
-        return Gate(kind, self.target, params, self.controls, self.control_state)
+        return _derive(Gate, (kind, self.target, params, self.controls, self.control_state))
 
     def display_name(self) -> str:
         """Conventional name: CX/MCX for controlled X, CZ for two-qubit MCZ."""
@@ -161,9 +167,10 @@ class Circuit:
     # -- gate emission ------------------------------------------------------
 
     def _emit(self, kind, target, params=(), controls=(), control_state=()):
-        gate = Gate(kind, target, tuple(float(p) for p in params),
-                    tuple(controls), tuple(int(s) for s in control_state))
-        self._check_live(gate.qubits)
+        gate = Gate(kind, target, tuple(map(float, params)) if params else (),
+                    tuple(controls), tuple(map(int, control_state)) if control_state else ())
+        if controls or not 0 <= target < self.num_qubits or target in self._free_set:
+            self._check_live(gate.qubits)
         self.gates.append(gate)
         return gate
 
@@ -174,28 +181,28 @@ class Circuit:
             if q in self._free_set:
                 raise UsageError(f"gate references deallocated qubit {q}")
 
-    def x(self, q): self._emit(GateKind.X, q)
-    def h(self, q): self._emit(GateKind.H, q)
-    def s(self, q): self._emit(GateKind.S, q)
-    def sdg(self, q): self._emit(GateKind.SDG, q)
-    def t(self, q): self._emit(GateKind.T, q)
-    def tdg(self, q): self._emit(GateKind.TDG, q)
-    def ry(self, theta, q): self._emit(GateKind.RY, q, (theta,))
-    def u3(self, theta, phi, lam, q): self._emit(GateKind.U3, q, (theta, phi, lam))
+    def x(self, q): self._emit(_X, q)
+    def h(self, q): self._emit(_H, q)
+    def s(self, q): self._emit(_S, q)
+    def sdg(self, q): self._emit(_SDG, q)
+    def t(self, q): self._emit(_T, q)
+    def tdg(self, q): self._emit(_TDG, q)
+    def ry(self, theta, q): self._emit(_RY, q, (theta,))
+    def u3(self, theta, phi, lam, q): self._emit(_U3, q, (theta, phi, lam))
 
     def phase(self, lam, q):
         """diag(1, e^{i lam}) — exactly U3(0, 0, lam)."""
-        self._emit(GateKind.U3, q, (0.0, 0.0, lam))
+        self._emit(_U3, q, (0.0, 0.0, lam))
 
     def cx(self, ctrl, target):
-        self._emit(GateKind.X, target, controls=(ctrl,), control_state=(1,))
+        self._emit(_X, target, controls=(ctrl,), control_state=(1,))
 
     def mcx(self, controls, target, control_state=None):
         """Atomic multi-controlled X; lowered by the transpiler."""
         controls = tuple(controls)
         if control_state is None:
             control_state = (1,) * len(controls)
-        self._emit(GateKind.X, target, controls=controls, control_state=tuple(control_state))
+        self._emit(_X, target, controls=controls, control_state=tuple(control_state))
 
     def mcz(self, qubits, control_state=None):
         """Phase -1 on the basis state matching ``control_state`` across ``qubits``."""
@@ -218,13 +225,13 @@ class Circuit:
             rest = qubits[:-1]
             rest_state = control_state[:-1]
             self.x(tgt)
-            self._emit(GateKind.MCZ, tgt, controls=rest, control_state=rest_state)
+            self._emit(_MCZ, tgt, controls=rest, control_state=rest_state)
             self.x(tgt)
             return
         tgt = qubits[k]
         rest = qubits[:k] + qubits[k + 1:]
         rest_state = control_state[:k] + control_state[k + 1:]
-        self._emit(GateKind.MCZ, tgt, controls=rest, control_state=rest_state)
+        self._emit(_MCZ, tgt, controls=rest, control_state=rest_state)
 
     # -- fragments ----------------------------------------------------------
 
@@ -233,8 +240,7 @@ class Circuit:
         (ancillae it allocated and released itself) are claimed for the replay
         and released after it."""
         gates = tuple(gates)
-        # Over distinct gates: replayed copies repeat the same Gate objects.
-        self._append(gates, {q for g in set(gates) for q in g.qubits})
+        self._append(gates, _wires(gates))
 
     def repeat(self, gates, times: int, moved: tuple[int, int] | None = None) -> None:
         """Append ``times`` copies of a gate fragment, each as ``extend``
@@ -244,7 +250,7 @@ class Circuit:
         fragment = tuple(gates)
         if times < 1:
             raise UsageError("repeat needs at least one copy")
-        wires = {q for g in set(fragment) for q in g.qubits}
+        wires = _wires(fragment)
         copy = fragment
         if moved is not None:
             old, new = moved
@@ -284,10 +290,16 @@ class Circuit:
                 self.deallocate(q)
 
 
+def _wires(gates) -> set[int]:
+    """Every wire ``gates`` use, as target or control."""
+    return {g.target for g in gates}.union(*[g.controls for g in gates])
+
+
 def rewired(gates, old: int, new: int) -> list[Gate]:
-    """``gates`` with wire ``old`` replaced by ``new``, as target or control."""
-    return [Gate(g.kind, new if g.target == old else g.target, g.params,
-                 tuple(new if q == old else q for q in g.controls), g.control_state)
+    """``gates`` with wire ``old`` replaced by ``new``, as target or control;
+    ``new`` must be a wire ``gates`` do not use."""
+    return [_derive(Gate, (g.kind, new if g.target == old else g.target, g.params,
+                           tuple(new if q == old else q for q in g.controls), g.control_state))
             if g.target == old or old in g.controls else g for g in gates]
 
 

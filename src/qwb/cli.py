@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
 
     t0 = time.perf_counter()
     tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
-    step = tree.new_circuit()
+    step = tree.new_circuit()           # the root's step: the search's first run reuses it
     tree.quantum_step(step)
     if step.num_qubits > KEY_BITS:      # as the search's first step run would
         raise ResourceLimitError(f"{step.num_qubits} wires exceed the {KEY_BITS}-bit sparse key")
@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     stats = SearchStats()
     path = find_solution(tree, config, seed=seed,
-                         max_support=args.max_support, stats=stats)
+                         max_support=args.max_support, stats=stats, step=step)
     timings["search"] = time.perf_counter() - t0
 
     if path is None:

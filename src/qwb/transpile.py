@@ -33,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind, UsageError, rewired
+from .circuit import Circuit, Gate, GateKind, UsageError, _derive, rewired
 from .sim import gate_matrix
 from .synthesis import gray_transitions
 
@@ -146,7 +146,8 @@ class _Lowerer:
         is a global phase times the identity."""
         u3 = self._u3s.get((q, m), _UNSEEN)
         if u3 is _UNSEEN:
-            u3 = self._u3s[q, m] = None if _is_identity(m) else Gate(_KIND_U3, q, zyz(m)[1:])
+            u3 = None if _is_identity(m) else _derive(Gate, (_KIND_U3, q, zyz(m)[1:], (), ()))
+            self._u3s[q, m] = u3
         return u3
 
     def splice(self, fragment: tuple, times: int, moved) -> None:
@@ -208,7 +209,7 @@ class _Lowerer:
                         run.append(flushed)
                 cx = cxs.get((m, q))
                 if cx is None:
-                    cx = cxs[m, q] = Gate(_KIND_X, q, (), (m,), (1,))
+                    cx = cxs[m, q] = _derive(Gate, (_KIND_X, q, (), (m,), (1,)))
                 run.append(cx)
         if run:
             items.append(run)
@@ -266,7 +267,7 @@ def transpile(circuit: Circuit) -> Circuit:
         done = end
     lw.splice(tuple(gates[done:]), 1, None)
     out = Circuit(circuit.num_qubits)
-    out.extend(lw.finish())
+    out.gates = lw.finish()     # built from checked gates on the input's wires
     return out
 
 
@@ -288,16 +289,16 @@ def metrics(circuit: Circuit) -> ResourceMetrics:
     later of the two."""
     u3 = cx = 0
     clock = [0] * circuit.num_qubits
-    U3, X = GateKind.U3, GateKind.X
     for g in circuit.gates:
         kind, t, _, controls, state = g
-        if kind is U3:
+        if kind is _KIND_U3:
             u3 += 1
             clock[t] += 1
-        elif kind is X and len(controls) == 1 and state == (1,):
+        elif kind is _KIND_X and state == (1,):     # one control, as Gate checks
             cx += 1
-            c = controls[0]
-            clock[t] = clock[c] = max(clock[t], clock[c]) + 1
+            c, = controls
+            a, b = clock[t], clock[c]
+            clock[t] = clock[c] = (a if a > b else b) + 1
         else:
             raise UsageError(f"untranspiled gate kind {g.display_name()} in metrics")
     return ResourceMetrics(circuit.num_qubits, u3, cx, max(clock, default=0))

@@ -410,22 +410,24 @@ class Reach(NamedTuple):
                      self.per_node)
 
 
-def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None):
+def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
+                 step: Circuit | None = None):
     """The walk step W as a dense matrix on the node states it reaches from
     the tree's root; returns (their ``Reach``, W, largest support seen).
 
-    The uncontrolled step is compiled once; ``run_columns`` gives its
-    columns.  Nodes are numbered breadth first from the root, each level's
-    new nodes in sorted order, and a level's nodes that have no column yet
-    run together.  A ``hint`` (a parent run's reach below this root) runs
-    with the root in the first batch; hinted nodes never reached are
-    dropped, so a wrong or partial hint costs runs but leaves W and its node
-    order unchanged.  Under ``max_support`` a batch is sized from the
-    previous runs' largest support per node (the hint's at first), so few
-    runs pass the cap and are split.
+    The uncontrolled step (``step`` when the caller built it already) is
+    compiled once; ``run_columns`` gives its columns.  Nodes are numbered
+    breadth first from the root, each level's new nodes in sorted order, and
+    a level's nodes that have no column yet run together.  A ``hint`` (a
+    parent run's reach below this root) runs with the root in the first
+    batch; hinted nodes never reached are dropped, so a wrong or partial
+    hint costs runs but leaves W and its node order unchanged.  Under
+    ``max_support`` a batch is sized from the previous runs' largest support
+    per node (the hint's at first), so few runs pass the cap and are split.
     """
-    step = tree.new_circuit()
-    tree.quantum_step(step)
+    if step is None:
+        step = tree.new_circuit()
+        tree.quantum_step(step)
     program = compile_circuit(step)
     root = tree.node_index(())
     hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root]
@@ -465,7 +467,8 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None)
 
 
 def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
-              hint: Reach | None = None) -> tuple[SparseState, list[int], Reach]:
+              hint: Reach | None = None,
+              step: Circuit | None = None) -> tuple[SparseState, list[int], Reach]:
     """The final state of ``estimate_phase`` from the tree's root, on the tree
     wires and the ancillae (ancilla k on wire ``num_tree_qubits + k``), the
     ancilla wires, and the ``Reach`` of the step run.
@@ -474,7 +477,8 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
     controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
     inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), a dense
     2^p x nodes table formed from W on the reachable nodes (``_step_matrix``,
-    which runs the ``hint``'s nodes with the root).  The circuit's inverse
+    which runs the ``hint``'s nodes with the root, and builds the step
+    unless ``step`` is the tree's step already built).  The circuit's inverse
     QFT runs on the table in place, per ancilla the lower ancillae's phases
     then an unscaled H (the root's 1/2^p holds the 1/sqrt(2^p) and every H's
     1/sqrt(2)), and amplitudes below ``PRUNE_EPSILON`` are dropped once.
@@ -489,7 +493,7 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
         raise ResourceLimitError(
             f"{n} tree wires plus {precision_bits} ancillae exceed the {KEY_BITS}-bit "
             f"sparse key", qubit_count=n + precision_bits)
-    reach, w, seen = _step_matrix(tree, max_support, hint)
+    reach, w, seen = _step_matrix(tree, max_support, hint, step)
     nodes = reach.nodes
     size = 2 ** precision_bits
     if max_support is not None and size * len(nodes) > max_support:
@@ -567,26 +571,28 @@ class SearchStats:
 
 
 def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
-                  max_support=None, stats: SearchStats | None = None) -> NodePath | None:
+                  max_support=None, stats: SearchStats | None = None,
+                  step: Circuit | None = None) -> NodePath | None:
     """Recursive search: phase-estimate from the current root, decode the
     tree-register outcomes that co-occur with the all-zero ancilla register,
     keep the ones extending the root path by one label, and recurse into the
     most frequent label first (ties to the smaller label).  Each level
     rebuilds registers and re-runs phase estimation; a child's step run
     starts from the node states its parent's run reached below the child
-    (``Reach.below``), so it finds the same W in fewer runs.  Returns the
-    absolute path of an accepted node, or None."""
+    (``Reach.below``), so it finds the same W in fewer runs.  ``step``, the
+    tree's uncontrolled walk step if the caller built it already, serves the
+    root's run.  Returns the absolute path of an accepted node, or None."""
     rng = np.random.default_rng(seed)
-    return _search(tree, config, rng, max_support, stats)
+    return _search(tree, config, rng, max_support, stats, step=step)
 
 
-def _search(tree, config, rng, max_support, stats, hint=None):
+def _search(tree, config, rng, max_support, stats, hint=None, step=None):
     if classically_accepted(tree, ()):
         return tree.root_path
     if tree.effective_depth == 0:
         return None
 
-    state, anc, reach = qpe_state(tree, config.precision_bits, max_support, hint)
+    state, anc, reach = qpe_state(tree, config.precision_bits, max_support, hint, step)
     if stats is not None:
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)

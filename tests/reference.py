@@ -6,7 +6,9 @@ assemble the block operator with numpy.  No circuit machinery is used, so
 this is a genuinely independent oracle for the compiled walk.
 
 ``lowered_gate_by_gate`` lowers a circuit into {U3, CX} one gate at a time,
-with no template or interning, as the oracle for ``qwb.transpile``.
+with no template or interning, as the oracle for ``qwb.transpile``, and
+``clocked_metrics`` counts a {U3, CX} circuit with a plain per-gate clock
+loop, as the oracle for ``qwb.transpile.metrics``.
 """
 
 from __future__ import annotations
@@ -156,3 +158,17 @@ def lowered_gate_by_gate(circuit):
     lowered = Circuit(circuit.num_qubits)
     lowered.extend(out)
     return lowered
+
+
+def clocked_metrics(circuit):
+    """(qubits, U3, CX, depth) of a circuit in {U3, CX}: every gate moves
+    the clocks of all its wires to one past the latest of them; the depth
+    is the latest clock."""
+    clock = [0] * circuit.num_qubits
+    counts = {"U3": 0, "CX": 0}
+    for gate in circuit.gates:
+        counts[gate.display_name()] += 1
+        tick = max(clock[q] for q in gate.qubits) + 1
+        for q in gate.qubits:
+            clock[q] = tick
+    return circuit.num_qubits, counts["U3"], counts["CX"], max(clock, default=0)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qwb
-from qwb.circuit import Circuit, Gate, GateKind, UsageError, from_text, invert, to_text
+from qwb.circuit import (Circuit, Gate, GateKind, UsageError, from_text, invert, rewired,
+                         to_text)
 from qwb.sim import SparseState, apply, dense_unitary
 
 from helpers import random_circuit, random_sparse_dict
@@ -142,6 +143,51 @@ def test_gate_raises_exactly_when_invalid_with_the_first_rule_broken(data):
     # _replace builds through the same checks.
     with pytest.raises(UsageError):
         g._replace(controls=controls + (target,), control_state=state + (1,))
+
+
+@st.composite
+def valid_gates(draw):
+    """A gate that passes ``Gate``'s checks, on wires 0..5."""
+    kind = draw(st.sampled_from(list(GateKind)))
+    size = 4 if kind in (GateKind.X, GateKind.MCZ) else 1
+    wires = draw(st.lists(st.integers(0, 5), min_size=1, max_size=size, unique=True))
+    want = {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
+    params = draw(st.lists(st.floats(-7, 7), min_size=want, max_size=want))
+    state = draw(st.lists(st.integers(0, 1), min_size=len(wires) - 1, max_size=len(wires) - 1))
+    return Gate(kind, wires[0], tuple(params), tuple(wires[1:]), tuple(state))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(valid_gates(), max_size=6), st.integers(0, 5), st.integers(0, 7))
+def test_property_derived_gates_pass_the_checks_they_skip(gates, old, new):
+    # Adjoints and rewired copies are built without Gate's checks: each must
+    # be the gate its fields build, and the adjoint must be an involution.
+    assume(all(new not in g.qubits for g in gates))     # rewired's contract
+    moved = rewired(gates, old, new)
+    for g, r in zip(gates, moved):
+        for derived in (g.adjoint(), r):
+            assert type(derived) is Gate and derived == Gate(*derived)
+            assert all(type(f) is tuple for f in derived[2:])
+        assert g.adjoint().adjoint() == g
+        assert r.qubits == tuple(new if q == old else q for q in g.qubits)
+        assert r.params == g.params and r.control_state == g.control_state
+    assert len(moved) == len(gates)
+
+
+@pytest.mark.parametrize("emit", [
+    lambda c, q: c.x(q), lambda c, q: c.h(q), lambda c, q: c.t(q),
+    lambda c, q: c.ry(0.3, q), lambda c, q: c.cx(q, 0), lambda c, q: c.cx(0, q),
+], ids=["x", "h", "t", "ry", "cx-control", "cx-target"])
+def test_emitting_on_a_dead_wire_raises_and_appends_nothing(emit):
+    c = Circuit(3)
+    c.deallocate(1)
+    for q, message in ((3, "gate references out-of-range qubit 3"),
+                       (-1, "gate references out-of-range qubit -1"),
+                       (1, "gate references deallocated qubit 1")):
+        with pytest.raises(UsageError) as err:
+            emit(c, q)
+        assert str(err.value) == message
+    assert c.gates == []
 
 
 def test_extend_rejects_an_out_of_range_wire():

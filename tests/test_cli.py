@@ -429,6 +429,22 @@ def test_bench_gate_cap_exits_3_before_replaying(capsys, fig1_board, monkeypatch
     assert len(built) == 1
 
 
+def test_solve_builds_the_root_step_once(capsys, tmp_path, monkeypatch):
+    # The step built for the sparse-key check serves the search's first QPE
+    # run: FIG1 at 3 blanks, seed 1, builds it once there, once controlled
+    # for the report's circuit, and once for each of the 3 later QPE runs.
+    built = []
+    step = BacktrackingTree.quantum_step
+    monkeypatch.setattr(BacktrackingTree, "quantum_step",
+                        lambda self, circ, ctrl=(): built.append(ctrl) or step(self, circ, ctrl))
+    p = tmp_path / "k3.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 3)))
+    code, _, report = run_main(capsys, ["solve", str(p), "--seed", "1"])
+    assert (code, report["outcome"]["qpe_runs"]) == (0, 4)
+    assert len(built) == 5
+    assert [len(ctrl) for ctrl in built] == [0, 1, 0, 0, 0]
+
+
 # (qubits, U3, CX, depth) of ``bench --precision 3`` on FIG1 at k = 1..9.
 FIG1_BENCH_ROWS = [
     (15, 1282, 1168, 1389), (19, 2103, 1938, 1921), (23, 2973, 2806, 2446),

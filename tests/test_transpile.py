@@ -11,7 +11,7 @@ from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.transpile import ResourceMetrics, _Lowerer, metrics, transpile
 
 from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
-from reference import lowered_gate_by_gate
+from reference import clocked_metrics, lowered_gate_by_gate
 
 
 def _only_basis(circ):
@@ -193,6 +193,56 @@ def test_metrics_rejects_untranspiled():
         emit(c)
         with pytest.raises(UsageError):
             metrics(c)
+
+
+@st.composite
+def basis_circuits(draw):
+    """A random {U3, CX} circuit on 3..6 wires."""
+    n = draw(st.integers(3, 6))
+    c = Circuit(n)
+    angle = st.floats(-7, 7)
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.booleans()):
+            c.cx(*draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        else:
+            c.u3(draw(angle), draw(angle), draw(angle), draw(st.integers(0, n - 1)))
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_circuits(), st.sampled_from(["MCX", "open CX", "H"]), st.data())
+def test_property_metrics_equal_a_plain_clock_loop(c, bad, data):
+    m = metrics(c)
+    assert (m.qubit_count, m.u3_count, m.cx_count, m.depth) == clocked_metrics(c)
+    # Any gate outside {U3, CX}, anywhere in the circuit, is refused.
+    emit = {"MCX": lambda: c.mcx([0, 1], 2), "open CX": lambda: c.mcx([0], 1, (0,)),
+            "H": lambda: c.h(0)}[bad]
+    emit()
+    at = data.draw(st.integers(0, len(c.gates) - 1))
+    c.gates.insert(at, c.gates.pop())
+    with pytest.raises(UsageError, match="untranspiled gate kind"):
+        metrics(c)
+
+
+@pytest.mark.parametrize("subspace", [False, True], ids=["plain", "subspace"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transpiled_fig1_stays_on_the_input_wires(k, subspace):
+    # transpile hands back its lowered gates without replaying them; a
+    # replay into a fresh circuit of the same width must accept every gate
+    # and claim no wire.
+    board = restrict_board(parse_board(FIG1_BOARD), k)
+    tree, _ = tree_for_board(board, subspace_optimization=subspace)
+    c = tree.new_circuit()
+    tree.init_node(c, ())
+    tree.estimate_phase(c, 3)
+    t = transpile(c)
+    assert t.num_qubits == c.num_qubits
+    assert (t.alloc_events, t.dealloc_events, t.repeats) == ([], [], [])
+    replay = Circuit(c.num_qubits)
+    for g in t.gates:
+        replay.extend([g])
+    assert replay.gates == t.gates and replay.num_qubits == t.num_qubits
+    assert (replay.alloc_events, replay.dealloc_events) == ([], [])
 
 
 # Gate count and SHA-256 of every output gate's kind, target and controls.
