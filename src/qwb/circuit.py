@@ -16,7 +16,6 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
-import heapq
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -126,8 +125,7 @@ class Circuit:
     def __init__(self, num_qubits: int = 0):
         self.num_qubits = num_qubits
         self.gates: list[Gate] = []
-        self._free: list[int] = []          # min-heap of deallocated indices
-        self._free_set: set[int] = set()
+        self._free_set: set[int] = set()    # deallocated indices
         # (gate position, qubit) pairs recorded at deallocation, used by the
         # simulator's debug mode to assert the |0> contract.
         self.dealloc_events: list[tuple[int, int]] = []
@@ -141,9 +139,9 @@ class Circuit:
     # -- allocation ---------------------------------------------------------
 
     def allocate(self) -> int:
-        if self._free:
-            q = heapq.heappop(self._free)
-            self._free_set.discard(q)
+        if self._free_set:
+            q = min(self._free_set)
+            self._free_set.remove(q)
         else:
             q = self.num_qubits
             self.num_qubits += 1
@@ -154,10 +152,9 @@ class Circuit:
         return [self.allocate() for _ in range(size)]
 
     def deallocate(self, qubit: int) -> None:
-        if qubit >= self.num_qubits or qubit in self._free_set:
+        if not 0 <= qubit < self.num_qubits or qubit in self._free_set:
             raise UsageError(f"qubit {qubit} is not currently allocated")
         self.dealloc_events.append((len(self.gates), qubit))
-        heapq.heappush(self._free, qubit)
         self._free_set.add(qubit)
 
     @property
@@ -269,8 +266,6 @@ class Circuit:
         self._check_live(wires - self._free_set)
         if reserved:
             self._free_set.difference_update(reserved)
-            self._free = [q for q in self._free if q in self._free_set]
-            heapq.heapify(self._free)
             self.alloc_events.extend((len(self.gates), q) for q in reserved)
         self.gates.extend(gates)
         for q in reversed(reserved):

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .circuit import UsageError
-from .sim import KEY_BITS, ResourceLimitError, SparseState, apply
+from .sim import ResourceLimitError, SparseState, apply, check_key
 from .sudoku import (ParseError, assignments_from_path, board_with_path, format_board,
                      parse_board, restrict_board, tree_for_board)
 from .transpile import metrics, transpile
@@ -96,8 +96,7 @@ def cmd_solve(args) -> int:
     tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
     step = tree.new_circuit()           # the root's step: the search's first run reuses it
     tree.quantum_step(step)
-    if step.num_qubits > KEY_BITS:      # as the search's first step run would
-        raise ResourceLimitError(f"{step.num_qubits} wires exceed the {KEY_BITS}-bit sparse key")
+    check_key(step.num_qubits, f"{step.num_qubits} wires")    # as the first step run would
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()            # the gate cap fires here, before any QPE run
@@ -188,18 +187,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _check_tree_width(width: int) -> None:
-    if width > KEY_BITS:
-        raise ResourceLimitError(f"{width} tree qubits exceed the "
-                                 f"{KEY_BITS}-qubit sparse index capacity", qubit_count=width)
-
-
 def cmd_viz(args) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     t0 = time.perf_counter()
     if args.demo_tree is not None:
-        _check_tree_width(2 * args.demo_tree + 1)     # demo_tree's wires, before building it
+        width = 2 * args.demo_tree + 1      # demo_tree's wires, before building it
+        check_key(width, f"{width} tree qubits")
         tree = demo_tree(args.demo_tree)
     else:
         if args.board is None:
@@ -211,7 +205,7 @@ def cmd_viz(args) -> int:
                           {"files": []}, {"viz": time.perf_counter() - t0}))
             return 0
         tree, _ = tree_for_board(board)
-    _check_tree_width(tree.num_tree_qubits)     # before building any diffuser
+    check_key(tree.num_tree_qubits, f"{tree.num_tree_qubits} tree qubits")  # before any diffuser
 
     # Diffuser s (from 0) has even parity iff depth + s is even; the walk
     # applies the two parities' circuits in turn to the root state.

@@ -62,6 +62,14 @@ class ResourceLimitError(RuntimeError):
         self.qubit_count = qubit_count
 
 
+def check_key(width: int, what: str) -> None:
+    """Refuse ``width`` wires, described by ``what``, past the sparse key:
+    the one place work is refused at ``KEY_BITS``."""
+    if width > KEY_BITS:
+        raise ResourceLimitError(f"{what} exceed the {KEY_BITS}-bit sparse key",
+                                 qubit_count=width)
+
+
 def gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     """Exact 2x2 matrix of a gate kind on its target's |0>, |1> (no global
     phase slack), ignoring controls, as the row-major entries
@@ -100,9 +108,7 @@ class SparseState:
 
     @classmethod
     def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
-        if num_qubits > KEY_BITS:
-            raise ResourceLimitError(f"{num_qubits} qubits exceed the {KEY_BITS}-qubit sparse "
-                                     f"index capacity", qubit_count=num_qubits)
+        check_key(num_qubits, f"{num_qubits} qubits")
         keys = np.array(sorted(amplitudes), dtype=np.int64)
         amps = np.array([amplitudes[int(k)] for k in keys], dtype=complex)
         return cls(num_qubits, keys, amps, len(keys))
@@ -205,9 +211,7 @@ def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False
     if circuit.num_qubits > n:
         raise UsageError(
             f"circuit uses {circuit.num_qubits} qubits, state has {n}")
-    if n > KEY_BITS:
-        raise ResourceLimitError(
-            f"{n} qubits exceed sparse index capacity", qubit_count=n)
+    check_key(n, f"{n} qubits")
     program = circuit if isinstance(circuit, Program) else compile(circuit)
     if program.wires > n:
         gate = next(g for g in program.gates if max(g.qubits) >= n)
@@ -290,18 +294,10 @@ def _check_wires(state: SparseState, wires) -> None:
             raise UsageError(f"wire {q} is outside the {state.num_qubits}-qubit state")
 
 
-@dataclass
-class MeasurementCounts:
-    shots: int
-    counts: dict[str, int]
-
-
-def sample(state: SparseState, measured_qubits, shots: int, seed) -> MeasurementCounts:
-    """Draw ``shots`` outcomes from the marginal over ``measured_qubits``.
-
-    Outcome strings read as binary numbers: the last character is
-    ``measured_qubits[0]``'s bit.
-    """
+def sample(state: SparseState, measured_qubits, shots: int, seed) -> dict[int, int]:
+    """Draw ``shots`` outcomes from the marginal over ``measured_qubits``;
+    returns the count of each outcome drawn, in increasing order.  Bit i of
+    an outcome is ``measured_qubits[i]``'s value."""
     measured = list(measured_qubits)
     if not measured:
         raise UsageError("measured_qubits must be nonempty")
@@ -309,7 +305,6 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     if not 1 <= shots <= MAX_SHOTS:
         raise UsageError(f"shots must lie in 1..{MAX_SHOTS}")
 
-    width = len(measured)
     outcome_vals = np.zeros(len(state.keys), dtype=np.int64)
     for i, q in enumerate(measured):
         outcome_vals |= ((state.keys >> q) & 1) << i
@@ -318,8 +313,7 @@ def sample(state: SparseState, measured_qubits, shots: int, seed) -> Measurement
     p = np.bincount(outcome, weights=np.abs(state.amps) ** 2)
     p = p / p.sum()
     draws = np.random.default_rng(seed).multinomial(shots, p)
-    return MeasurementCounts(shots, {format(v, f"0{width}b"): n for v, n
-                                     in zip(vals.tolist(), draws.tolist()) if n})
+    return {v: n for v, n in zip(vals.tolist(), draws.tolist()) if n}
 
 
 def run_columns(program: Program, keys, batch: int | None = None,
@@ -334,9 +328,7 @@ def run_columns(program: Program, keys, batch: int | None = None,
     amplitudes, flat and in label order, and each run's (states, largest
     support)."""
     width = program.num_qubits
-    if width > KEY_BITS:
-        raise ResourceLimitError(f"{width} wires exceed the {KEY_BITS}-bit sparse key",
-                                 qubit_count=width)
+    check_key(width, f"{width} wires")
     keys = np.asarray(keys, np.int64)
     batch = min(batch or len(keys), 1 << (KEY_BITS - width))
     todo = [(lo, keys[lo:lo + batch]) for lo in reversed(range(0, len(keys), batch))]

@@ -67,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, UsageError, adjoint
-from .sim import (KEY_BITS, MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
-                  apply, compile as compile_circuit, run_columns, sample)
+from .sim import (MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
+                  check_key, compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
@@ -177,9 +177,6 @@ class BacktrackingTree:
 
     def branch_reg(self, i: int) -> tuple[int, ...]:
         return self._branch[i]
-
-    def branch_qubits(self) -> list[int]:
-        return [q for reg in self._branch for q in reg]
 
     @property
     def effective_depth(self) -> int:
@@ -489,10 +486,7 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
     n = tree.num_tree_qubits
-    if n + precision_bits > KEY_BITS:
-        raise ResourceLimitError(
-            f"{n} tree wires plus {precision_bits} ancillae exceed the {KEY_BITS}-bit "
-            f"sparse key", qubit_count=n + precision_bits)
+    check_key(n + precision_bits, f"{n} tree wires plus {precision_bits} ancillae")
     reach, w, seen = _step_matrix(tree, max_support, hint, step)
     nodes = reach.nodes
     size = 2 ** precision_bits
@@ -545,8 +539,7 @@ def detect_marked(tree: BacktrackingTree, config: WalkConfig, seed=0,
     reps = config.repetitions
     precision = detection_precision(tree, config)
     state, anc, _ = qpe_state(tree, precision, max_support)
-    counts = sample(state, anc, reps, seed)
-    accept_number = counts.counts.get("0" * len(anc), 0)
+    accept_number = sample(state, anc, reps, seed).get(0, 0)
     return DetectionResult(
         marked=accept_number >= ACCEPT_THRESHOLD * reps,
         accept_number=accept_number,
@@ -597,18 +590,17 @@ def _search(tree, config, rng, max_support, stats, hint=None, step=None):
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)
 
-    # Tree wires are 0..num_tree_qubits-1 in order, so an outcome shifted
-    # past the ancillae is the tree part of the basis index.
-    measured = list(anc) + tree.h + tree.branch_qubits()
+    # Tree wires are 0..num_tree_qubits-1, so an outcome shifted past the
+    # ancillae is the tree part of the basis index.
+    measured = list(anc) + list(range(tree.num_tree_qubits))
     counts = sample(state, measured, config.shots, rng.integers(2 ** 63))
 
     p = len(anc)
     labels: Counter[int] = Counter()
-    for outcome, count in counts.counts.items():
-        value = int(outcome, 2)
-        if value & ((1 << p) - 1):
+    for outcome, count in counts.items():
+        if outcome & ((1 << p) - 1):
             continue
-        path = tree.decode_index(value >> p)
+        path = tree.decode_index(outcome >> p)
         if path is None:
             continue
         if len(path) == len(tree.root_path) + 1 and path[:-1] == tree.root_path:

@@ -177,7 +177,7 @@ def test_criterion_5_detection_separation():
         anc = tree.estimate_phase(circ, p)
         st = apply(SparseState.zero(circ.num_qubits), circ, debug=True)
         counts = sample(st, anc, shots, seed=11)
-        freqs[name] = counts.counts.get("0" * p, 0) / shots
+        freqs[name] = counts.get(0, 0) / shots
         sigma_one = math.sqrt(expects[name] * (1 - expects[name]) / shots)
         assert abs(freqs[name] - expects[name]) <= 5 * sigma_one
     sigma = math.sqrt(sum(e * (1 - e) / shots for e in expects.values()))

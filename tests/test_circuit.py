@@ -35,6 +35,17 @@ def test_deallocate_unallocated_is_error():
         c.deallocate(1)
 
 
+def test_deallocate_refuses_wires_outside_the_circuit():
+    # A wire outside 0..num_qubits-1 never enters the free pool, so the
+    # next allocation still grows the circuit.
+    c = Circuit(2)
+    for q in (-1, 2, 5):
+        with pytest.raises(UsageError, match=f"qubit {q} is not currently allocated"):
+            c.deallocate(q)
+    assert c.free_pool == frozenset() and c.dealloc_events == []
+    assert c.allocate() == 2
+
+
 def test_gate_on_freed_qubit_is_error():
     c = Circuit()
     q = c.allocate()

@@ -1,20 +1,22 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qwb
 from helpers import copied_accept
 from qwb import cli, sim, walk
 from qwb.circuit import Circuit
-from qwb.cli import main
-from qwb.sim import ResourceLimitError
+from qwb.cli import build_parser, main
+from qwb.sim import ResourceLimitError, SparseState
 from qwb.sudoku import (FIG1_BOARD, classical_solve, format_board, parse_board,
                         restrict_board)
-from qwb.walk import BacktrackingTree
+from qwb.walk import BacktrackingTree, demo_tree
 
 SOLVED_TEXT = "1234\n3412\n2143\n4321\n"
 UNSOLVABLE_TEXT = ".214\n34.2\n2143\n4321\n"
@@ -320,6 +322,28 @@ def test_past_the_sparse_key_exits_3_without_gate_level_qpe(capsys, nine_board, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("site, width", [
+    ("from_dict", 63), ("apply", 63), ("run_columns", 63), ("qpe_state", 63),
+    ("solve", 110), ("viz", 81),
+])
+def test_sparse_key_refusals_share_one_form(nine_board, tmp_path, site, width):
+    # Every refusal at the 62-bit sparse key comes from ``sim.check_key``:
+    # one wording, and the qubit count it refused.
+    refuse = {
+        "from_dict": lambda: SparseState.from_dict(63, {0: 1.0}),
+        "apply": lambda: sim.apply(SparseState(63, np.zeros(1, np.int64), np.ones(1, complex)),
+                                   Circuit(1)),
+        "run_columns": lambda: sim.run_columns(sim.compile(Circuit(63)), [0]),
+        "qpe_state": lambda: walk.qpe_state(demo_tree(30), 2),
+        "solve": lambda: cli.cmd_solve(build_parser().parse_args(["solve", nine_board])),
+        "viz": lambda: cli.cmd_viz(build_parser().parse_args(
+            ["viz", "--demo-tree", "40", "--out", str(tmp_path / "wide")])),
+    }[site]
+    with pytest.raises(ResourceLimitError, match="exceed the 62-bit sparse key") as err:
+        refuse()
+    assert err.value.qubit_count == width
+
+
 @pytest.mark.parametrize("k", [8, 9])
 def test_fig1_k8_and_full_board_detect_marked_and_solve(capsys, tmp_path, k):
     # The paper's largest FIG1 instances: 50 and 61 step wires fit the key.
@@ -461,6 +485,14 @@ COPIED_ACCEPT_BENCH_ROWS = [
 
 
 BENCH_FIELDS = ("qubit_count", "u3_count", "cx_count", "depth")
+
+
+def test_readme_quotes_the_pinned_first_bench_row():
+    # The README's "ours is ..." row is FIG1_BENCH_ROWS[0], not a copy that drifts.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"ours is ([\d,]+) qubits,\s+([\d,]+) U3,\s+([\d,]+) CX\s+and"
+                        r"\s+depth\s+([\d,]+)", readme)
+    assert [tuple(int(x.replace(",", "")) for x in row) for row in quoted] == [FIG1_BENCH_ROWS[0]]
 
 
 def _bench_rows(capsys, board):

@@ -474,7 +474,7 @@ def test_estimate_phase_eigenvector_gives_all_zero():
     phi = phi_state(tree, ACCEPT3, num_qubits=circ.num_qubits)
     out = apply(phi, circ, debug=True)
     counts = sample(out, anc, 200, seed=5)
-    assert counts.counts == {"000": 200}
+    assert counts == {0: 200}
 
 
 # -- phase estimation through the step matrix ------------------------------------
