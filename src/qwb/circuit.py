@@ -49,6 +49,15 @@ _S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
 # built from caller arguments.
 _derive = tuple.__new__
 
+_BITS = frozenset((0, 1))
+
+
+def check_control_state(control_state) -> tuple[int, ...]:
+    """``control_state`` as a tuple of ints; refuses entries other than 0 and 1."""
+    if not _BITS.issuperset(control_state):
+        raise UsageError(f"control states must be 0 or 1, got {tuple(control_state)}")
+    return tuple(map(int, control_state))
+
 
 class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
                                 ("params", tuple), ("controls", tuple),
@@ -58,7 +67,8 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
 
     ``target`` is the qubit the base operation acts on; ``controls`` carry
     an explicit per-qubit ``control_state`` (1 = activate on |1>, 0 = open
-    circle / activate on |0>).  Only X and MCZ may have controls.
+    circle / activate on |0>; no other value).  Only X and MCZ may have
+    controls, and params must be finite.
     """
 
     __slots__ = ()
@@ -70,9 +80,13 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
                 raise UsageError("controls and control_state lengths differ")
             if kind is not _X and kind is not _MCZ:
                 raise UsageError(f"{kind.value} takes no controls")
-        want = 1 if kind is _RY else 3 if kind is _U3 else 0
-        if len(params) != want:
-            raise UsageError(f"{kind.value} expects {want} params, got {len(params)}")
+            control_state = check_control_state(control_state)
+        if params or kind is _RY or kind is _U3:
+            want = 1 if kind is _RY else 3 if kind is _U3 else 0
+            if len(params) != want:
+                raise UsageError(f"{kind.value} expects {want} params, got {len(params)}")
+            if not all(map(math.isfinite, params)):
+                raise UsageError(f"{kind.value} params must be finite, got {params}")
         if controls and len({target, *controls}) != 1 + len(controls):
             raise UsageError("target and controls must be disjoint and unique")
         return tuple.__new__(cls, (kind, target, params, controls, control_state))
@@ -165,7 +179,7 @@ class Circuit:
 
     def _emit(self, kind, target, params=(), controls=(), control_state=()):
         gate = Gate(kind, target, tuple(map(float, params)) if params else (),
-                    tuple(controls), tuple(map(int, control_state)) if control_state else ())
+                    tuple(controls), control_state)
         if controls or not 0 <= target < self.num_qubits or target in self._free_set:
             self._check_live(gate.qubits)
         self.gates.append(gate)
@@ -208,7 +222,7 @@ class Circuit:
             raise UsageError("mcz needs at least 2 qubits")
         if control_state is None:
             control_state = (1,) * len(qubits)
-        control_state = tuple(int(s) for s in control_state)
+        control_state = check_control_state(control_state)
         if len(control_state) != len(qubits):
             raise UsageError("control_state length mismatch")
         # Normalize: keep a state-1 qubit as the target when one exists,
@@ -357,8 +371,6 @@ def from_text(text: str) -> Circuit:
         except ValueError:
             raise UsageError(f"malformed gate line: {ln!r}") from None
         gate = Gate(*fields)
-        if set(gate.control_state) - {0, 1} or not all(map(math.isfinite, gate.params)):
-            raise UsageError(f"malformed gate line: {ln!r}")
         circ._check_live(gate.qubits)
         circ.gates.append(gate)
     return circ

@@ -1,10 +1,11 @@
 """Command-line surface: solve boards end to end, run detection, benchmark
 circuit resources, and emit tree visualizations.
 
-Every command prints a single JSON run report to stdout (the solved grid is
-also printed as plain text).  Exit codes: 0 solution found / marked, 2 no
-solution / not marked, 1 usage or parse error, 3 simulator capacity or a
-refused allocation.
+Every command returns its exit code, its plain text (the solved grid, the
+verdict, the row or the files written) and a JSON run report; ``main``
+alone writes the text, then the report, to stdout.  Exit codes: 0 solution
+found / marked, 2 no solution / not marked, 1 usage or parse error, 3
+simulator capacity or a refused allocation.
 Reports are byte-identical for identical seeds and flags apart from the
 "timings" object.
 """
@@ -67,16 +68,12 @@ def _read_board(path: str):
     return parse_board(text)
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _check_max_support(args) -> None:
     if args.max_support < 1:
         raise UsageError("--max-support must be >= 1")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str, dict]:
     _check_max_support(args)
     seed = _seed_from(args)
     board = _read_board(args.board)
@@ -86,11 +83,10 @@ def cmd_solve(args) -> int:
     timings = {}
 
     if board.is_complete():
-        print(format_board(board), end="")
-        _emit(_report("solve", config_echo,
-                      {"solution": format_board(board), "assignments": {},
-                       "quantum_steps": 0}, timings))
-        return 0
+        text = format_board(board)
+        return 0, text, _report("solve", config_echo,
+                                {"solution": text, "assignments": {}, "quantum_steps": 0},
+                                timings)
 
     t0 = time.perf_counter()
     tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
@@ -110,22 +106,19 @@ def cmd_solve(args) -> int:
     timings["search"] = time.perf_counter() - t0
 
     if path is None:
-        _emit(_report("solve", config_echo,
-                      {"solution": None, "qpe_runs": stats.qpe_runs,
-                       "max_support": stats.max_support}, timings, m))
-        return 2
-    solved = board_with_path(board, path)
+        return 2, "", _report("solve", config_echo,
+                              {"solution": None, "qpe_runs": stats.qpe_runs,
+                               "max_support": stats.max_support}, timings, m)
+    text = format_board(board_with_path(board, path))
     assignments = {f"{r},{c}": v + 1
                    for (r, c), v in assignments_from_path(board, path).items()}
-    print(format_board(solved), end="")
-    _emit(_report("solve", config_echo,
-                  {"solution": format_board(solved), "assignments": assignments,
-                   "path": list(path), "qpe_runs": stats.qpe_runs,
-                   "max_support": stats.max_support}, timings, m))
-    return 0
+    return 0, text, _report("solve", config_echo,
+                            {"solution": text, "assignments": assignments,
+                             "path": list(path), "qpe_runs": stats.qpe_runs,
+                             "max_support": stats.max_support}, timings, m)
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> tuple[int, str, dict]:
     _check_max_support(args)
     seed = _seed_from(args)
     board = _read_board(args.board)
@@ -138,15 +131,13 @@ def cmd_detect(args) -> int:
         tree, _ = tree_for_board(board, subspace_optimization=args.subspace_opt)
         result = detect_marked(tree, config, seed=seed, max_support=args.max_support)
     timings = {"detect": time.perf_counter() - t0}
-    print("marked node exists" if result.marked else "no marked node")
-    _emit(_report("detect",
-                  {"delta": args.delta, "beta": args.beta, "gamma": args.gamma,
+    text = "marked node exists\n" if result.marked else "no marked node\n"
+    return (0 if result.marked else 2), text, _report(
+        "detect", {"delta": args.delta, "beta": args.beta, "gamma": args.gamma,
                    "seed": seed, "subspace_opt": args.subspace_opt},
-                  {"marked": result.marked,
-                   "accept_number": result.accept_number,
-                   "repetitions": result.repetitions,
-                   "precision_bits": result.precision_bits}, timings))
-    return 0 if result.marked else 2
+        {"marked": result.marked, "accept_number": result.accept_number,
+         "repetitions": result.repetitions, "precision_bits": result.precision_bits},
+        timings)
 
 
 def root_metrics(tree, precision: int):
@@ -171,23 +162,21 @@ def bench_row(board, k: int, precision: int, subspace_opt: bool = False):
     return root_metrics(tree, precision)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[int, str, dict]:
     board = _read_board(args.board)
     t0 = time.perf_counter()
     m = bench_row(board, args.missing, args.precision, args.subspace_opt)
     timings = {"bench": time.perf_counter() - t0}
-    row = m.as_dict()
-    print(f"missing={args.missing} qubits={m.qubit_count} u3={m.u3_count} "
-          f"cx={m.cx_count} depth={m.depth}")
-    outcome = {"missing": args.missing, "row": row}
+    text = (f"missing={args.missing} qubits={m.qubit_count} u3={m.u3_count} "
+            f"cx={m.cx_count} depth={m.depth}\n")
+    outcome = {"missing": args.missing, "row": m.as_dict()}
     if args.missing == 1:
         outcome["paper_reference_k1"] = PAPER_REFERENCE_K1
-    _emit(_report("bench", {"missing": args.missing, "precision": args.precision,
-                            "subspace_opt": args.subspace_opt}, outcome, timings))
-    return 0
+    return 0, text, _report("bench", {"missing": args.missing, "precision": args.precision,
+                                      "subspace_opt": args.subspace_opt}, outcome, timings)
 
 
-def cmd_viz(args) -> int:
+def cmd_viz(args) -> tuple[int, str, dict]:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     t0 = time.perf_counter()
@@ -200,10 +189,9 @@ def cmd_viz(args) -> int:
             raise UsageError("viz needs a board path or --demo-tree")
         board = _read_board(args.board)
         if board.is_complete():     # the root is a solution: no tree to draw
-            print(format_board(board), end="")
-            _emit(_report("viz", {"demo_tree": None, "steps": args.steps},
-                          {"files": []}, {"viz": time.perf_counter() - t0}))
-            return 0
+            return 0, format_board(board), _report(
+                "viz", {"demo_tree": None, "steps": args.steps}, {"files": []},
+                {"viz": time.perf_counter() - t0})
         tree, _ = tree_for_board(board)
     check_key(tree.num_tree_qubits, f"{tree.num_tree_qubits} tree qubits")  # before any diffuser
 
@@ -229,15 +217,12 @@ def cmd_viz(args) -> int:
             raise UsageError(f"cannot write {out_path!r}: {exc}") from None
         paths.append(out_path)
     timings = {"viz": time.perf_counter() - t0}
-    for p in paths:
-        print(p)
-    _emit(_report("viz", {"demo_tree": args.demo_tree, "steps": args.steps},
-                  {"files": paths}, timings))
-    return 0
+    return 0, "".join(p + "\n" for p in paths), _report(
+        "viz", {"demo_tree": args.demo_tree, "steps": args.steps}, {"files": paths}, timings)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors print the usage and raise
+    """An argument parser whose errors write the usage to stderr and raise
     ``UsageError`` (exit 1), not exit 2, the code for "no solution"."""
 
     def error(self, message):
@@ -290,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code, text, report = args.fn(args)
+        print(text + json.dumps(report, indent=2, sort_keys=True))
+        return code
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

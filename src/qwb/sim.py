@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, UsageError
+from .circuit import _RY, Circuit, Gate, GateKind, UsageError
 
 PRUNE_EPSILON = 1e-12
 KEY_BITS = 62               # bits of a sparse key: an int64 basis index
@@ -49,9 +49,6 @@ _FIXED = {kind: tuple(m.ravel().tolist()) for kind, m in {
     GateKind.TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
     GateKind.MCZ: np.diag([1, -1]).astype(complex),
 }.items()}
-
-# Read once: a GateKind member lookup costs more than the test it feeds.
-_RY = GateKind.RY
 
 
 class ResourceLimitError(RuntimeError):
@@ -109,8 +106,12 @@ class SparseState:
     @classmethod
     def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
         check_key(num_qubits, f"{num_qubits} qubits")
-        keys = np.array(sorted(amplitudes), dtype=np.int64)
-        amps = np.array([amplitudes[int(k)] for k in keys], dtype=complex)
+        keys = sorted(amplitudes)
+        if keys and (keys[0] < 0 or keys[-1] >> num_qubits):
+            bad = keys[0] if keys[0] < 0 else keys[-1]
+            raise UsageError(f"basis index {bad} out of range 0..{2 ** num_qubits - 1}")
+        amps = np.array([amplitudes[k] for k in keys], dtype=complex)
+        keys = np.array(keys, dtype=np.int64)
         return cls(num_qubits, keys, amps, len(keys))
 
     @property

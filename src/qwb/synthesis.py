@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, UsageError
+from .circuit import Circuit, UsageError, check_control_state
 
 PI = math.pi
 
@@ -168,7 +168,7 @@ def synth_truth_table(circ: Circuit, table: TruthTable, input_qubits,
 
 
 def _fold_polarity(circ: Circuit, controls, control_state):
-    flipped = [c for c, s in zip(controls, control_state) if not s]
+    flipped = [c for c, s in zip(controls, check_control_state(control_state)) if not s]
     for c in flipped:
         circ.x(c)
     return flipped
@@ -221,7 +221,6 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> N
         raise UsageError("mcx needs at least one control")
     if control_state is None:
         control_state = (1,) * len(controls)
-    control_state = tuple(int(s) for s in control_state)
 
     if method == "gray":
         circ.mcx(controls, target, control_state)

@@ -139,7 +139,7 @@ class _Lowerer:
         self._tapes: dict[Gate, tuple] = {}
         self._u3s: dict[tuple, Gate | None] = {}
         self._cxs: dict[tuple[int, int], Gate] = {}
-        self._templates: dict[int, tuple] = {}   # by id(fragment)
+        self._templates: dict[int, tuple] = {}   # id(fragment) -> (fragment, template)
 
     def _u3(self, q: int, m) -> Gate | None:
         """The U3 that flushes matrix ``m`` from wire ``q``; None when ``m``
@@ -160,7 +160,7 @@ class _Lowerer:
         so the matrices the copy leaves are folded into no pending matrix
         on a wire it CXs and into the entry's on any other."""
         hit = self._templates.get(id(fragment))
-        if hit is None or hit[0] is not fragment:
+        if hit is None:
             hit = self._templates[id(fragment)] = fragment, self._template(fragment)
         template = hit[1] if moved is None else _relabel(hit[1], *moved)
         items, left = template

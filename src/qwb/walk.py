@@ -51,9 +51,9 @@ unitary matrix W; it forms the pre-QFT state sum_a |a> W^a |root> / sqrt(2^p)
 as a dense table and applies the circuit's inverse QFT to it, with no gate
 simulated.  Detection and search use
 ``qpe_state``.  The search hands each child's run the node states its
-parent's run reached below the child (a ``Reach``); they run with the
-child's root in one first batch, so a subtree's W usually takes a single
-step run.
+parent's run reached (a ``Reach``); the ones inside the child's subtree run
+with the child's root in one first batch, so a subtree's W usually takes a
+single step run.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ class BacktrackingTree:
                  root_path: NodePath = ()):
         if max_depth < 1:
             raise UsageError("max_depth must be >= 1")
+        if branch_bits < 1:
+            raise UsageError("branch_bits must be >= 1")
         self.max_depth = max_depth
         self.branch_bits = branch_bits
         self.deg = 2 ** branch_bits
@@ -395,16 +397,10 @@ def _inverse_qft(circ, qubits):
 class Reach(NamedTuple):
     """What one ``_step_matrix`` call found: the node states it reached
     (basis indices, in W's order) and the largest support per node of its
-    step runs.  The part below a child's root is the child run's hint."""
+    step runs.  A parent's ``Reach`` is its children's runs' hint."""
 
     nodes: np.ndarray
     per_node: float
-
-    def below(self, tree: BacktrackingTree) -> "Reach":
-        """The reached node states inside ``tree``'s (sub)tree."""
-        return Reach(np.array([key for key in self.nodes.tolist()
-                               if tree.decode_index(key) is not None], dtype=np.int64),
-                     self.per_node)
 
 
 def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
@@ -416,18 +412,20 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
     compiled once; ``run_columns`` gives its columns.  Nodes are numbered
     breadth first from the root, each level's new nodes in sorted order, and
     a level's nodes that have no column yet run together.  A ``hint`` (a
-    parent run's reach below this root) runs with the root in the first
-    batch; hinted nodes never reached are dropped, so a wrong or partial
-    hint costs runs but leaves W and its node order unchanged.  Under
-    ``max_support`` a batch is sized from the previous runs' largest support
-    per node (the hint's at first), so few runs pass the cap and are split.
+    parent run's ``Reach``) runs its nodes inside this (sub)tree, other than
+    the root, with the root in the first batch; hinted nodes never reached
+    are dropped, so a wrong or partial hint costs runs but leaves W and its
+    node order unchanged.  Under ``max_support`` a batch is sized from the
+    previous runs' largest support per node (the hint's at first), so few
+    runs pass the cap and are split.
     """
     if step is None:
         step = tree.new_circuit()
         tree.quantum_step(step)
     program = compile_circuit(step)
     root = tree.node_index(())
-    hinted = [] if hint is None else [key for key in hint.nodes.tolist() if key != root]
+    hinted = [] if hint is None else [key for key in hint.nodes.tolist()
+                                      if key != root and tree.decode_index(key) is not None]
     columns = {}             # node basis index -> (reached rows, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
     frontier, seen, peak = [root], 0, 0.0
@@ -571,10 +569,11 @@ def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
     keep the ones extending the root path by one label, and recurse into the
     most frequent label first (ties to the smaller label).  Each level
     rebuilds registers and re-runs phase estimation; a child's step run
-    starts from the node states its parent's run reached below the child
-    (``Reach.below``), so it finds the same W in fewer runs.  ``step``, the
-    tree's uncontrolled walk step if the caller built it already, serves the
-    root's run.  Returns the absolute path of an accepted node, or None."""
+    starts from the node states its parent's run reached inside the child's
+    subtree (the parent's ``Reach``), so it finds the same W in fewer runs.
+    ``step``, the tree's uncontrolled walk step if the caller built it
+    already, serves the root's run.  Returns the absolute path of an
+    accepted node, or None."""
     rng = np.random.default_rng(seed)
     return _search(tree, config, rng, max_support, stats, step=step)
 
@@ -601,14 +600,12 @@ def _search(tree, config, rng, max_support, stats, hint=None, step=None):
         if outcome & ((1 << p) - 1):
             continue
         path = tree.decode_index(outcome >> p)
-        if path is None:
-            continue
-        if len(path) == len(tree.root_path) + 1 and path[:-1] == tree.root_path:
+        if path is not None and len(path) == len(tree.root_path) + 1:
             labels[path[-1]] += count
 
     for label, _ in sorted(labels.items(), key=lambda kv: (-kv[1], kv[0])):
         sub = tree.subtree(tree.root_path + (label,))
-        found = _search(sub, config, rng, max_support, stats, reach.below(sub))
+        found = _search(sub, config, rng, max_support, stats, reach)
         if found is not None:
             return found
     return None

@@ -113,6 +113,35 @@ def test_gate_validation():
         c.cx(0, 1)
 
 
+def test_control_states_and_params_outside_the_gate_domain_are_refused():
+    # A control state of 2 never fired in the simulator but fired on |1> once
+    # transpiled, 0.7 was truncated to 0, and a NaN angle was written out as
+    # text that from_text refused.
+    for state in ([2], [0.7], [-1]):
+        c = Circuit(2)
+        c.x(0)
+        with pytest.raises(UsageError, match=r"control states must be 0 or 1, got \("):
+            c.mcx([0], 1, state)
+        with pytest.raises(UsageError, match="control states must be 0 or 1"):
+            c.mcz([0, 1], state + [1])
+        assert len(c.gates) == 1
+    for emit in (lambda c: c.ry(math.nan, 0), lambda c: c.u3(0.1, math.inf, 0.2, 0),
+                 lambda c: c.phase(-math.inf, 0)):
+        with pytest.raises(UsageError, match="params must be finite"):
+            emit(Circuit(1))
+    with pytest.raises(UsageError, match="RY params must be finite, got \\(nan,\\)"):
+        from_text("QUBITS 1\nGATE RY nan 0 - -")
+    with pytest.raises(UsageError, match="control states must be 0 or 1, got \\(2,\\)"):
+        from_text("QUBITS 2\nGATE X - 1 0 2")
+    # Entries equal to 0 or 1 are kept as the ints they equal.
+    c = Circuit(2)
+    c.mcx([0], 1, [True])
+    c.mcx([0], 1, [1.0])
+    c.mcz([0, 1], [np.int64(0), 1])
+    assert [g.control_state for g in c.gates] == [(1,), (1,), (0,)]
+    assert from_text(to_text(c)).gates == c.gates
+
+
 def _first_violation(kind, target, params, controls, state):
     """The message of the first rule a gate's fields break, or None."""
     want = {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
@@ -120,8 +149,12 @@ def _first_violation(kind, target, params, controls, state):
         return "controls and control_state lengths differ"
     if controls and kind not in (GateKind.X, GateKind.MCZ):
         return f"{kind.value} takes no controls"
+    if not set(state) <= {0, 1}:
+        return f"control states must be 0 or 1, got {state}"
     if len(params) != want:
         return f"{kind.value} expects {want} params, got {len(params)}"
+    if not all(map(math.isfinite, params)):
+        return f"{kind.value} params must be finite, got {params}"
     if target in controls or len(set(controls)) != len(controls):
         return "target and controls must be disjoint and unique"
     return None
@@ -132,11 +165,12 @@ def _first_violation(kind, target, params, controls, state):
 def test_gate_raises_exactly_when_invalid_with_the_first_rule_broken(data):
     kind = data.draw(st.sampled_from(list(GateKind)))
     target = data.draw(st.integers(0, 4))
-    params = tuple(data.draw(st.lists(st.floats(-7, 7), max_size=4)))
+    param = st.floats(-7, 7) | st.sampled_from([math.nan, math.inf, -math.inf])
+    params = tuple(data.draw(st.lists(param, max_size=4)))
     controls = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
-    state = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(controls),
-                                     max_size=len(controls))
-                            | st.lists(st.integers(0, 1), max_size=3)))
+    bit = st.integers(0, 1) | st.sampled_from([-1, 2, 0.7])
+    state = tuple(data.draw(st.lists(bit, min_size=len(controls), max_size=len(controls))
+                            | st.lists(bit, max_size=3)))
     fields = (kind, target, params, controls, state)
     expected = _first_violation(*fields)
     if expected is not None:

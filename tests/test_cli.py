@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -515,3 +516,61 @@ def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board, m
         assert all(got <= recorded["rows"][str(k)][f] for f, got in zip(BENCH_FIELDS, pinned)), k
     copied_accept(monkeypatch)
     assert _bench_rows(capsys, fig1_board) == COPIED_ACCEPT_BENCH_ROWS
+
+
+@pytest.mark.parametrize("case", ["solve", "solve unsolvable", "detect", "bench", "viz board",
+                                  "viz demo tree"])
+def test_commands_return_their_output_and_main_writes_it(capsys, tmp_path, monkeypatch,
+                                                         k2_board, case):
+    # Each command returns (exit code, plain text, report); main alone writes
+    # the text, then the report, and returns the code.
+    unsolvable = tmp_path / "unsat.board"
+    unsolvable.write_text(UNSOLVABLE_TEXT)
+    out = str(tmp_path / "walk")
+    argv, code, text = {
+        "solve": (["solve", k2_board, "--seed", "7"], 0, SOLVED_TEXT),
+        "solve unsolvable": (["solve", str(unsolvable), "--seed", "0", "--shots", "2000",
+                              "--subspace-opt"], 2, ""),
+        "detect": (["detect", k2_board, "--seed", "1"], 0, "marked node exists\n"),
+        "bench": (["bench", k2_board, "--missing", "1"], 0,
+                  "missing=1 qubits={} u3={} cx={} depth={}\n".format(*FIG1_BENCH_ROWS[0])),
+        "viz board": (["viz", k2_board, "--out", out], 0, out + "_step0.dot\n"),
+        "viz demo tree": (["viz", "--demo-tree", "2", "--steps", "1", "--out", out], 0,
+                          f"{out}_step0.dot\n{out}_step1.dot\n"),
+    }[case]
+    returned, parser = [], build_parser()
+
+    class Spy:
+        def parse_args(self, argv):
+            args = parser.parse_args(argv)
+            fn = args.fn
+            args.fn = lambda args: returned.append(fn(args)) or returned[-1]
+            return args
+
+    monkeypatch.setattr(cli, "build_parser", Spy)
+    assert main(argv) == code
+    (got_code, got_text, report), = returned
+    assert (got_code, got_text) == (code, text) and isinstance(report, dict)
+    assert capsys.readouterr().out == got_text + json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 over the exit code, plain text and report without "timings" of the
+# seeded solve and detect runs in ``test_seeded_reports_equal_their_pin``.
+# A change that alters any report re-pins it and names the change in CHANGES.md.
+SEEDED_REPORTS_SHA256 = "554451ce4b31ccf1c59788a35f73a7b398064b9f21795f341a7557e2b26b5374"
+
+
+def test_seeded_reports_equal_their_pin(capsys, tmp_path):
+    # FIG1 at k = 3, 5 and 7 blanks, seeds 1-3, with and without the
+    # subspace optimization: 36 runs, byte-identical apart from timings.
+    digest = hashlib.sha256()
+    for k in (3, 5, 7):
+        p = tmp_path / f"k{k}.board"
+        p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), k)))
+        for cmd in ("solve", "detect"):
+            for seed in ("1", "2", "3"):
+                for extra in ([], ["--subspace-opt"]):
+                    code, text, report = run_main(capsys, [cmd, str(p), "--seed", seed] + extra)
+                    del report["timings"]
+                    digest.update(json.dumps([code, text, report], sort_keys=True).encode())
+    assert digest.hexdigest() == SEEDED_REPORTS_SHA256

@@ -523,6 +523,18 @@ def test_dump_and_load_round_trip():
         assert back.amplitude(k) == pytest.approx(v)
 
 
+@pytest.mark.parametrize("amplitudes, bad", [
+    ({8: 1.0, -1: 0.5}, -1), ({4: 1.0}, 4), ({0: 0.6, 2 ** 70: 0.8}, 2 ** 70),
+])
+def test_from_dict_refuses_basis_indices_off_the_register(amplitudes, bad):
+    # Keys -1 and 8 on 2 qubits once built a state of norm 1.118.
+    with pytest.raises(UsageError, match=rf"basis index {bad} out of range 0\.\.3$"):
+        SparseState.from_dict(2, amplitudes)
+    with pytest.raises(UsageError, match="out of range"):
+        SparseState.basis_state(2, bad)
+    assert SparseState.from_dict(2, {3: 0.6, 0: 0.8}).norm() == pytest.approx(1.0)
+
+
 def test_state_beyond_62_qubits_is_a_resource_error():
     with pytest.raises(ResourceLimitError):
         load_state("1" + "0" * 69 + " 1 0", 70)

@@ -349,3 +349,21 @@ def test_cq_in_set_pt_controlled_correct():
             st = run_basis(c, idx)
             want = 1 if (ctl and x in (1, 2)) else 0
             assert st.probability(3, 1) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("state", [(2, 1, 1), (1, 0.7, 1), (1, 1, -1)])
+def test_folded_open_controls_refuse_what_gate_refuses(state):
+    # mcx's relative-phase and ladder forms and the controlled XX+YY fold
+    # open controls before any gate is built; they refuse the same control
+    # states as Gate, with its message, and emit nothing.
+    with pytest.raises(UsageError) as want:
+        Circuit(4).mcx([0, 1, 2], 3, state)
+    emitters = [lambda c, m=m: mcx(c, [0, 1, 2], 3, state, method=m)
+                for m in ("gray", "gray_pt", "balauca_logdepth")]
+    emitters.append(lambda c: xx_plus_yy(c, 0.3, 3, 4, [0, 1, 2], state))
+    for emit in emitters:
+        c = Circuit(5)
+        with pytest.raises(UsageError) as err:
+            emit(c)
+        assert str(err.value) == str(want.value)
+        assert c.gates == []

@@ -46,6 +46,13 @@ def test_init_node_displayed_example():
     assert st.amplitude(idx) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("branch_bits", [0, -1])
+def test_tree_refuses_fewer_than_one_branch_bit(branch_bits):
+    # Zero bits gave deg 1, and detection then divided by deg - 1 = 0.
+    with pytest.raises(UsageError, match="branch_bits must be >= 1"):
+        BacktrackingTree(2, branch_bits, trivial_oracle, trivial_oracle)
+
+
 def test_init_root_one_hot_at_depth():
     tree = BacktrackingTree(3, 1, trivial_oracle, trivial_oracle)
     st = _tree_state(tree, ())
@@ -588,8 +595,10 @@ def _grids():
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
-    # A subtree's run given its parent's nodes below it (exact, one short, or
-    # with unreachable node states mixed in) finds the unhinted W.
+    # A subtree's run given its parent's whole reach (exact, one node inside
+    # the subtree short, or with unreachable node states and a sibling
+    # subtree's nodes mixed in) finds the unhinted W, and runs no node state
+    # outside the subtree.
     grid = data.draw(st.sampled_from(_grids()))
     blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=4))
     cells = [[None if 4 * r + c in blanks else v for c, v in enumerate(row)]
@@ -603,18 +612,31 @@ def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
     sub = tree.subtree(root)
     want, w, _ = walk._step_matrix(sub, None)
 
-    exact = parent.below(sub)
-    short = np.delete(exact.nodes, data.draw(st.integers(0, len(exact.nodes) - 1)))
-    unreached = sorted({tree.node_index(p) for p in all_paths(tree.max_depth, tree.deg)}
-                       - set(want.nodes.tolist()))
-    extra = data.draw(st.lists(st.sampled_from(unreached), min_size=1, max_size=5,
-                               unique=True))
-    mixed = data.draw(st.permutations(exact.nodes.tolist() + extra))
-    for nodes in (exact.nodes, short, mixed):
-        hint = walk.Reach(np.array(nodes, dtype=np.int64), parent.per_node)
-        got, got_w, _ = walk._step_matrix(sub, None, hint)
-        assert np.array_equal(got.nodes, want.nodes)
-        assert np.array_equal(got_w, w)
+    exact = parent.nodes.tolist()
+    dropped = data.draw(st.sampled_from([key for key in exact
+                                         if sub.decode_index(key) is not None]))
+    short = [key for key in exact if key != dropped]
+    every = all_paths(tree.max_depth, tree.deg)
+    unreached = sorted({tree.node_index(p) for p in every} - set(want.nodes.tolist()))
+    siblings = [tree.node_index(p) for p in every if len(p) >= len(root)
+                and p[:len(root) - 1] == root[:-1] and p[len(root) - 1] != root[-1]]
+    extra = data.draw(st.lists(st.sampled_from(unreached), min_size=1, max_size=5))
+    extra += data.draw(st.lists(st.sampled_from(siblings), min_size=1, max_size=5))
+    mixed = data.draw(st.permutations(sorted(set(exact + extra))))
+    run, ran = walk.run_columns, []
+
+    def spy(program, keys, *args):
+        ran.extend(keys)
+        return run(program, keys, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "run_columns", spy)
+        for nodes in (exact, short, mixed):
+            hint = walk.Reach(np.array(nodes, dtype=np.int64), parent.per_node)
+            got, got_w, _ = walk._step_matrix(sub, None, hint)
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got_w, w)
+    assert all(sub.decode_index(key) is not None for key in ran)
 
 
 def _peers(cell):
