@@ -105,6 +105,8 @@ class SparseState:
 
     @classmethod
     def from_dict(cls, num_qubits: int, amplitudes: dict[int, complex]) -> "SparseState":
+        if num_qubits < 0:
+            raise UsageError(f"qubit count must be >= 0, got {num_qubits}")
         check_key(num_qubits, f"{num_qubits} qubits")
         keys = sorted(amplitudes)
         if keys and (keys[0] < 0 or keys[-1] >> num_qubits):

@@ -168,6 +168,9 @@ def synth_truth_table(circ: Circuit, table: TruthTable, input_qubits,
 
 
 def _fold_polarity(circ: Circuit, controls, control_state):
+    """X on each open control, refusing what ``Gate`` refuses before any gate."""
+    if len(controls) != len(control_state):
+        raise UsageError("controls and control_state lengths differ")
     flipped = [c for c, s in zip(controls, check_control_state(control_state)) if not s]
     for c in flipped:
         circ.x(c)

@@ -139,7 +139,8 @@ class _Lowerer:
         self._tapes: dict[Gate, tuple] = {}
         self._u3s: dict[tuple, Gate | None] = {}
         self._cxs: dict[tuple[int, int], Gate] = {}
-        self._templates: dict[int, tuple] = {}   # id(fragment) -> (fragment, template)
+        # id(fragment) -> (fragment, template, where each moved wire is in it)
+        self._templates: dict[int, tuple] = {}
 
     def _u3(self, q: int, m) -> Gate | None:
         """The U3 that flushes matrix ``m`` from wire ``q``; None when ``m``
@@ -161,8 +162,8 @@ class _Lowerer:
         on a wire it CXs and into the entry's on any other."""
         hit = self._templates.get(id(fragment))
         if hit is None:
-            hit = self._templates[id(fragment)] = fragment, self._template(fragment)
-        template = hit[1] if moved is None else _relabel(hit[1], *moved)
+            hit = self._templates[id(fragment)] = fragment, self._template(fragment), {}
+        template = hit[1] if moved is None else _relabel(hit[1], hit[2], *moved)
         items, left = template
         pending, out, u3 = self.pending, self.gates, self._u3
         for _ in range(times):
@@ -236,13 +237,32 @@ def _fold(m, mats):
     return m
 
 
-def _relabel(template, old: int, new: int):
-    """A ``_Lowerer._template`` with wire ``old`` renamed ``new``."""
+def _relabel(template, spots: dict, old: int, new: int):
+    """A ``_Lowerer._template`` with wire ``old`` renamed ``new``.  Only the
+    slots and gates on ``old`` change; ``spots`` keeps where they are per
+    wire, found on the template's first move of that wire, so each later
+    move copies only the runs that hold one, swaps those gates, and reuses
+    every other item as it is."""
     items, left = template
-    wire = {old: new}
-    return ([(wire.get(item[0], item[0]), item[1]) if item.__class__ is tuple
-             else rewired(item, old, new) for item in items],
-            [(wire.get(q, q), mats) for q, mats in left])
+    where = spots.get(old)
+    if where is None:
+        where = spots[old] = []
+        for i, item in enumerate(items):
+            if item.__class__ is tuple:
+                if item[0] == old:
+                    where.append((i, ()))
+            elif hits := [j for j, g in enumerate(item) if g.target == old or old in g.controls]:
+                where.append((i, hits))
+    items = list(items)
+    for i, hits in where:
+        item = items[i]
+        if item.__class__ is tuple:
+            items[i] = new, item[1]
+            continue
+        run = items[i] = item.copy()
+        for j in hits:
+            run[j], = rewired((run[j],), old, new)
+    return items, [(new if q == old else q, mats) for q, mats in left]
 
 
 def _phase(a):

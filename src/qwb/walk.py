@@ -46,14 +46,16 @@ reflection phases carry the control), and the powers are appended with
 the step once; ``bench`` and the transpiler measure it.  ``qpe_state``
 simulates the same circuit from the root without building it: it builds and
 compiles the uncontrolled step once and gets its columns on the nodes it
-reaches from ``sim.run_columns``, a level of new nodes at a time, as a small
-unitary matrix W; it forms the pre-QFT state sum_a |a> W^a |root> / sqrt(2^p)
-as a dense table and applies the circuit's inverse QFT to it, with no gate
-simulated.  Detection and search use
-``qpe_state``.  The search hands each child's run the node states its
-parent's run reached (a ``Reach``); the ones inside the child's subtree run
-with the child's root in one first batch, so a subtree's W usually takes a
-single step run.
+reaches from ``sim.run_columns`` as a small unitary matrix W; it forms the
+pre-QFT state sum_a |a> W^a |root> / sqrt(2^p) as a dense table and applies
+the circuit's inverse QFT to it, with no gate simulated.  Detection and
+search use ``qpe_state``.  A step moves the root at most two levels down,
+so the root's first run also holds the nodes one and two levels below it
+when they fit, and each later run holds a level of new nodes.  The search
+hands each child's run the node states its parent's run reached (a
+``Reach``) instead; the ones inside the child's subtree run with the
+child's root in one first batch, so a subtree's W usually takes a single
+step run.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, UsageError, adjoint
-from .sim import (MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
-                  check_key, compile as compile_circuit, run_columns, sample)
+from .sim import (KEY_BITS, MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
+                  apply, check_key, compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
@@ -415,17 +417,21 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
     parent run's ``Reach``) runs its nodes inside this (sub)tree, other than
     the root, with the root in the first batch; hinted nodes never reached
     are dropped, so a wrong or partial hint costs runs but leaves W and its
-    node order unchanged.  Under ``max_support`` a batch is sized from the
-    previous runs' largest support per node (the hint's at first), so few
-    runs pass the cap and are split.
+    node order unchanged.  With no ``hint``, the nodes one and two levels
+    below the root are the hint (``_near_root``), when they fit.  Under
+    ``max_support`` a batch is sized from the previous runs' largest support
+    per node (the hint's at first), so few runs pass the cap and are split.
     """
     if step is None:
         step = tree.new_circuit()
         tree.quantum_step(step)
     program = compile_circuit(step)
     root = tree.node_index(())
-    hinted = [] if hint is None else [key for key in hint.nodes.tolist()
-                                      if key != root and tree.decode_index(key) is not None]
+    if hint is None:
+        hinted = _near_root(tree, program.num_qubits, max_support)
+    else:
+        hinted = [key for key in hint.nodes.tolist()
+                  if key != root and tree.decode_index(key) is not None]
     columns = {}             # node basis index -> (reached rows, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
     frontier, seen, peak = [root], 0, 0.0
@@ -459,6 +465,22 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
         raise UsageError(f"walk step is not unitary on its {len(nodes)} reachable "
                          f"node states (max |W^H W - I| = {err:.1e})")
     return Reach(nodes, peak), w, seen
+
+
+def _near_root(tree: BacktrackingTree, wires: int, max_support) -> list[int]:
+    """The node states one and two levels below the tree's root, the nodes
+    other than the root that a step moves it to, as the hint of an unhinted
+    ``_step_matrix`` call on a ``wires``-wide step.  None unless the root
+    and they fit one run's labels and ``max_support`` admits them at
+    2^(wires - tree wires) amplitudes each, so a small cap keeps its batches."""
+    paths, level = [], [()]
+    for _ in range(min(2, tree.effective_depth)):
+        level = [path + (label,) for path in level for label in range(tree.deg)]
+        paths += level
+    if (len(paths).bit_length() > KEY_BITS - wires or max_support is not None
+            and (len(paths) + 1) << (wires - tree.num_tree_qubits) > max_support):
+        return []
+    return [tree.node_index(path) for path in paths]
 
 
 def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,

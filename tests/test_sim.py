@@ -535,6 +535,13 @@ def test_from_dict_refuses_basis_indices_off_the_register(amplitudes, bad):
     assert SparseState.from_dict(2, {3: 0.6, 0: 0.8}).norm() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("amplitudes", [{}, {0: 1.0}])
+def test_from_dict_refuses_a_negative_qubit_count(amplitudes):
+    # -1 once built a state, or raised numpy's "negative shift count".
+    with pytest.raises(UsageError, match=r"^qubit count must be >= 0, got -1$"):
+        SparseState.from_dict(-1, amplitudes)
+
+
 def test_state_beyond_62_qubits_is_a_resource_error():
     with pytest.raises(ResourceLimitError):
         load_state("1" + "0" * 69 + " 1 0", 70)

@@ -351,6 +351,23 @@ def test_cq_in_set_pt_controlled_correct():
             assert st.probability(3, 1) == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("emit", [
+    lambda c: mcx(c, [0, 1, 2], 3, [0], method="gray_pt"),
+    lambda c: mcx(c, [0, 1, 2], 3, [0], method="balauca_logdepth"),
+    lambda c: mcx(c, [0, 1, 2], 3, [0, 1, 1, 0], method="balauca_logdepth"),
+    lambda c: xx_plus_yy(c, 0.3, 0, 1, [2, 3], [0]),
+    lambda c: xx_plus_yy(c, 0.3, 0, 1, [2], [1, 0]),
+], ids=["gray_pt", "balauca_logdepth", "balauca_logdepth-long", "xx_plus_yy",
+        "xx_plus_yy-long"])
+def test_folded_open_controls_refuse_a_control_state_of_another_length(emit):
+    # A short state was once padded with 1s: gray_pt emitted 20 gates and
+    # the controlled XX+YY 25 for these calls.
+    c = Circuit(5)
+    with pytest.raises(UsageError, match="^controls and control_state lengths differ$"):
+        emit(c)
+    assert c.gates == []
+
+
 @pytest.mark.parametrize("state", [(2, 1, 1), (1, 0.7, 1), (1, 1, -1)])
 def test_folded_open_controls_refuse_what_gate_refuses(state):
     # mcx's relative-phase and ladder forms and the controlled XX+YY fold

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, to_text
+from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, rewired, to_text
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
-from qwb.transpile import ResourceMetrics, _Lowerer, metrics, transpile
+from qwb.transpile import ResourceMetrics, _Lowerer, _relabel, metrics, transpile
 
 from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
 from reference import clocked_metrics, lowered_gate_by_gate
@@ -129,6 +129,29 @@ def test_transpile_lowers_the_recorded_step_once_per_call(monkeypatch, precision
         templated.clear()
         transpile(circ)
         assert templated == want
+
+
+def test_each_move_of_the_step_rebuilds_only_the_runs_on_the_moved_wire():
+    # Ancilla 0's step moved onto ancillae 1..4 (the first move finds the
+    # gates on ancilla 0, the later ones reuse what it found): each move is
+    # the template with every gate and slot renamed, and every run with no
+    # gate on ancilla 0 is the template's own list.
+    circ = _fig1_qpe(3, False, 5)
+    template = _Lowerer()._template(circ.repeats[0][1])
+    items, left = template
+    spots, reused = {}, 0
+    for *_, (old, new) in circ.repeats[1:]:
+        moved_items, moved_left = _relabel(template, spots, old, new)
+        assert len(moved_items) == len(items)
+        for item, was in zip(moved_items, items):
+            if was.__class__ is tuple:
+                assert item == (new if was[0] == old else was[0], was[1])
+                continue
+            assert item == rewired(was, old, new)
+            assert (item is was) == all(old not in g.qubits for g in was)
+            reused += item is was
+        assert moved_left == [(new if q == old else q, mats) for q, mats in left]
+    assert list(spots) == [circ.repeats[1][3][0]] and reused > 0
 
 
 def test_fusion_cancels_adjacent_inverses():

@@ -556,8 +556,9 @@ def test_qpe_state_caps_the_reachable_node_count():
 
 @pytest.mark.parametrize("max_support", [None, 200])
 def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
-    # FIG1 at k = 3 reaches its nodes in three levels of step runs; under the
-    # cap, batches are split and one run passes the cap and is halved.
+    # FIG1 at k = 3 reaches its nodes in two step runs: the root with its two
+    # nearest levels, then the level below them.  Under a cap too small to
+    # seed, batches are split and one run passes the cap and is halved.
     tree = _qpe_tree(("fig1", 3, False))
     step = tree.new_circuit()
     tree.quantum_step(step)
@@ -583,7 +584,33 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
     assert compiled == step.gates       # the inverse QFT is read out without gates
     assert all(program is runs[0] for program in runs)
     assert runs[0].gates == tuple(step.gates)
-    assert (len(runs), len(raised)) == ((3, 0) if max_support is None else (8, 1))
+    assert (len(runs), len(raised)) == ((2, 0) if max_support is None else (8, 1))
+
+
+@pytest.mark.parametrize("subspace_opt", [False, True])
+def test_root_step_matrix_runs_its_two_nearest_levels_with_the_root(subspace_opt, monkeypatch):
+    # Under the CLI's default cap, the root's first run also holds its 4
+    # children and 16 grandchildren, so its W at FIG1 k = 1..9 takes one
+    # run fewer than one run per level (2, 3, 3, 4, 4, 5, 5, 6, 6), except
+    # where the cap does not admit the seeded batch at every workspace
+    # pattern (k = 7 without the subspace optimization, and k = 8) or its
+    # labels do not fit (k = 9: 2 states a run).
+    calls, real = [], walk.run_columns
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "run_columns", spy)
+    counts, first = [], []
+    for k in range(1, 10):
+        calls.clear()
+        walk._step_matrix(_qpe_tree(("fig1", k, subspace_opt)), 2_000_000)
+        counts.append(len(calls))
+        first.append(calls[0])
+    seeded = 6 + subspace_opt
+    assert counts == [1, 2, 2, 3, 3, 4, 4 if subspace_opt else 5, 6, 6]
+    assert first == [21] * seeded + [1] * (9 - seeded)
 
 
 @functools.cache
@@ -751,9 +778,10 @@ def test_step_matrix_bytes_do_not_depend_on_the_support_cap(k, subspace_opt):
 
 
 def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
-    # FIG1 at k = 3: the root's run needs one step run per level (3); each
-    # of the 3 subtree runs already holds its nodes from its parent's run
-    # and runs once, so 6 step runs where a level-by-level search makes 10.
+    # FIG1 at k = 3: the root's run needs two step runs, the root with its
+    # two nearest levels and then the level below; each of the 3 subtree
+    # runs already holds its nodes from its parent's run and runs once, so 5
+    # step runs where a level-by-level search makes 10.
     tree = _qpe_tree(("fig1", 3, False))
     real, step_runs = walk.apply, []
 
@@ -768,7 +796,7 @@ def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
     path = find_solution(tree, WalkConfig(precision_bits=3, shots=10 ** 6), seed=1,
                          stats=stats)
     assert path == (1, 3, 3, 2)
-    assert (stats.qpe_runs, len(step_runs)) == (4, 6)
+    assert (stats.qpe_runs, len(step_runs)) == (4, 5)
 
 
 def test_detection_and_search_never_build_gate_level_phase_estimation(monkeypatch):
