@@ -36,7 +36,12 @@ accept returns ``h[0]``).  The reject builder receives the lifted tree
 (``_lifted``), whose height register is relabeled one level up and whose
 ``parents`` are the diffuser's own parent heights: a builder may leave out
 every check whose path entry does not ``fire`` there, since the diffuser
-masks its phase (R_A is the direct sum of D_x over x in A).
+masks its phase (R_A is the direct sum of D_x over x in A).  Both builders
+also run outside any diffuser, on the plain node states of one level, to
+predict the walk's reach (``_predicted_reach``); the reject builder then
+gets a copy of the tree whose ``parents`` are that level's height alone.
+There each must return the node's own accept or reject bit; a wrong bit
+costs step runs but never changes W.
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
@@ -49,13 +54,15 @@ compiles the uncontrolled step once and gets its columns on the nodes it
 reaches from ``sim.run_columns`` as a small unitary matrix W; it forms the
 pre-QFT state sum_a |a> W^a |root> / sqrt(2^p) as a dense table and applies
 the circuit's inverse QFT to it, with no gate simulated.  Detection and
-search use ``qpe_state``.  A step moves the root at most two levels down,
-so the root's first run also holds the nodes one and two levels below it
-when they fit, and each later run holds a level of new nodes.  The search
-hands each child's run the node states its parent's run reached (a
-``Reach``) instead; the ones inside the child's subtree run with the
-child's root in one first batch, so a subtree's W usually takes a single
-step run.
+search use ``qpe_state``.  A node is reached exactly when its parent is
+reached and neither accepted nor rejected, so the root's reachable nodes
+follow from the oracles, run level by level on node states; they run with
+the root in one first batch when the support cap admits them, and
+otherwise right after the root's own run.  The search hands each child's
+run the node states its parent's run reached (a ``Reach``) instead; the
+ones inside the child's subtree run with the child's root in one first
+batch.  Either way a W usually takes a single step run, and any reached
+node not foreseen runs in a later one.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, UsageError, adjoint
-from .sim import (KEY_BITS, MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
+from .sim import (MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
                   apply, check_key, compile as compile_circuit, run_columns, sample)
 from .synthesis import controlled_h, fredkin, xx_plus_yy
 
@@ -416,9 +423,12 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
     a level's nodes that have no column yet run together.  A ``hint`` (a
     parent run's ``Reach``) runs its nodes inside this (sub)tree, other than
     the root, with the root in the first batch; hinted nodes never reached
-    are dropped, so a wrong or partial hint costs runs but leaves W and its
-    node order unchanged.  With no ``hint``, the nodes one and two levels
-    below the root are the hint (``_near_root``), when they fit.  Under
+    are dropped and reached nodes not hinted are found level by level, so a
+    wrong or partial hint costs runs but leaves W and its node order
+    unchanged.  With no ``hint``, the reach the oracles predict
+    (``_predicted_reach``) is the hint; it joins the root's batch when
+    ``max_support`` admits them all at 2^(step wires - tree wires)
+    amplitudes each, and otherwise follows the root's run.  Under
     ``max_support`` a batch is sized from the previous runs' largest support
     per node (the hint's at first), so few runs pass the cap and are split.
     """
@@ -428,16 +438,23 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
     program = compile_circuit(step)
     root = tree.node_index(())
     if hint is None:
-        hinted = _near_root(tree, program.num_qubits, max_support)
+        hinted = _predicted_reach(tree, max_support)
+        per_node = 1.0
+        # With the root only when the cap admits every node at every
+        # workspace pattern; otherwise sized from the root's own run.
+        spread = 1 << (program.num_qubits - tree.num_tree_qubits)
+        first = hinted if max_support is None or (len(hinted) + 1) * spread <= max_support else []
     else:
         hinted = [key for key in hint.nodes.tolist()
                   if key != root and tree.decode_index(key) is not None]
+        per_node = hint.per_node
+        first = hinted
     columns = {}             # node basis index -> (reached rows, amplitudes)
     index = {root: 0}        # node basis index -> its row and column of W
     frontier, seen, peak = [root], 0, 0.0
-    per_node = 1.0 if hint is None else hint.per_node
     while frontier:
-        lacking = [key for key in frontier + hinted if key not in columns]
+        lacking = [key for key in dict.fromkeys(frontier + first) if key not in columns]
+        first = hinted
         if lacking:
             batch = None if max_support is None else max(1, int(max_support // per_node))
             labels, rows, amps, runs = run_columns(program, lacking, batch, max_support)
@@ -467,20 +484,35 @@ def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
     return Reach(nodes, peak), w, seen
 
 
-def _near_root(tree: BacktrackingTree, wires: int, max_support) -> list[int]:
-    """The node states one and two levels below the tree's root, the nodes
-    other than the root that a step moves it to, as the hint of an unhinted
-    ``_step_matrix`` call on a ``wires``-wide step.  None unless the root
-    and they fit one run's labels and ``max_support`` admits them at
-    2^(wires - tree wires) amplitudes each, so a small cap keeps its batches."""
-    paths, level = [], [()]
-    for _ in range(min(2, tree.effective_depth)):
-        level = [path + (label,) for path in level for label in range(tree.deg)]
-        paths += level
-    if (len(paths).bit_length() > KEY_BITS - wires or max_support is not None
-            and (len(paths) + 1) << (wires - tree.num_tree_qubits) > max_support):
-        return []
-    return [tree.node_index(path) for path in paths]
+def _predicted_reach(tree: BacktrackingTree, max_support) -> list[int]:
+    """The node states other than the root that a walk from the tree's root
+    reaches, predicted from the oracles: a node is reached when its parent
+    is reached and neither accepted nor rejected.  Level by level, both
+    builders run on the level's node states in one ``run_columns`` call; the
+    reject builder gets the tree with ``parents`` the level's height alone,
+    so it may emit only that level's checks.  Returns no node once the
+    levels hold more than ``max_support`` nodes, the root included, a reach
+    the step run would refuse, so it runs the oracles on at most that many."""
+    nodes, level = [], [()]
+    while level:
+        if max_support is not None and len(nodes) + len(level) > max_support:
+            return []
+        keys = [tree.node_index(path) for path in level]
+        nodes += keys
+        height = tree.effective_depth - len(level[0])
+        if height == 0:
+            break
+        circ = tree.new_circuit()
+        accepted = tree.accept_builder(tree, circ)
+        only = copy.copy(tree)
+        only.parents = range(height, height + 1)
+        rejected = tree.reject_builder(only, circ)
+        labels, rows, amps, _ = run_columns(compile_circuit(circ), keys)
+        fired = (rows >> accepted | rows >> rejected) & 1
+        weight = np.bincount(labels, np.abs(amps) ** 2 * fired, len(level))
+        level = [path + (label,) for path, closed in zip(level, weight > 0.5)
+                 if not closed for label in range(tree.deg)]
+    return nodes[1:]
 
 
 def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
@@ -494,11 +526,12 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
     controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
     inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), a dense
     2^p x nodes table formed from W on the reachable nodes (``_step_matrix``,
-    which runs the ``hint``'s nodes with the root, and builds the step
-    unless ``step`` is the tree's step already built).  The circuit's inverse
-    QFT runs on the table in place, per ancilla the lower ancillae's phases
-    then an unscaled H (the root's 1/2^p holds the 1/sqrt(2^p) and every H's
-    1/sqrt(2)), and amplitudes below ``PRUNE_EPSILON`` are dropped once.
+    which runs the ``hint``'s nodes, or else the predicted reach, with the
+    root, and builds the step unless ``step`` is the tree's step already
+    built).  The circuit's inverse QFT runs on the table in place, per
+    ancilla the lower ancillae's phases then an unscaled H (the root's 1/2^p
+    holds the 1/sqrt(2^p) and every H's 1/sqrt(2)), and amplitudes below
+    ``PRUNE_EPSILON`` are dropped once.
     Raises ``ResourceLimitError`` before any step run if the tree wires and
     the ancillae pass the sparse key, and after them if the node count, a
     step run's support or the table passes ``max_support``.

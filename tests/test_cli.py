@@ -557,7 +557,7 @@ def test_commands_return_their_output_and_main_writes_it(capsys, tmp_path, monke
 # SHA-256 over the exit code, plain text and report without "timings" of the
 # seeded solve and detect runs in ``test_seeded_reports_equal_their_pin``.
 # A change that alters any report re-pins it and names the change in CHANGES.md.
-SEEDED_REPORTS_SHA256 = "9165c4a0a9a39d5a52883e52d446e7f1c6c12317d835c643c2808a2e500e843f"
+SEEDED_REPORTS_SHA256 = "178cd2a812b4c850a5fa76566d218438fc1f44ae40c4cfd23c1de6035663b73f"
 
 
 def test_seeded_reports_equal_their_pin(capsys, tmp_path):

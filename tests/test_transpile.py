@@ -154,6 +154,19 @@ def test_each_move_of_the_step_rebuilds_only_the_runs_on_the_moved_wire():
     assert list(spots) == [circ.repeats[1][3][0]] and reused > 0
 
 
+@pytest.mark.parametrize("subspace_opt", [False, True])
+def test_the_template_records_where_each_move_finds_the_moved_wire(subspace_opt):
+    # Told which wire the copies move, the template records its slots and
+    # gates as it is built, the same places a move finds by scanning it.
+    circ = _fig1_qpe(9, subspace_opt, 3)
+    fragment, (old, new) = circ.repeats[0][1], circ.repeats[1][3]
+    lowerer = _Lowerer([(fragment, old)])
+    template = lowerer._template(fragment)
+    found = {}
+    _relabel(template, found, old, new)
+    assert lowerer._spots[id(fragment)] == found and found[old]
+
+
 def test_fusion_cancels_adjacent_inverses():
     c = Circuit(1)
     c.h(0)

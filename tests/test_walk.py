@@ -556,9 +556,12 @@ def test_qpe_state_caps_the_reachable_node_count():
 
 @pytest.mark.parametrize("max_support", [None, 200])
 def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
-    # FIG1 at k = 3 reaches its nodes in two step runs: the root with its two
-    # nearest levels, then the level below them.  Under a cap too small to
-    # seed, batches are split and one run passes the cap and is halved.
+    # FIG1 at k = 3 reaches its 21 nodes in one step run: the root with the
+    # nodes its oracles predict, each level's oracles compiled and run once
+    # apart from the step.  Under a cap too small to seed, the root runs
+    # alone first and the other 20 follow in batches sized from its support
+    # per node, none of which passes the cap (a level-by-level search made 8
+    # runs, one of them past the cap).
     tree = _qpe_tree(("fig1", 3, False))
     step = tree.new_circuit()
     tree.quantum_step(step)
@@ -581,36 +584,68 @@ def test_qpe_state_compiles_each_step_gate_once(max_support, monkeypatch):
     monkeypatch.setattr(walk, "apply", spy_run)
     monkeypatch.setattr(sim, "apply", spy_run)
     qpe_state(tree, 2, max_support)
-    assert compiled == step.gates       # the inverse QFT is read out without gates
-    assert all(program is runs[0] for program in runs)
-    assert runs[0].gates == tuple(step.gates)
-    assert (len(runs), len(raised)) == ((2, 0) if max_support is None else (8, 1))
+    step_runs = [program for program in runs if program.gates == tuple(step.gates)]
+    oracles = list({id(program): program for program in runs
+                    if program.gates != tuple(step.gates)}.values())
+    # The inverse QFT is read out without gates.
+    assert compiled == step.gates + [gate for program in oracles for gate in program.gates]
+    assert all(program is step_runs[0] for program in step_runs)
+    assert len(oracles) == 4
+    assert (len(step_runs), len(raised)) == ((1, 0) if max_support is None else (5, 0))
 
 
 @pytest.mark.parametrize("subspace_opt", [False, True])
-def test_root_step_matrix_runs_its_two_nearest_levels_with_the_root(subspace_opt, monkeypatch):
-    # Under the CLI's default cap, the root's first run also holds its 4
-    # children and 16 grandchildren, so its W at FIG1 k = 1..9 takes one
-    # run fewer than one run per level (2, 3, 3, 4, 4, 5, 5, 6, 6), except
-    # where the cap does not admit the seeded batch at every workspace
-    # pattern (k = 7 without the subspace optimization, and k = 8) or its
-    # labels do not fit (k = 9: 2 states a run).
+def test_root_step_matrix_runs_the_predicted_reach_with_the_root(subspace_opt, monkeypatch):
+    # Under the CLI's default cap, the root's first step run also holds every
+    # node its oracles predict: its W takes one batch at FIG1 k = 1..5 (1..6
+    # with the subspace optimization), where one batch per level takes 2, 3,
+    # 3, 4, 4 (and 5).  Past that the cap does not admit the predicted nodes
+    # at every workspace pattern, so the root runs alone and every other node
+    # follows in the second batch (one per level takes 5, 5, 6, 6 at k = 6..9).
     calls, real = [], walk.run_columns
 
-    def spy(*args, **kwargs):
-        calls.append(len(args[1]))
-        return real(*args, **kwargs)
+    def spy(program, keys, *args):
+        if program.gates == tuple(step.gates):
+            calls.append(len(keys))
+        return real(program, keys, *args)
 
     monkeypatch.setattr(walk, "run_columns", spy)
     counts, first = [], []
     for k in range(1, 10):
+        tree = _qpe_tree(("fig1", k, subspace_opt))
+        step = tree.new_circuit()
+        tree.quantum_step(step)
         calls.clear()
-        walk._step_matrix(_qpe_tree(("fig1", k, subspace_opt)), 2_000_000)
+        reach, _, _ = walk._step_matrix(tree, 2_000_000, step=step)
         counts.append(len(calls))
         first.append(calls[0])
-    seeded = 6 + subspace_opt
-    assert counts == [1, 2, 2, 3, 3, 4, 4 if subspace_opt else 5, 6, 6]
-    assert first == [21] * seeded + [1] * (9 - seeded)
+        assert sum(calls) == len(reach.nodes)
+    seeded = 5 + subspace_opt
+    assert counts == [1] * seeded + [2] * (9 - seeded)
+    assert first == [9, 13, 21, 37, 45, 53][:seeded] + [1] * (9 - seeded)
+
+
+def test_predicted_reach_stops_past_the_support_cap(monkeypatch):
+    # Every one of the 2^21 - 1 nodes of a depth-20 binary tree with trivial
+    # oracles is reached (44 step wires).  The prediction runs its oracles on
+    # no more node states than the cap and a level's children, and the step
+    # run still refuses the reach.
+    tree = BacktrackingTree(20, 1, trivial_oracle, trivial_oracle)
+    step = tree.new_circuit()
+    tree.quantum_step(step)
+    assert step.num_qubits == 44
+    predicted, real = [], walk.run_columns
+
+    def spy(program, keys, *args):
+        if program.gates != tuple(step.gates):
+            predicted.extend(keys)
+        return real(program, keys, *args)
+
+    monkeypatch.setattr(walk, "run_columns", spy)
+    with pytest.raises(ResourceLimitError, match="walk step reaches more than 1000 node states"):
+        walk._step_matrix(tree, 1000, step=step)
+    assert 0 < len(predicted) <= 1000 + tree.deg
+    assert len(set(predicted)) == len(predicted)
 
 
 @functools.cache
@@ -674,9 +709,10 @@ def _peers(cell):
             and (i == r or j == c or (i // 2, j // 2) == (r // 2, c // 2))}
 
 
-def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
-    # Accept: every blank assigned plus the extra level.  Reject: an assigned
-    # cell holds the value of a peer's given or of an earlier assignment.
+def _predicates(board):
+    """Classical accept and reject on absolute paths.  Accept: every blank
+    assigned plus the extra level.  Reject: an assigned cell holds the value
+    of a peer's given or of an earlier assignment."""
     empties = board.empty_cells()
     givens = {(r, c): v for r, row in enumerate(board.cells)
               for c, v in enumerate(row) if v is not None}
@@ -692,14 +728,40 @@ def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
             filled[cell] = label
         return False
 
+    return accept, reject
+
+
+def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
     tree, _ = tree_for_board(board, subspace_optimization=subspace_opt)
     sub = tree.subtree(root)
     reach, w, _ = walk._step_matrix(sub, None)
-    keys, want = reachable_walk_step(sub, accept, reject)
+    keys, want = reachable_walk_step(sub, *_predicates(board))
     assert sorted(reach.nodes.tolist()) == sorted(keys.tolist())
     position = {key: i for i, key in enumerate(keys.tolist())}
     order = [position[key] for key in reach.nodes.tolist()]
     assert np.abs(want[np.ix_(order, order)] - w).max() <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_predicted_reach_is_the_step_matrix_reach(data):
+    # Random puzzles, at the root or at any node it reaches short of a leaf:
+    # the reach the oracles predict is the nodes the step run reaches and the
+    # definitional walk's reachable nodes (a rejected root reaches only
+    # itself).
+    grid = data.draw(st.sampled_from(_grids()))
+    blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=5))
+    board = SudokuBoard(2, tuple(tuple(None if 4 * r + c in blanks else v
+                                       for c, v in enumerate(row))
+                                 for r, row in enumerate(grid.cells)))
+    tree, _ = tree_for_board(board, subspace_optimization=data.draw(st.booleans()))
+    paths = [tree.decode_index(key) for key in walk._predicted_reach(tree, None)]
+    root = data.draw(st.sampled_from([()] + [p for p in paths if len(p) < tree.max_depth]))
+    sub = tree.subtree(root)
+    predicted = [sub.node_index(())] + walk._predicted_reach(sub, None)
+    reach, _, _ = walk._step_matrix(sub, None)
+    keys, _ = reachable_walk_step(sub, *_predicates(board))
+    assert sorted(predicted) == sorted(reach.nodes.tolist()) == sorted(keys.tolist())
 
 
 @pytest.mark.parametrize("subspace_opt", [False, True])
@@ -778,25 +840,30 @@ def test_step_matrix_bytes_do_not_depend_on_the_support_cap(k, subspace_opt):
 
 
 def test_seeded_solve_runs_each_subtree_step_once(monkeypatch):
-    # FIG1 at k = 3: the root's run needs two step runs, the root with its
-    # two nearest levels and then the level below; each of the 3 subtree
-    # runs already holds its nodes from its parent's run and runs once, so 5
-    # step runs where a level-by-level search makes 10.
+    # FIG1 at k = 3: the root's run holds its whole predicted reach and runs
+    # its step once; each of the 3 subtree runs already holds its nodes from
+    # its parent's run and runs once, so 4 step runs where a level-by-level
+    # search makes 10.  The prediction's oracle runs are not step runs.
     tree = _qpe_tree(("fig1", 3, False))
-    real, step_runs = walk.apply, []
+    real, real_step, steps, step_runs = walk.apply, BacktrackingTree.quantum_step, [], []
+
+    def spy_step(self, circ, ctrl=()):
+        real_step(self, circ, ctrl)
+        steps.append(tuple(circ.gates))
 
     def spy(state, program, **kwargs):
-        if isinstance(program, sim.Program):     # a step run, not a whole circuit
+        if isinstance(program, sim.Program) and program.gates in steps:
             step_runs.append(program)
         return real(state, program, **kwargs)
 
+    monkeypatch.setattr(BacktrackingTree, "quantum_step", spy_step)
     monkeypatch.setattr(walk, "apply", spy)
     monkeypatch.setattr(sim, "apply", spy)
     stats = walk.SearchStats()
     path = find_solution(tree, WalkConfig(precision_bits=3, shots=10 ** 6), seed=1,
                          stats=stats)
     assert path == (1, 3, 3, 2)
-    assert (stats.qpe_runs, len(step_runs)) == (4, 5)
+    assert (stats.qpe_runs, len(step_runs)) == (4, 4)
 
 
 def test_detection_and_search_never_build_gate_level_phase_estimation(monkeypatch):
