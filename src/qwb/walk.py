@@ -40,8 +40,9 @@ masks its phase (R_A is the direct sum of D_x over x in A).  Both builders
 also run outside any diffuser, on the plain node states of one level, to
 predict the walk's reach (``_predicted_reach``); the reject builder then
 gets a copy of the tree whose ``parents`` are that level's height alone.
-There each must return the node's own accept or reject bit; a wrong bit
-costs step runs but never changes W.
+There each must return the node's own accept or reject bit: the predicted
+reach is W's node set, so a missed node raises and an extra one costs a
+column.
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
@@ -55,14 +56,13 @@ reaches from ``sim.run_columns`` as a small unitary matrix W; it forms the
 pre-QFT state sum_a |a> W^a |root> / sqrt(2^p) as a dense table and applies
 the circuit's inverse QFT to it, with no gate simulated.  Detection and
 search use ``qpe_state``.  A node is reached exactly when its parent is
-reached and neither accepted nor rejected, so the root's reachable nodes
-follow from the oracles, run level by level on node states; they run with
-the root in one first batch when the support cap admits them, and
-otherwise right after the root's own run.  The search hands each child's
-run the node states its parent's run reached (a ``Reach``) instead; the
-ones inside the child's subtree run with the child's root in one first
-batch.  Either way a W usually takes a single step run, and any reached
-node not foreseen runs in a later one.
+reached and neither accepted nor rejected, so the root's W is on the nodes
+that follow from the oracles, run level by level on node states; they run
+with the root in one batch when the support cap admits them, and otherwise
+right after the root's own run.  The search hands each child the node
+states its parent's W is on (a ``Reach``) instead, and the child's W is on
+the ones inside its subtree.  A step run that reaches a node outside them
+raises.
 """
 
 from __future__ import annotations
@@ -404,84 +404,69 @@ def _inverse_qft(circ, qubits):
 
 
 class Reach(NamedTuple):
-    """What one ``_step_matrix`` call found: the node states it reached
-    (basis indices, in W's order) and the largest support per node of its
-    step runs.  A parent's ``Reach`` is its children's runs' hint."""
+    """What one ``_step_matrix`` call ran: the node states of W (basis
+    indices, in W's order) and the largest support per node of its step
+    runs.  A parent's ``Reach`` holds every node its children's W needs."""
 
     nodes: np.ndarray
     per_node: float
 
 
-def _step_matrix(tree: BacktrackingTree, max_support, hint: Reach | None = None,
+def _step_matrix(tree: BacktrackingTree, max_support, reach: Reach | None = None,
                  step: Circuit | None = None):
     """The walk step W as a dense matrix on the node states it reaches from
     the tree's root; returns (their ``Reach``, W, largest support seen).
 
-    The uncontrolled step (``step`` when the caller built it already) is
-    compiled once; ``run_columns`` gives its columns.  Nodes are numbered
-    breadth first from the root, each level's new nodes in sorted order, and
-    a level's nodes that have no column yet run together.  A ``hint`` (a
-    parent run's ``Reach``) runs its nodes inside this (sub)tree, other than
-    the root, with the root in the first batch; hinted nodes never reached
-    are dropped and reached nodes not hinted are found level by level, so a
-    wrong or partial hint costs runs but leaves W and its node order
-    unchanged.  With no ``hint``, the reach the oracles predict
-    (``_predicted_reach``) is the hint; it joins the root's batch when
-    ``max_support`` admits them all at 2^(step wires - tree wires)
-    amplitudes each, and otherwise follows the root's run.  Under
-    ``max_support`` a batch is sized from the previous runs' largest support
-    per node (the hint's at first), so few runs pass the cap and are split.
+    The nodes are the root and the reach its oracles predict
+    (``_predicted_reach``), or, given a parent run's ``reach``, that reach's
+    nodes inside this (sub)tree.  They are numbered breadth first from the
+    root, one step reaching two heights down: by (depth + 1) // 2, then by
+    basis index.  The uncontrolled step (``step`` when the caller built it
+    already) is compiled once and ``run_columns`` gives every node's column.
+    A node the step reaches outside them raises ``UsageError``; one it never
+    reaches costs a column.  With no ``reach`` the nodes run with the root
+    when ``max_support`` admits them all at 2^(step wires - tree wires)
+    amplitudes each, and otherwise right after the root's own run.  A batch
+    is sized from the previous run's largest support per node (at first
+    ``reach``'s, or that bound), so few runs pass the cap and are split.
     """
     if step is None:
         step = tree.new_circuit()
         tree.quantum_step(step)
     program = compile_circuit(step)
     root = tree.node_index(())
-    if hint is None:
-        hinted = _predicted_reach(tree, max_support)
-        per_node = 1.0
-        # With the root only when the cap admits every node at every
-        # workspace pattern; otherwise sized from the root's own run.
-        spread = 1 << (program.num_qubits - tree.num_tree_qubits)
-        first = hinted if max_support is None or (len(hinted) + 1) * spread <= max_support else []
+    if reach is None:
+        keys = _predicted_reach(tree, max_support)
+        per_node = 1 << (program.num_qubits - tree.num_tree_qubits)
     else:
-        hinted = [key for key in hint.nodes.tolist()
-                  if key != root and tree.decode_index(key) is not None]
-        per_node = hint.per_node
-        first = hinted
-    columns = {}             # node basis index -> (reached rows, amplitudes)
-    index = {root: 0}        # node basis index -> its row and column of W
-    frontier, seen, peak = [root], 0, 0.0
-    while frontier:
-        lacking = [key for key in dict.fromkeys(frontier + first) if key not in columns]
-        first = hinted
-        if lacking:
-            batch = None if max_support is None else max(1, int(max_support // per_node))
-            labels, rows, amps, runs = run_columns(program, lacking, batch, max_support)
-            per_node = max(support / size for size, support in runs)
-            peak = max(peak, per_node)
-            seen = max([seen] + [support for _, support in runs])
-            cuts = np.searchsorted(labels, np.arange(1, len(lacking)))
-            columns.update(zip(lacking, zip(np.split(rows, cuts), np.split(amps, cuts))))
-        reached = np.concatenate([columns[key][0] for key in frontier])
-        if np.any(reached >> tree.num_tree_qubits):
-            raise UsageError("walk step leaves a workspace qubit set")
-        frontier = [key for key in np.unique(reached).tolist() if key not in index]
-        for key in frontier:
-            index[key] = len(index)
-        if max_support is not None and len(index) > max_support:
-            raise ResourceLimitError(
-                f"walk step reaches more than {max_support} node states")
-    nodes = np.array(list(index), dtype=np.int64)
-    rows, amps = zip(*(columns[key] for key in index))
+        keys = [key for key in reach.nodes.tolist() if tree.decode_index(key) is not None]
+        per_node = reach.per_node
+    keys = np.unique(np.array([root] + keys, dtype=np.int64))
+    height = sum(j * (keys >> q & 1) for j, q in enumerate(tree.h))
+    order = np.argsort((tree.effective_depth - height + 1) // 2, kind="stable")
+    nodes, rank = keys[order], np.argsort(order)
+    alone = reach is None and max_support is not None and len(nodes) * per_node > max_support
+    parts, runs = [], []
+    for lo, hi in ((0, 1), (1, len(nodes))) if alone else ((0, len(nodes)),):
+        batch = None if max_support is None else max(1, int(max_support // per_node))
+        labels, rows, amps, done = run_columns(program, nodes[lo:hi], batch, max_support)
+        per_node = max(support / size for size, support in done)
+        parts.append((labels + lo, rows, amps))
+        runs += done
+    cols, rows, amps = map(np.concatenate, zip(*parts))
+    if np.any(rows >> tree.num_tree_qubits):
+        raise UsageError("walk step leaves a workspace qubit set")
+    at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
+    if np.any(keys[at] != rows):
+        raise UsageError("walk step reaches a node state its oracles did not predict")
     w = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    w[[index[key] for key in np.concatenate(rows).tolist()],
-      np.repeat(np.arange(len(nodes)), list(map(len, rows)))] = np.concatenate(amps)
+    w[rank[at], cols] = amps
     err = np.abs(w.conj().T @ w - np.eye(len(nodes))).max()
     if err > 1e-10:
         raise UsageError(f"walk step is not unitary on its {len(nodes)} reachable "
                          f"node states (max |W^H W - I| = {err:.1e})")
-    return Reach(nodes, peak), w, seen
+    return (Reach(nodes, max(support / size for size, support in runs)), w,
+            max(support for _, support in runs))
 
 
 def _predicted_reach(tree: BacktrackingTree, max_support) -> list[int]:
@@ -490,13 +475,15 @@ def _predicted_reach(tree: BacktrackingTree, max_support) -> list[int]:
     is reached and neither accepted nor rejected.  Level by level, both
     builders run on the level's node states in one ``run_columns`` call; the
     reject builder gets the tree with ``parents`` the level's height alone,
-    so it may emit only that level's checks.  Returns no node once the
-    levels hold more than ``max_support`` nodes, the root included, a reach
-    the step run would refuse, so it runs the oracles on at most that many."""
+    so it may emit only that level's checks.  These are W's nodes
+    (``_step_matrix``).  Raises ``ResourceLimitError`` once the levels hold
+    more than ``max_support`` nodes, the root included, so it runs the
+    oracles on at most that many and no step runs."""
     nodes, level = [], [()]
     while level:
         if max_support is not None and len(nodes) + len(level) > max_support:
-            return []
+            raise ResourceLimitError(
+                f"walk step reaches more than {max_support} node states")
         keys = [tree.node_index(path) for path in level]
         nodes += keys
         height = tree.effective_depth - len(level[0])
@@ -516,7 +503,7 @@ def _predicted_reach(tree: BacktrackingTree, max_support) -> list[int]:
 
 
 def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
-              hint: Reach | None = None,
+              reach: Reach | None = None,
               step: Circuit | None = None) -> tuple[SparseState, list[int], Reach]:
     """The final state of ``estimate_phase`` from the tree's root, on the tree
     wires and the ancillae (ancilla k on wire ``num_tree_qubits + k``), the
@@ -525,22 +512,23 @@ def qpe_state(tree: BacktrackingTree, precision_bits: int, max_support=None,
     Only the reflection phases take the phase-estimation control, so the
     controlled step is |0><0| (x) I + |1><1| (x) W.  The state before the
     inverse QFT is therefore sum_a |a> W^a |root> / sqrt(2^p), a dense
-    2^p x nodes table formed from W on the reachable nodes (``_step_matrix``,
-    which runs the ``hint``'s nodes, or else the predicted reach, with the
-    root, and builds the step unless ``step`` is the tree's step already
-    built).  The circuit's inverse QFT runs on the table in place, per
+    2^p x nodes table formed from W on the reachable nodes (``_step_matrix``
+    on the root and the parent's ``reach`` inside the tree, or else the
+    predicted reach; it builds the step unless ``step`` is the tree's step
+    already built).  The circuit's inverse QFT runs on the table in place, per
     ancilla the lower ancillae's phases then an unscaled H (the root's 1/2^p
     holds the 1/sqrt(2^p) and every H's 1/sqrt(2)), and amplitudes below
     ``PRUNE_EPSILON`` are dropped once.
     Raises ``ResourceLimitError`` before any step run if the tree wires and
-    the ancillae pass the sparse key, and after them if the node count, a
-    step run's support or the table passes ``max_support``.
+    the ancillae pass the sparse key or the predicted node count passes
+    ``max_support``, and after them if a step run's support or the table
+    does.
     """
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
     n = tree.num_tree_qubits
     check_key(n + precision_bits, f"{n} tree wires plus {precision_bits} ancillae")
-    reach, w, seen = _step_matrix(tree, max_support, hint, step)
+    reach, w, seen = _step_matrix(tree, max_support, reach, step)
     nodes = reach.nodes
     size = 2 ** precision_bits
     if max_support is not None and size * len(nodes) > max_support:
@@ -623,9 +611,9 @@ def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
     tree-register outcomes that co-occur with the all-zero ancilla register,
     keep the ones extending the root path by one label, and recurse into the
     most frequent label first (ties to the smaller label).  Each level
-    rebuilds registers and re-runs phase estimation; a child's step run
-    starts from the node states its parent's run reached inside the child's
-    subtree (the parent's ``Reach``), so it finds the same W in fewer runs.
+    rebuilds registers and re-runs phase estimation; a child's W is on the
+    node states its parent's run reached inside the child's subtree (the
+    parent's ``Reach``), so it needs no oracle run of its own.
     ``step``, the tree's uncontrolled walk step if the caller built it
     already, serves the root's run.  Returns the absolute path of an
     accepted node, or None."""
@@ -633,13 +621,13 @@ def find_solution(tree: BacktrackingTree, config: WalkConfig, seed=None,
     return _search(tree, config, rng, max_support, stats, step=step)
 
 
-def _search(tree, config, rng, max_support, stats, hint=None, step=None):
+def _search(tree, config, rng, max_support, stats, reach=None, step=None):
     if classically_accepted(tree, ()):
         return tree.root_path
     if tree.effective_depth == 0:
         return None
 
-    state, anc, reach = qpe_state(tree, config.precision_bits, max_support, hint, step)
+    state, anc, reach = qpe_state(tree, config.precision_bits, max_support, reach, step)
     if stats is not None:
         stats.qpe_runs += 1
         stats.max_support = max(stats.max_support, state.max_support_seen)

@@ -83,6 +83,17 @@ def test_solve_resource_error_exit_3(capsys, k2_board):
     assert main(["solve", k2_board, "--max-support", "4", "--seed", "0"]) == 3
 
 
+@pytest.mark.parametrize("cmd", ["detect", "solve"])
+def test_a_predicted_reach_past_the_cap_exits_3_before_any_step_run(capsys, tmp_path, cmd):
+    # FIG1 at 4 blanks reaches 37 node states; the prediction refuses them
+    # before the root's step run could pass the cap.
+    p = tmp_path / "k4.board"
+    p.write_text(format_board(restrict_board(parse_board(FIG1_BOARD), 4)))
+    assert main([cmd, str(p), "--max-support", "10", "--seed", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "resource error: walk step reaches more than 10 node states\n")
+
+
 def _k4_precision_1_outcomes(capsys, tmp_path):
     """(text, solution, path, qpe_runs) of a seeded precision-1 solve of
     FIG1 at 4 blanks, with the default support cap and with a cap of 100."""
@@ -107,8 +118,8 @@ def test_solve_under_a_support_cap_splits_the_step_batches(capsys, tmp_path):
 
 
 def test_step_batches_under_a_support_cap_rarely_fail(capsys, tmp_path, monkeypatch):
-    # Each level's batches are sized from the previous level's support per
-    # node, so almost no step run passes the cap and is thrown away.
+    # Each batch is sized from the previous run's support per node, so
+    # almost no step run passes the cap and is thrown away.
     real, failed = walk.apply, []
 
     def spy(*args, **kwargs):

@@ -628,17 +628,16 @@ def test_root_step_matrix_runs_the_predicted_reach_with_the_root(subspace_opt, m
 def test_predicted_reach_stops_past_the_support_cap(monkeypatch):
     # Every one of the 2^21 - 1 nodes of a depth-20 binary tree with trivial
     # oracles is reached (44 step wires).  The prediction runs its oracles on
-    # no more node states than the cap and a level's children, and the step
-    # run still refuses the reach.
+    # no more node states than the cap and a level's children, and refuses
+    # the reach before any step run.
     tree = BacktrackingTree(20, 1, trivial_oracle, trivial_oracle)
     step = tree.new_circuit()
     tree.quantum_step(step)
     assert step.num_qubits == 44
-    predicted, real = [], walk.run_columns
+    predicted, stepped, real = [], [], walk.run_columns
 
     def spy(program, keys, *args):
-        if program.gates != tuple(step.gates):
-            predicted.extend(keys)
+        (stepped if program.gates == tuple(step.gates) else predicted).extend(keys)
         return real(program, keys, *args)
 
     monkeypatch.setattr(walk, "run_columns", spy)
@@ -646,6 +645,7 @@ def test_predicted_reach_stops_past_the_support_cap(monkeypatch):
         walk._step_matrix(tree, 1000, step=step)
     assert 0 < len(predicted) <= 1000 + tree.deg
     assert len(set(predicted)) == len(predicted)
+    assert stepped == []
 
 
 @functools.cache
@@ -656,11 +656,11 @@ def _grids():
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
-def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
-    # A subtree's run given its parent's whole reach (exact, one node inside
-    # the subtree short, or with unreachable node states and a sibling
-    # subtree's nodes mixed in) finds the unhinted W, and runs no node state
-    # outside the subtree.
+def test_step_matrix_runs_its_parents_reach_and_refuses_a_missed_node(data):
+    # A subtree's run given its parent's whole reach (a sibling subtree's
+    # nodes mixed in) finds the W its own prediction gives, and runs no node
+    # state outside the subtree.  A reach one reached node short, or a
+    # prediction one node short, raises.
     grid = data.draw(st.sampled_from(_grids()))
     blanks = data.draw(st.sets(st.integers(0, 15), min_size=2, max_size=4))
     cells = [[None if 4 * r + c in blanks else v for c, v in enumerate(row)]
@@ -673,18 +673,6 @@ def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
         [p for p in paths if 1 <= len(p) <= min(2, tree.max_depth - 1)]))
     sub = tree.subtree(root)
     want, w, _ = walk._step_matrix(sub, None)
-
-    exact = parent.nodes.tolist()
-    dropped = data.draw(st.sampled_from([key for key in exact
-                                         if sub.decode_index(key) is not None]))
-    short = [key for key in exact if key != dropped]
-    every = all_paths(tree.max_depth, tree.deg)
-    unreached = sorted({tree.node_index(p) for p in every} - set(want.nodes.tolist()))
-    siblings = [tree.node_index(p) for p in every if len(p) >= len(root)
-                and p[:len(root) - 1] == root[:-1] and p[len(root) - 1] != root[-1]]
-    extra = data.draw(st.lists(st.sampled_from(unreached), min_size=1, max_size=5))
-    extra += data.draw(st.lists(st.sampled_from(siblings), min_size=1, max_size=5))
-    mixed = data.draw(st.permutations(sorted(set(exact + extra))))
     run, ran = walk.run_columns, []
 
     def spy(program, keys, *args):
@@ -693,12 +681,24 @@ def test_step_matrix_hints_change_neither_w_nor_its_node_order(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "run_columns", spy)
-        for nodes in (exact, short, mixed):
-            hint = walk.Reach(np.array(nodes, dtype=np.int64), parent.per_node)
-            got, got_w, _ = walk._step_matrix(sub, None, hint)
-            assert np.array_equal(got.nodes, want.nodes)
-            assert np.array_equal(got_w, w)
+        got, got_w, _ = walk._step_matrix(sub, None, parent)
+    assert got.nodes.tobytes() == want.nodes.tobytes()
+    assert got_w.tobytes() == w.tobytes()
     assert all(sub.decode_index(key) is not None for key in ran)
+
+    if len(want.nodes) > 1:
+        dropped = data.draw(st.sampled_from(want.nodes[1:].tolist()))
+        short = walk.Reach(parent.nodes[parent.nodes != dropped], parent.per_node)
+        with pytest.raises(UsageError, match="did not predict"):
+            walk._step_matrix(sub, None, short)
+
+    predict = walk._predicted_reach
+    missing = data.draw(st.integers(0, len(parent.nodes) - 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_predicted_reach",
+                      lambda *args: [key for i, key in enumerate(predict(*args)) if i != missing])
+        with pytest.raises(UsageError, match="did not predict"):
+            walk._step_matrix(tree, None)
 
 
 def _peers(cell):
@@ -737,6 +737,14 @@ def _assert_step_matrix_is_the_definitional_step(board, subspace_opt, root):
     reach, w, _ = walk._step_matrix(sub, None)
     keys, want = reachable_walk_step(sub, *_predicates(board))
     assert sorted(reach.nodes.tolist()) == sorted(keys.tolist())
+    # W's nodes are breadth first from the root over the definitional W,
+    # each level sorted, though no search in ``_step_matrix`` produces them.
+    bfs, seen, level = [], {0}, [0]
+    while level:
+        bfs += sorted(keys[level].tolist())
+        level = sorted(set(np.flatnonzero(np.abs(want[:, level]).max(axis=1) > 1e-12)) - seen)
+        seen.update(level)
+    assert bfs == reach.nodes.tolist()
     position = {key: i for i, key in enumerate(keys.tolist())}
     order = [position[key] for key in reach.nodes.tolist()]
     assert np.abs(want[np.ix_(order, order)] - w).max() <= 1e-12
