@@ -349,8 +349,9 @@ def from_text(text: str) -> Circuit:
     if not lines or not lines[0].startswith("QUBITS "):
         raise UsageError("missing QUBITS header")
     try:
-        num_qubits = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, count = lines[0].split()
+        num_qubits = int(count)
+    except ValueError:
         raise UsageError(f"malformed QUBITS header: {lines[0]!r}") from None
     if num_qubits < 0:
         raise UsageError(f"negative qubit count {num_qubits}")

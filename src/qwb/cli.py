@@ -59,10 +59,10 @@ def _report(command: str, config: dict, outcome: dict, timings: dict,
 
 
 def _read_board(path: str):
-    """Parse the board file at ``path``; a file that cannot be read as UTF-8
-    text is a usage error."""
+    """Parse the board file at ``path``, a leading UTF-8 byte order mark
+    skipped; a file that cannot be read as UTF-8 text is a usage error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read board {path!r}: {exc}") from None
     return parse_board(text)

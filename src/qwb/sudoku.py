@@ -80,7 +80,7 @@ def parse_board(text: str) -> SudokuBoard:
     size = len(lines)
     rows = []
     for r, line in enumerate(lines):
-        tokens = line.split() if " " in line else list(line)
+        tokens = line.split() if any(ch.isspace() for ch in line) else list(line)
         if len(tokens) != size:
             raise ParseError(f"row {r}: expected {size} symbols, got {len(tokens)}")
         row = []

@@ -131,21 +131,18 @@ def _mcz(qubits, state):
 class _Lowerer:
     """Rewrites gate fragments into CX and fused U3 (no controls), building
     each distinct gate's network, each distinct U3 or CX and each fragment's
-    template once."""
+    template once, and scanning a template for a moved wire on its first
+    move only."""
 
-    def __init__(self, moves=()):
+    def __init__(self):
         self.gates: list[Gate] = []
         self.pending: dict[int, tuple[complex, ...]] = {}
         self._tapes: dict[Gate, tuple] = {}
         self._u3s: dict[tuple, Gate | None] = {}
         self._cxs: dict[tuple[int, int], Gate] = {}
-        # id(fragment) -> (fragment, template, where each moved wire is in it)
+        # id(fragment) -> (fragment, template, where each moved wire is in
+        # it, found by ``_relabel`` on the template's first move of the wire)
         self._templates: dict[int, tuple] = {}
-        # id(fragment) -> {wire a copy will move: where it is in the template},
-        # for each (fragment, wire) of ``moves``; ``_template`` fills them
-        self._spots: dict[int, dict] = {}
-        for fragment, old in moves:
-            self._spots.setdefault(id(fragment), {})[old] = []
 
     def _u3(self, q: int, m) -> Gate | None:
         """The U3 that flushes matrix ``m`` from wire ``q``; None when ``m``
@@ -167,8 +164,7 @@ class _Lowerer:
         on a wire it CXs and into the entry's on any other."""
         hit = self._templates.get(id(fragment))
         if hit is None:
-            hit = self._templates[id(fragment)] = (
-                fragment, self._template(fragment), self._spots.setdefault(id(fragment), {}))
+            hit = self._templates[id(fragment)] = (fragment, self._template(fragment), {})
         template = hit[1] if moved is None else _relabel(hit[1], hit[2], *moved)
         items, left = template
         pending, out, u3 = self.pending, self.gates, self._u3
@@ -190,12 +186,8 @@ class _Lowerer:
         Returns the output as runs of gates with, in place of each wire's
         first flush, a slot ``(wire, matrices taken before its first CX)``,
         and the matrices left on each wire at the end, all it takes on a
-        wire it never CXs.  For each wire a copy will move (``moves``) it
-        records where the wire is, as ``_relabel`` reads it: its slot and
-        each gate on it as (item, place in the run), the run's item being
-        ``len(items)`` while it is built."""
+        wire it never CXs."""
         tapes, cxs, u3 = self._tapes, self._cxs, self._u3
-        spots = self._spots.get(id(fragment), {})
         items, run, taken, cxd = [], [], {}, set()
         for g in fragment:
             tape = tapes.get(g)
@@ -215,20 +207,12 @@ class _Lowerer:
                         if run:
                             items.append(run)
                             run = []
-                        if spots and w in spots:
-                            spots[w].append((len(items), None))
                         items.append((w, mats))
                     elif mats and (flushed := u3(w, _fold(None, mats))) is not None:
-                        if spots and w in spots:
-                            spots[w].append((len(items), len(run)))
                         run.append(flushed)
                 cx = cxs.get((m, q))
                 if cx is None:
                     cx = cxs[m, q] = _derive(Gate, (_KIND_X, q, (), (m,), (1,)))
-                if spots and (q in spots or m in spots):
-                    for w in (q, m):
-                        if w in spots:
-                            spots[w].append((len(items), len(run)))
                 run.append(cx)
         if run:
             items.append(run)
@@ -257,12 +241,11 @@ def _fold(m, mats):
 
 def _relabel(template, spots: dict, old: int, new: int):
     """A ``_Lowerer._template`` with wire ``old`` renamed ``new``.  Only the
-    slots and gates on ``old`` change; ``spots`` keeps where they are per
-    wire, each slot as (item, None) and each gate as (item, place in its
-    run), recorded by ``_template`` for the moves it was told of and found
-    here on the first move of any other wire, so each move copies only the
-    runs that hold one, swaps those gates, and reuses every other item as
-    it is."""
+    slots and gates on ``old`` change.  The template's first move of ``old``
+    scans it once for them and keeps in ``spots`` where they are, each slot
+    as (item, None) and each gate as (item, place in its run); each move
+    then copies only the runs that hold one, swaps those gates, and reuses
+    every other item as it is."""
     was, left = template
     where = spots.get(old)
     if where is None:
@@ -295,8 +278,7 @@ def transpile(circuit: Circuit) -> Circuit:
     span in ``circuit.repeats`` whose gates still match its record is
     lowered as its fragment's copies; the gates before, between and after
     those spans are each lowered as a fragment of one copy."""
-    lw = _Lowerer((fragment, moved[0]) for _, fragment, _, moved in circuit.repeats
-                  if moved is not None)
+    lw = _Lowerer()
     gates = circuit.gates
     done = 0
     for start, fragment, times, moved in circuit.repeats:

@@ -351,7 +351,8 @@ def test_from_text_rejects_qubits_off_the_register(line):
                                   "QUBITS 2\nGATE BARRIER - - - -",
                                   "QUBITS 3\nGATE H - 2 0,1 1,1", "QUBITS 2\nGATE RY 0.7 1 0 1",
                                   "QUBITS 2\nGATE U3 1.0,2.0,3.0 1 0 0",
-                                  "QUBITS 1\nGATE U3 nan,0.0,0.0 0 - -", "QUBITS 1\nGATE RY inf 0 - -"])
+                                  "QUBITS 1\nGATE U3 nan,0.0,0.0 0 - -", "QUBITS 1\nGATE RY inf 0 - -",
+                                  "QUBITS 2 junk"])
 def test_from_text_rejects_malformed_gates(text):
     with pytest.raises(UsageError):
         from_text(text)

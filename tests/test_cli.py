@@ -79,6 +79,16 @@ def test_unreadable_board_exit_1(capsys, tmp_path, cmd, kind):
     assert captured.out == ""
 
 
+def test_a_board_file_with_a_byte_order_mark_reads_as_without_one(capsys, tmp_path):
+    # Some editors save UTF-8 text with a leading byte order mark.
+    p = tmp_path / "bom.board"
+    p.write_bytes(b"\xef\xbb\xbf" + SOLVED_TEXT.encode())
+    code, text, report = run_main(capsys, ["solve", str(p)])
+    assert code == 0
+    assert text.startswith(SOLVED_TEXT)
+    assert report["outcome"]["quantum_steps"] == 0
+
+
 def test_solve_resource_error_exit_3(capsys, k2_board):
     assert main(["solve", k2_board, "--max-support", "4", "--seed", "0"]) == 3
 

@@ -48,10 +48,11 @@ def test_parse_bad_symbol_and_shape():
 
 
 def test_parse_whitespace_separated_9x9():
-    rows = [". . . . . . . . ."] * 9
-    board = parse_board("\n".join(rows))
-    assert board.size == 9 and board.block_size == 3
-    assert branch_bits_for(board) == 4
+    # Spaces, tabs or both between symbols.
+    for row in (". . . . . . . . .", ".\t.\t.\t.\t.\t.\t.\t.\t.", ". \t.\t . .  .\t\t. . . ."):
+        board = parse_board("\n".join([row] * 9))
+        assert board.size == 9 and board.block_size == 3
+        assert branch_bits_for(board) == 4
 
 
 def test_format_round_trip():

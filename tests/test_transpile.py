@@ -86,15 +86,16 @@ def test_property_repeated_gates_lower_under_any_pending_state(seed, n, num_gate
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), num_gates=st.integers(1, 12),
-       times=st.integers(1, 4), move=st.booleans(), stale=st.booleans())
+       times=st.integers(1, 4), move=st.booleans(), stale=st.booleans(),
+       again=st.sampled_from([None, "unmoved", "moved"]))
 def test_property_recorded_repeats_transpile_as_their_flat_copy(seed, n, num_gates, times,
-                                                                  move, stale):
+                                                                  move, stale, again):
     # The fragment lies on wires 0..n-1; wire n is the one a move may
     # target.  Random gates on every wire, before and after, leave pending
     # matrices at each copy's entry and on its way out.
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n + 1, int(rng.integers(0, 8)))
-    fragment = random_circuit(rng, n, num_gates).gates
+    fragment = tuple(random_circuit(rng, n, num_gates).gates)
     moved = (int(rng.integers(n)), n) if move else None
     start = len(c.gates)
     c.repeat(fragment, times, moved)
@@ -106,6 +107,15 @@ def test_property_recorded_repeats_transpile_as_their_flat_copy(seed, n, num_gat
         at = start + int(rng.integers(len(fragment) * times))
         params = tuple(rng.uniform(-3, 3, 3).tolist())
         c.gates[at] = Gate(GateKind.U3, c.gates[at].target, params)
+    if again:
+        # The same fragment tuple recorded again shares its template (and
+        # the template's memo of moved wires), now unmoved or with another
+        # wire moved.
+        others = [q for q in range(n) if moved is None or q != moved[0]]
+        again_moved = (others[int(rng.integers(len(others)))], n) if again == "moved" else None
+        c.repeat(fragment, int(rng.integers(1, 4)), again_moved)
+        c.extend(random_circuit(rng, n + 1, int(rng.integers(0, 4))).gates)
+        assert c.repeats[-1][1] is c.repeats[0][1]
     assert to_text(transpile(c)) == to_text(lowered_gate_by_gate(c))
 
 
@@ -152,19 +162,6 @@ def test_each_move_of_the_step_rebuilds_only_the_runs_on_the_moved_wire():
             reused += item is was
         assert moved_left == [(new if q == old else q, mats) for q, mats in left]
     assert list(spots) == [circ.repeats[1][3][0]] and reused > 0
-
-
-@pytest.mark.parametrize("subspace_opt", [False, True])
-def test_the_template_records_where_each_move_finds_the_moved_wire(subspace_opt):
-    # Told which wire the copies move, the template records its slots and
-    # gates as it is built, the same places a move finds by scanning it.
-    circ = _fig1_qpe(9, subspace_opt, 3)
-    fragment, (old, new) = circ.repeats[0][1], circ.repeats[1][3]
-    lowerer = _Lowerer([(fragment, old)])
-    template = lowerer._template(fragment)
-    found = {}
-    _relabel(template, found, old, new)
-    assert lowerer._spots[id(fragment)] == found and found[old]
 
 
 def test_fusion_cancels_adjacent_inverses():
