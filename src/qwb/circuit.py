@@ -288,11 +288,21 @@ class Circuit:
     def within(self, compute, action):
         """Emit ``compute()``, then ``action(result)``, then the adjoint of
         what ``compute`` emitted; finally free every qubit allocated since
-        the call began that is still allocated, newest first."""
-        start, allocs = len(self.gates), len(self.alloc_events)
+        the call began that is still allocated, newest first.
+
+        When ``action`` emits no gate, compute followed by its adjoint is
+        the identity, so the call emits nothing: it drops what ``compute``
+        emitted and puts the pool, the wire count and the allocation events
+        back as they were before the call."""
+        start, allocs, deallocs = len(self.gates), len(self.alloc_events), len(self.dealloc_events)
+        pool = self.num_qubits, set(self._free_set)
         result = compute()
         fragment = self.gates[start:]
         action(result)
+        if len(self.gates) == start + len(fragment):
+            del self.gates[start:], self.alloc_events[allocs:], self.dealloc_events[deallocs:]
+            self.num_qubits, self._free_set = pool
+            return
         self.extend(adjoint(fragment))
         for _, q in reversed(self.alloc_events[allocs:]):
             if q not in self._free_set:
@@ -346,10 +356,11 @@ def to_text(circuit: Circuit) -> str:
 
 def from_text(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QUBITS "):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["QUBITS"]:
         raise UsageError("missing QUBITS header")
     try:
-        _, count = lines[0].split()
+        _, count = header
         num_qubits = int(count)
     except ValueError:
         raise UsageError(f"malformed QUBITS header: {lines[0]!r}") from None

@@ -326,13 +326,20 @@ def run_columns(program: Program, keys, batch: int | None = None,
     sparse key, each state labelled by its place in its run on the wires
     above the program's.  A run that passes ``max_support`` is split in
     halves and rerun; only a single state's run raises.  Raises before any
-    run if the program alone passes the key.  Returns the outputs' labels
-    (j for ``keys[j]``), rows (basis indices on the program's wires) and
-    amplitudes, flat and in label order, and each run's (states, largest
-    support)."""
+    run if the program alone passes the key, or with ``UsageError`` if a
+    key is not a basis state of the program's wires.  Returns the outputs'
+    labels (j for ``keys[j]``), rows (basis indices on the program's wires)
+    and amplitudes, flat and in label order, and each run's (states,
+    largest support); all empty for no keys."""
     width = program.num_qubits
     check_key(width, f"{width} wires")
     keys = np.asarray(keys, np.int64)
+    outside = (keys < 0) | (keys >> width > 0)
+    if outside.any():
+        raise UsageError(f"basis state {keys[outside][0]} is outside the "
+                         f"program's {width} wires")
+    if not len(keys):
+        return keys, keys.copy(), np.zeros(0, complex), []
     batch = min(batch or len(keys), 1 << (KEY_BITS - width))
     todo = [(lo, keys[lo:lo + batch]) for lo in reversed(range(0, len(keys), batch))]
     done = []

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, UsageError
-from .synthesis import cq_in_set, mcx, qq_equal
+from .synthesis import and_ladder, cq_in_set, qq_equal
 from .walk import BacktrackingTree
 
 Cell = tuple[int, int]
@@ -167,10 +167,13 @@ def make_reject_builder(plan: CheckPlan):
     """Reject oracle: one phase-tolerant comparison per cq batch and qq pair
     whose most recent assignment ``tree.fires`` (on one diffuser's lifted
     tree, only the checks of that diffuser's parents), each controlled on
-    that assignment's height qubit, aggregated by an all-zero-state MCX and
-    a final X."""
+    that assignment's height qubit, ORed onto a fresh result by an
+    all-zero-state MCX and a final X.  From 4 comparisons on, the MCX reads
+    the last layer of an ``and_ladder`` that stays computed, like the rest
+    of the builder, until the caller's ``within`` undoes it.  None, with no
+    wire allocated, when no check fires."""
 
-    def builder(tree: BacktrackingTree, circ: Circuit) -> int:
+    def builder(tree: BacktrackingTree, circ: Circuit) -> int | None:
         comparisons = []
         for a in sorted(plan.cq_batches):
             if not tree.fires(a):
@@ -188,11 +191,14 @@ def make_reject_builder(plan: CheckPlan):
             q = circ.allocate()
             qq_equal(circ, reg_a, reg_b, q, ctrl=height_b, phase_tolerant=True)
             comparisons.append(q)
+        if not comparisons:
+            return None
         res = circ.allocate()
-        if comparisons:
-            method = "balauca_logdepth" if len(comparisons) >= 4 else "gray"
-            mcx(circ, comparisons, res, (0,) * len(comparisons), method=method)
-            circ.x(res)
+        if len(comparisons) >= 4:
+            circ.mcx(and_ladder(circ, comparisons, (0,) * len(comparisons)), res)
+        else:
+            circ.mcx(comparisons, res, (0,) * len(comparisons))
+        circ.x(res)
         return res
 
     return builder

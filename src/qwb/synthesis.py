@@ -212,12 +212,38 @@ def _rc3x(circ: Circuit, c0, c1, c2, target):
     circ.h(target)
 
 
+def and_ladder(circ: Circuit, controls, control_state) -> list[int]:
+    """Compute the AND of ``controls`` matching ``control_state`` onto at
+    most two wires, and return them: their AND is the controls' match.
+
+    X on each open control, then relative-phase Toffolis pair the layer's
+    wires onto fresh ancillae until at most two wires are left (logarithmic
+    depth, 3 CX per ancilla).  Everything stays computed, flips included,
+    and the ladder is exact only up to a diagonal of relative phases: it is
+    legal only as the compute step of a ``Circuit.within`` whose action
+    commutes with that diagonal, which undoes it and frees the ancillae.
+    """
+    _fold_polarity(circ, controls, control_state)
+    layer = list(controls)
+    while len(layer) > 2:
+        nxt = []
+        for i in range(0, len(layer) - 1, 2):
+            nxt.append(circ.allocate())
+            _rccx(circ, layer[i], layer[i + 1], nxt[-1])
+        if len(layer) % 2:
+            nxt.append(layer[-1])
+        layer = nxt
+    return layer
+
+
 def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> None:
     """X on ``target`` iff the controls match ``control_state``.
 
     Methods: ``gray`` (exact, 2^(k+1)-2 CX, no ancillae), ``gray_pt``
     (relative-phase for 2-3 controls: 3 / 6 CX; exact fallback above),
-    ``balauca_logdepth`` (ancilla ladder, logarithmic depth).
+    ``balauca_logdepth`` (``and_ladder`` computed, the target flipped on
+    its last layer, then the ladder undone: logarithmic depth, and every
+    ancilla back in the pool).
     """
     controls = list(controls)
     if not controls:
@@ -250,23 +276,8 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> N
         if len(controls) <= 2:
             circ.mcx(controls, target, control_state)
             return
-        flipped = _fold_polarity(circ, controls, control_state)
-
-        def ladder():
-            layer = list(controls)
-            while len(layer) > 2:
-                nxt = []
-                for i in range(0, len(layer) - 1, 2):
-                    nxt.append(circ.allocate())
-                    _rccx(circ, layer[i], layer[i + 1], nxt[-1])
-                if len(layer) % 2:
-                    nxt.append(layer[-1])
-                layer = nxt
-            return layer
-
-        circ.within(ladder, lambda layer: circ.mcx(layer, target))
-        for c in flipped:
-            circ.x(c)
+        circ.within(lambda: and_ladder(circ, controls, control_state),
+                    lambda layer: circ.mcx(layer, target))
         return
 
     raise UsageError(f"unknown mcx method {method!r}")

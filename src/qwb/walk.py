@@ -31,18 +31,21 @@ Oracle builders receive ``(tree, circuit)``, allocate whatever they need via
 runs each builder as the compute step of ``Circuit.within``, whose action, a
 diagonal phase controlled on the result, never writes it; ``within`` then
 emits the builder's adjoint and returns every allocated qubit to the pool.
-So builders never uncompute, and may return a wire they only read (Sudoku's
-accept returns ``h[0]``).  The reject builder receives the lifted tree
-(``_lifted``), whose height register is relabeled one level up and whose
-``parents`` are the diffuser's own parent heights: a builder may leave out
-every check whose path entry does not ``fire`` there, since the diffuser
-masks its phase (R_A is the direct sum of D_x over x in A).  Both builders
-also run outside any diffuser, on the plain node states of one level, to
-predict the walk's reach (``_predicted_reach``); the reject builder then
-gets a copy of the tree whose ``parents`` are that level's height alone.
-There each must return the node's own accept or reject bit: the predicted
-reach is W's node set, so a missed node raises and an extra one costs a
-column.
+So builders never uncompute: they leave all their work computed, ancillae
+and relative phases included, and may return a wire they only read
+(Sudoku's accept returns ``h[0]``).  The reject builder receives the
+lifted tree (``_lifted``), whose height register is relabeled one level up
+and whose ``parents`` are the diffuser's own parent heights: a builder may
+leave out every check whose path entry does not ``fire`` there, since the
+diffuser masks its phase (R_A is the direct sum of D_x over x in A).  A
+reject builder left with no check may return None, with no gate and no
+wire: the diffuser then emits no reject phase, and ``within`` no lift.  Both
+builders also run outside any diffuser, on the plain node states of one
+level, to predict the walk's reach (``_predicted_reach``); the reject
+builder then gets a copy of the tree whose ``parents`` are that level's
+height alone.  There each must return the node's own accept or reject bit,
+None reading as "not rejected": the predicted reach is W's node set, so a
+missed node raises and an extra one costs a column.
 
 Phase estimation has two forms.  ``estimate_phase`` emits the circuit: the
 step controlled on the first ancilla is built once, every other ancilla's
@@ -299,14 +302,6 @@ class BacktrackingTree:
         def phase(first, second):
             circ.mcz((first, second) + ctrl, (1, 0) + (1,) * len(ctrl))
 
-        def lift():
-            if not self.subspace_optimization:
-                temp = circ.allocate_register(self.branch_bits)
-                for i in range(ev, n, 2):
-                    for j, q in enumerate(self.branch_reg(i)):
-                        fredkin(circ, temp[j], q, ctrl=self.h[i])
-            return lifted
-
         def reflection(_):
             # The oddity is 1 on this diffuser's parents.
             oddity = circ.allocate()
@@ -315,18 +310,28 @@ class BacktrackingTree:
             # Phase the non-accepted parents.
             circ.within(lambda: self.accept_builder(self, circ),
                         lambda acc: phase(oddity, acc))
-            # The height increment would read the root as a leaf; when the
-            # root has child parity, flipping its oddity masks it from the
-            # reject phase.
-            root_fix = (n % 2) == ev
-            if root_fix:
-                circ.cx(self.h[n], oddity)
-            # Phase the children of rejected parents, evaluated on the lift.
+
+            def lift():
+                # The height increment would read the root as a leaf; when
+                # the root has child parity, flipping its oddity masks it
+                # from the reject phase.
+                if n % 2 == ev:
+                    circ.cx(self.h[n], oddity)
+                if not self.subspace_optimization:
+                    temp = circ.allocate_register(self.branch_bits)
+                    for i in range(ev, n, 2):
+                        for j, q in enumerate(self.branch_reg(i)):
+                            fredkin(circ, temp[j], q, ctrl=self.h[i])
+                return lifted
+
+            def reject_phase(rej):
+                if rej is not None:
+                    phase(rej, oddity)
+
+            # Phase the children of rejected parents, evaluated on the lift;
+            # with no reject check here, ``within`` emits no lift at all.
             circ.within(lift, lambda lifted: circ.within(
-                lambda: lifted.reject_builder(lifted, circ),
-                lambda rej: phase(rej, oddity)))
-            if root_fix:
-                circ.cx(self.h[n], oddity)
+                lambda: lifted.reject_builder(lifted, circ), reject_phase))
             for i in lifted.parents:
                 circ.cx(self.h[i], oddity)
             circ.deallocate(oddity)
@@ -445,7 +450,8 @@ def _step_matrix(tree: BacktrackingTree, max_support, reach: Reach | None = None
     height = sum(j * (keys >> q & 1) for j, q in enumerate(tree.h))
     order = np.argsort((tree.effective_depth - height + 1) // 2, kind="stable")
     nodes, rank = keys[order], np.argsort(order)
-    alone = reach is None and max_support is not None and len(nodes) * per_node > max_support
+    alone = (reach is None and max_support is not None and len(nodes) > 1
+             and len(nodes) * per_node > max_support)
     parts, runs = [], []
     for lo, hi in ((0, 1), (1, len(nodes))) if alone else ((0, len(nodes)),):
         batch = None if max_support is None else max(1, int(max_support // per_node))
@@ -495,7 +501,7 @@ def _predicted_reach(tree: BacktrackingTree, max_support) -> list[int]:
         only.parents = range(height, height + 1)
         rejected = tree.reject_builder(only, circ)
         labels, rows, amps, _ = run_columns(compile_circuit(circ), keys)
-        fired = (rows >> accepted | rows >> rejected) & 1
+        fired = (rows >> accepted | (0 if rejected is None else rows >> rejected)) & 1
         weight = np.bincount(labels, np.abs(amps) ** 2 * fired, len(level))
         level = [path + (label,) for path, closed in zip(level, weight > 0.5)
                  if not closed for label in range(tree.deg)]

@@ -307,6 +307,32 @@ def test_only_x_and_mcz_take_controls(kind):
     assert [g.display_name() for g in c.gates] == ["MCX", "MCZ"]
 
 
+def test_within_whose_action_emits_nothing_emits_nothing():
+    # compute followed by its adjoint is the identity, so the call leaves the
+    # gates, the pool and the allocation events as they were: the wires the
+    # compute allocated, one recycled and one new, are free again.
+    c = Circuit(3)
+    c.h(0)
+    c.deallocate(c.allocate())
+    before = (list(c.gates), c.num_qubits, c.free_pool, list(c.alloc_events),
+              list(c.dealloc_events))
+
+    def compute():
+        a, b = c.allocate(), c.allocate()
+        c.mcx([0, 1], a)
+        c.within(lambda: c.cx(a, b) or b, c.t)
+        return a
+
+    c.within(compute, lambda _: None)
+    assert (c.gates, c.num_qubits, c.free_pool, c.alloc_events, c.dealloc_events) == before
+    # With an action the same call emits all three parts.  A debug run checks
+    # every freed wire for |0>, so an event left from the dropped compute
+    # (wire 3 freed while it holds q0 AND q1) would fail it.
+    c.within(compute, lambda a: c.cx(a, 2))
+    assert (len(c.gates), c.free_pool) == (10, {3, 4})
+    apply(SparseState.from_dict(5, {0b000: 0.6, 0b011: 0.8}), c, debug=True)
+
+
 def test_package_exports_resolve():
     for name in qwb.__all__:
         assert getattr(qwb, name) is not None, name
@@ -334,6 +360,16 @@ def test_serialization_rejects_garbage():
                  "QUBITS 2\nGATE X - a - -", "QUBITS 2\nGATE X - 0 a 1"):
         with pytest.raises(UsageError):
             from_text(text)
+
+
+def test_from_text_header_splits_on_any_whitespace():
+    # Gate lines split on any whitespace, and so does the header.
+    text = "GATE H - 0 - -\nGATE X - 1 0 1\n"
+    tabbed, spaced = from_text("QUBITS\t2\n" + text), from_text("QUBITS 2\n" + text)
+    assert (tabbed.num_qubits, tabbed.gates) == (spaced.num_qubits, spaced.gates)
+    for header in ("QUBITS", "QUBITS 2 junk", "QUBITS\t2\tjunk", "QUBITS2", "qubits 2"):
+        with pytest.raises(UsageError):
+            from_text(header + "\n" + text)
 
 
 @pytest.mark.parametrize("line", ["GATE X - 5 - -", "GATE X - 0 2 1", "GATE X - -1 - -"])

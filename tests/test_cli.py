@@ -493,16 +493,16 @@ def test_solve_builds_the_root_step_once(capsys, tmp_path, monkeypatch):
 
 # (qubits, U3, CX, depth) of ``bench --precision 3`` on FIG1 at k = 1..9.
 FIG1_BENCH_ROWS = [
-    (15, 1282, 1168, 1389), (19, 2103, 1938, 1921), (23, 2973, 2806, 2446),
-    (31, 3908, 3884, 3041), (34, 4552, 4486, 3230), (41, 5435, 5340, 3566),
-    (46, 6797, 6642, 4364), (53, 7826, 7720, 4721), (64, 9578, 9470, 5267),
+    (15, 982, 902, 1193), (19, 2103, 1938, 1921), (23, 2973, 2806, 2446),
+    (31, 3789, 3758, 2936), (34, 4363, 4276, 3090), (41, 5169, 5046, 3426),
+    (46, 6363, 6180, 4140), (53, 7266, 7132, 4413), (64, 8766, 8630, 4889),
 ]
 
 # The same rows with the accept result copied into an ancilla (``copied_accept``).
 COPIED_ACCEPT_BENCH_ROWS = [
-    (15, 1289, 1196, 1522), (19, 2110, 1966, 2054), (23, 2980, 2834, 2586),
-    (31, 3915, 3912, 3181), (34, 4559, 4514, 3377), (41, 5442, 5368, 3713),
-    (46, 6804, 6670, 4518), (53, 7833, 7748, 4875), (64, 9585, 9498, 5428),
+    (15, 989, 930, 1221), (19, 2110, 1966, 2054), (23, 2980, 2834, 2586),
+    (31, 3796, 3786, 3076), (34, 4370, 4304, 3237), (41, 5176, 5074, 3573),
+    (46, 6370, 6208, 4294), (53, 7273, 7160, 4567), (64, 8773, 8658, 5050),
 ]
 
 
@@ -578,7 +578,7 @@ def test_commands_return_their_output_and_main_writes_it(capsys, tmp_path, monke
 # SHA-256 over the exit code, plain text and report without "timings" of the
 # seeded solve and detect runs in ``test_seeded_reports_equal_their_pin``.
 # A change that alters any report re-pins it and names the change in CHANGES.md.
-SEEDED_REPORTS_SHA256 = "178cd2a812b4c850a5fa76566d218438fc1f44ae40c4cfd23c1de6035663b73f"
+SEEDED_REPORTS_SHA256 = "cfbcc1d303b4816361c57db155de8371f24bfbf6247dfb94de39e2c8b062f52d"
 
 
 def test_seeded_reports_equal_their_pin(capsys, tmp_path):

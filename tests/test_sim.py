@@ -457,6 +457,22 @@ def test_run_columns_label_overflow_raises_before_any_run(monkeypatch):
             run_columns(sim.compile(Circuit(63)), keys)
 
 
+@pytest.mark.parametrize("key", [4, 8, -1, 1 << 62])
+def test_run_columns_refuses_a_key_off_the_program_before_any_run(monkeypatch, key):
+    # A key's bits above the program's wires would overlap its label: on two
+    # wires, 8 once came back labelled 2 and -1 labelled -1.
+    c = Circuit(2)
+    c.h(0)
+    monkeypatch.setattr(sim, "apply", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(UsageError, match=f"^basis state {key} is outside the program's 2 wires$"):
+        run_columns(sim.compile(c), [0, 3, key])
+
+
+def test_run_columns_of_no_keys_is_empty():
+    labels, rows, amps, runs = run_columns(sim.compile(Circuit(2)), [])
+    assert (labels.tolist(), rows.tolist(), amps.tolist(), runs) == ([], [], [], [])
+
+
 # SHA-256 of the walk step's node order and W per (k, subspace_opt).
 FIG1_STEP_DIGESTS = {
     (1, False): "f5f970905c4a63b4fbeb22dc3c5e287a7edafce6edf9f0808abca92d9d04c520",
@@ -465,10 +481,10 @@ FIG1_STEP_DIGESTS = {
     (2, True): "8c30397371479819b413778835ebad62f864fa2479dbcf4478e3a59b7fdac96f",
     (3, False): "c2d6e0dd8189e00a743f243491499b017f25072fe4304a88d08cf187b636f0f8",
     (3, True): "dba3fde6ecaf6738d11b9796beca6942c3818609f4a8342c8b0a792e11931c09",
-    (4, False): "be3afa4d4e4af8f5f6d267eb2df32db31fc969a6ba92a4cbc1620ebb11371aa2",
-    (4, True): "a6550f8f48189c7f49032790eb1afca78f0084cfb52422d936be368020e1bdb7",
-    (5, False): "858508ca2885251015b49160739d3539de582e0eb404ecf66b65a23bf60595ac",
-    (5, True): "9c450e4b0c7e6d6ab325acc2bc91e8dc3b67a90378f3ead8f373629e45deba71",
+    (4, False): "65e83696af2310e92b05fd5de51fdd8834a6f7e8d3ba7408ea243c0bc257ca51",
+    (4, True): "8a74bfb649cb5a03f93d1302e0bfddb3f116337c244d613ed4ff19adf895ad29",
+    (5, False): "169166df7d334fe23318e0d254a9a3bc0b45c2aa81788aeb4c3e52502be4a2e4",
+    (5, True): "8d8dcdaa6c936125e1d8cc08708bb87939fdbd13aa28759e6d7221ff2bde21ad",
 }
 
 
@@ -478,12 +494,12 @@ FIG1_STEP_DIGESTS = {
     (1, True, "39753beb1e0222dbcd5b9b66a3e7120ac3a962fa3a3f3bbd05a76bab51efc9b9"),
     (2, False, "0924e8f35dee1a7debeeb911130cc930a28b82be27e9e85f977d5d0577fcce37"),
     (2, True, "9205d4cbd904201174a4cff54973f499bb1a4542e2ab266cad6c7f919754c503"),
-    (3, False, "e7ae2621cab893e59630da8ca36f2ef96a489854d7cf52965317044171a95d11"),
-    (3, True, "2820ad4d52e19eaf7304e048610287273dacfb33f5cb8e864499ef19f9052ca2"),
-    (4, False, "a875d4676e012f76881d435e448d60e7123ba4143ebe9c03a4939bf4cbcfc06f"),
-    (4, True, "779cfea3215d190ce73965fd19786eaecad291c4c73aab1e408030ab0a7a2c24"),
-    (5, False, "4d1e473110d576dc5ce16bba69548d3053b1bdcc1a56b1dca869b829611d3716"),
-    (5, True, "db95bf8682bea0b69e1158a56bd3a16718f00b2c1e0c1b011ef7b0178041e694"),
+    (3, False, "653f7691d97e50be5f332b8849a1461c8196cd271be109d62b456ff4399dd565"),
+    (3, True, "9dd1cd46145619a19f9a38de5c39aa61a0eabd70c05c97e3cb423fc0dd4ad234"),
+    (4, False, "6a13ab98cab8a94d3106aef02f8ca758d2d92c6b8fee1d58a93c889961ba49a1"),
+    (4, True, "87507fb2b005c059c8fb2e9b9893fcea0022aecd034cefd2b369038454e2f552"),
+    (5, False, "e2b4b8b51ecbda3d644fcdf492dc111b91ea1912427c5f244663666cdcb08bf3"),
+    (5, True, "e38d37746a5f08182612f707aa3e9d397a773c2e1e75241f2442449bd5947769"),
 ])
 def test_fig1_step_matrix_bytes_are_pinned(monkeypatch, k, subspace_opt, digest):
     # The walk step's node order and W, built from ``run_columns``, byte for

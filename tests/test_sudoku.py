@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwb import sudoku
-from qwb.circuit import UsageError
+from qwb.circuit import GateKind, UsageError
 from qwb.sim import SparseState, apply
 from qwb.sudoku import (FIG1_BOARD, ParseError, SudokuBoard, board_with_path,
                         branch_bits_for, check_plan, classical_solve,
@@ -338,6 +338,23 @@ def test_fig1_step_wires_are_pinned():
         tree.quantum_step(circ)
         wires.append(circ.num_qubits)
     assert wires == [12, 16, 20, 28, 31, 38, 43, 50, 61]
+
+
+def test_a_diffuser_with_no_reject_check_has_no_lift_and_no_reject_phase():
+    # At FIG1 k = 1 no check fires on the even diffuser's parents: the reject
+    # builder returns None with no gate and no wire, and that diffuser holds
+    # the accept phase's MCZ alone, with no Fredkin lift, so its only
+    # workspace wire is the oddity.  The odd diffuser keeps both.
+    tree, _ = tree_for_board(restrict_board(parse_board(FIG1_BOARD), 1))
+    circ = tree.new_circuit()
+    assert tree.reject_builder(tree._lifted(True), circ) is None
+    assert (circ.gates, circ.num_qubits, circ.alloc_events) == ([], tree.num_tree_qubits, [])
+    for even, mczs in ((True, 1), (False, 2)):
+        circ = tree.new_circuit()
+        tree.qstep_diffuser(circ, even=even)
+        assert sum(g.kind is GateKind.MCZ for g in circ.gates) == mczs
+        wires = {q for g in circ.gates for q in g.qubits}
+        assert (max(wires) == tree.num_tree_qubits) == even
 
 
 def test_board_with_path_fills_cells():

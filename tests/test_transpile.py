@@ -280,13 +280,13 @@ def test_transpiled_fig1_stays_on_the_input_wires(k, subspace):
 
 # Gate count and SHA-256 of every output gate's kind, target and controls.
 FIG1_QPE_GATE_ORDER = {
-    1: (2450, "b2178b857c23027cdc083ae2354a2cd6487be6cff16a76a6d2d2d8899d447e1b"),
+    1: (1884, "89ac8ee0f71cbd8b33e0f20cf694c9af53105eedf89ccd8d46ab968fe5abf082"),
     2: (4041, "8852777e9e1df110842a7b11dd549a25dc6d0ded0a332c9bb8289f7273f830fd"),
 }
 
 # The same pin with the accept result copied into an ancilla (``copied_accept``).
 COPIED_ACCEPT_QPE_GATE_ORDER = {
-    1: (2485, "04e6b1601f1aab53b8c37dd0748aa417b6b14de15120cd94b66e4bac13f1f167"),
+    1: (1919, "93f774922508f5ee296d52c3a09166d40c76b5dfc0f906435074b51e32e8164b"),
     2: (4076, "f1d96cf5fa26b9258ed8d98f0661b5cb05ccab2f19ef4fb1e3d8330f73c97888"),
 }
 
@@ -327,27 +327,27 @@ def _fig1_qpe(k, subspace_opt, precision=3):
 
 # SHA-256 of the serialized output per (k, subspace_opt).
 FIG1_QPE_TEXT_DIGESTS = {
-    (1, False): "f965ae4106cb0f5ff6afee88795a467a3aeb008197614e84190fd1e10cd629b6",
+    (1, False): "e2e4d10f83da06766506a8f7b6c7786f4d29a0f0d6d228ad90153a5b02eae462",
     (3, False): "5e945fde82c821ea6ebfea00f22376c13ca26f820a5954bdfdf0864313aa8863",
-    (5, False): "213621c0d3093239e7429e5563747e2311bb38ae8c29979be9a7ddfa187bb361",
-    (9, False): "d563ad759e94b34262656d17b898de24eea7de8d713c490429201f89e760afc9",
-    (1, True): "57585498aaedc6a4ce8383e45927e76958e2ae59e4797a0533ea9299051f78a0",
+    (5, False): "c2c33caea02692c7581c9777dac1cd835d369c142360acb0d294a4fbcc3638fe",
+    (9, False): "0504814b848292b69cf58c40c324d88c6535088c18760b498d986d41332447d2",
+    (1, True): "d3ffbc05559c6ea8d90ffe60712d7152581bd53f7025c28aecd6238e2600c4bc",
     (3, True): "fb0ae5f475ccda80f60b1c7f45ba08cb0565815c74acf450525ffae87b65b765",
-    (5, True): "b82e25547e57b94a00d77da7a9ba3eb687f21b1538e676bcccf6083bb3e2b2b6",
-    (9, True): "4ba4dcf15fbd3828feb6608d22521802005ae4681cff7a69fb306454cd29220f",
+    (5, True): "2e86021f261634a40c8aa68b90663d33ac0666268454da82d4c1e968edc5ac6d",
+    (9, True): "a7a89da9802d8f25db667eaf0ab28a85a8f1a8322f58831d56e7296bc054c665",
 }
 
 # The same SHA-256 with the accept result copied into an ancilla
 # (``copied_accept``).
 COPIED_ACCEPT_QPE_TEXT_DIGESTS = {
-    (1, False): "015d05058fab6f941ee9b8f6519291921d9bec279cbdbbebe89e3ae8412763d7",
+    (1, False): "1d08a738a36ecb8090ece250d9ba92d956091ff4b742422fcf7b78728641ded9",
     (3, False): "7acf2ef1f9a119e1651d1a84dc0bc2fe12fbb64149e236c7046da754151a179b",
-    (5, False): "129559801cfa414617fc6fdcc44a150ab2c7337035633ce7981ec25d3676b2e6",
-    (9, False): "c4ebfd2d2cbfbe6320bb44255ad24da6c8d742724469777d1616b7d96f98da96",
-    (1, True): "4668fd449cbaa81fbb63d7c7920ae55563df59fb0754e800d2e6998eca0e49d8",
+    (5, False): "791fc0ec2f83694d31dc8ebe9a67059ddf199926ad41931d846f9692bcc90287",
+    (9, False): "0ec396bb58cff1484a2eb8feb9abc1af57e25247c1d474698320ff5ba0f203a3",
+    (1, True): "0f01f12b2227e2cdca4664ab4eca641dfb82b85dd38d45654c9536ff796f26a9",
     (3, True): "caa3189a5da5d444dce2db704f6eb77c83b9f97d09c58995825ca05e58519061",
-    (5, True): "cefcecf8be2e308393098fcc63a14e4216185e07c4ef32a839daa55e8ca091e2",
-    (9, True): "e0f9c1dca1d759f86ab8e3b38174b26ea73fd9db6e96195254532dbcfa9fbac0",
+    (5, True): "0b773bf27699effc465c6f40b0a7239bbc049d852a20e3f82c0b9b98aaf5849d",
+    (9, True): "94300f7e60f192f226c6b31f43ee75bef7fa396bb2c6808707d9957358864440",
 }
 
 
@@ -360,13 +360,13 @@ def _text_digest(k, subspace_opt):
 # reject check kept (``copied_accept``, ``every_check``).
 @pytest.mark.parametrize("k, subspace_opt, digest", [
     (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
-    (3, False, "58eeb6e9173d5d71cf0918858b549ca5cdb8bd50da42a76548b17f336131ca65"),
-    (5, False, "5541dfe6934bcca8b90e4b517159e97eeb32f6b2a52261ff08e43e221167324c"),
-    (9, False, "ec48bcde43e8a1f75cb1c5467d65a053ddb3b6aa7c2d86cc2b36a2fd89c8620e"),
+    (3, False, "008faec5a66e26dd60c8a23e243c32a926c1ca0c0e0765cf017ed680a5a63169"),
+    (5, False, "2d9c5c788ee7f68edcd223eac82b957186686afb6d8d63bec8b79032f5cd4155"),
+    (9, False, "ae8e614b10e5def0cc6a64baf873ee56d35506ce5ed0392c204a802f122a7fa8"),
     (1, True, "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80"),
-    (3, True, "86a8c65dfc969382e8ed40c57d0f6b2c3b24bdef4b125a1b9cc8b3705eabdf55"),
-    (5, True, "194bc2de2517fc14f8cf13948dae73971f8e0bc48dbcb9869c76dc99c92f3c7c"),
-    (9, True, "afc6ef80dc53589ae66586ed982df18bf80d40ff9d43896bb33d67faf4e67d2b"),
+    (3, True, "879abec60219be30fea8e9a7aa5c70e2e9e9b80adca33348ad52b964fb384c81"),
+    (5, True, "d762d2aad012d32772ec1a636a74db3be6a3994853c0eed97e80cc4754b17ab9"),
+    (9, True, "613a0781ff6585d4c507815cc2db132635d858217f65398328016cf69003498e"),
 ])
 def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt, digest):
     # The whole serialized output, U3 parameters included, for the

@@ -648,6 +648,34 @@ def test_predicted_reach_stops_past_the_support_cap(monkeypatch):
     assert stepped == []
 
 
+@pytest.mark.parametrize("subspace_opt", [False, True])
+def test_fig1_step_frees_only_clean_wires_from_every_predicted_node(subspace_opt):
+    # The reject OR's ladder stays computed until the diffuser undoes it, and
+    # an empty reject drops its lift: a debug run checks every wire the step
+    # frees for |0>, from each node W is on.  Each node runs under its own
+    # label wires, as in ``run_columns``, so no two nodes' amplitudes meet.
+    for k in range(1, 7):
+        tree = _qpe_tree(("fig1", k, subspace_opt))
+        step = tree.new_circuit()
+        tree.quantum_step(step)
+        nodes = [tree.node_index(())] + walk._predicted_reach(tree, None)
+        keys = np.arange(len(nodes), dtype=np.int64) << step.num_qubits | nodes
+        state = SparseState(step.num_qubits + (len(nodes) - 1).bit_length(), keys,
+                            np.full(len(nodes), len(nodes) ** -0.5, complex))
+        out = apply(state, step, debug=True)
+        assert np.sum(np.abs(out.amps) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_root_that_reaches_no_node_runs_once_under_a_tight_cap():
+    # The root its own oracles accept is W's only node.  Under a cap below
+    # 2^(step wires - tree wires) it ran alone, then the empty rest of its
+    # nodes, and raised ValueError.
+    tree = BacktrackingTree(2, 1, oracle_from_paths([()]), oracle_from_paths([(0,)]))
+    reach, w, _ = walk._step_matrix(tree, 4)
+    assert reach.nodes.tolist() == [tree.node_index(())]
+    assert abs(w[0, 0]) == pytest.approx(1.0)
+
+
 @functools.cache
 def _grids():
     """The 288 complete valid 4x4 grids."""
