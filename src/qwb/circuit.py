@@ -292,15 +292,17 @@ class Circuit:
 
         When ``action`` emits no gate, compute followed by its adjoint is
         the identity, so the call emits nothing: it drops what ``compute``
-        emitted and puts the pool, the wire count and the allocation events
-        back as they were before the call."""
+        emitted and puts the pool, the wire count, the allocation events
+        and the recorded repeats back as they were before the call."""
         start, allocs, deallocs = len(self.gates), len(self.alloc_events), len(self.dealloc_events)
+        spans = len(self.repeats)
         pool = self.num_qubits, set(self._free_set)
         result = compute()
         fragment = self.gates[start:]
         action(result)
         if len(self.gates) == start + len(fragment):
             del self.gates[start:], self.alloc_events[allocs:], self.dealloc_events[deallocs:]
+            del self.repeats[spans:]
             self.num_qubits, self._free_set = pool
             return
         self.extend(adjoint(fragment))

@@ -12,18 +12,19 @@ A flush drops a global phase times the identity and otherwise emits one U3
 from one ``zyz`` call, so each wire carries at most one U3 between CXs;
 this fusion is what keeps the CX-dominant counts meaningful.
 
-Every gate is lowered as part of a fragment (``_Lowerer.splice``): each span
-that ``Circuit.repeat`` recorded, and the gates before, between and after
-those spans as fragments of one copy.  A fragment's template is one pass
-over its gates' ops from no pending matrices (``_Lowerer._template``).  Past
-a wire's first CX the output no longer depends on what was pending at the
-fragment's entry, so the template is the output with a slot in place of
-each wire's first flush, and each copy only fills the slots from the
-pending matrices at its entry.  All 2x2 products are ``_fold``'s, in one
-order, so the output is byte-identical to lowering gate by gate.  A network
-depends only on its gate and a U3 only on its wire and matrix, so one
-``transpile`` call builds each distinct gate's ops, each distinct U3 and CX
-and each fragment's template once.
+Every gate is lowered as part of a fragment: each span that
+``Circuit.repeat`` recorded, and the gates before, between and after those
+spans as fragments of one copy.  A fragment's template is one pass over its
+gates' ops from no pending matrices (``_Lowerer._template``).  Past a wire's
+first CX the output no longer depends on what was pending at the fragment's
+entry, so the template is the output with a slot in place of each wire's
+first flush, and each copy (``_Lowerer.splice``) only fills the slots from
+the pending matrices at its entry.  All 2x2 products are ``_fold``'s, in one
+order, so the output is byte-identical to lowering gate by gate.
+``transpile`` owns the templates: it builds each recorded span's fragment's
+template once per call and renames a moved wire in it (``_relabel``); the
+gates outside spans occur once and are templated once.  The ``_Lowerer``
+builds each distinct gate's ops and each distinct U3 and CX once per call.
 Depth counts the longest gate-dependency chain at unit cost per gate.
 """
 
@@ -130,9 +131,9 @@ def _mcz(qubits, state):
 
 class _Lowerer:
     """Rewrites gate fragments into CX and fused U3 (no controls), building
-    each distinct gate's network, each distinct U3 or CX and each fragment's
-    template once, and scanning a template for a moved wire on its first
-    move only."""
+    each distinct gate's network and each distinct U3 or CX once.  It keeps
+    no templates: ``_template`` builds one and ``splice`` replays it, and
+    the caller decides which templates to keep."""
 
     def __init__(self):
         self.gates: list[Gate] = []
@@ -140,9 +141,6 @@ class _Lowerer:
         self._tapes: dict[Gate, tuple] = {}
         self._u3s: dict[tuple, Gate | None] = {}
         self._cxs: dict[tuple[int, int], Gate] = {}
-        # id(fragment) -> (fragment, template, where each moved wire is in
-        # it, found by ``_relabel`` on the template's first move of the wire)
-        self._templates: dict[int, tuple] = {}
 
     def _u3(self, q: int, m) -> Gate | None:
         """The U3 that flushes matrix ``m`` from wire ``q``; None when ``m``
@@ -153,19 +151,15 @@ class _Lowerer:
             self._u3s[q, m] = u3
         return u3
 
-    def splice(self, fragment: tuple, times: int, moved) -> None:
-        """Lower ``times`` copies of ``fragment``, wire ``old`` moved to
-        ``new`` when ``moved`` is ``(old, new)``.  Past a wire's first CX the
-        output does not depend on what was pending at the copy's entry, so
-        each copy is the fragment's template, relabelled, with only each
-        wire's first flush rebuilt: the entry's pending matrix times the
-        matrices the template took before it.  That flush empties the wire,
+    def splice(self, template, times: int) -> None:
+        """Lower ``times`` copies of the fragment that ``template`` was built
+        from; the caller keeps the template, which this only reads.  Past a
+        wire's first CX the output does not depend on what was pending at
+        the copy's entry, so each copy is the template with only each wire's
+        first flush rebuilt: the entry's pending matrix times the matrices
+        the template took before it.  That flush empties the wire,
         so the matrices the copy leaves are folded into no pending matrix
         on a wire it CXs and into the entry's on any other."""
-        hit = self._templates.get(id(fragment))
-        if hit is None:
-            hit = self._templates[id(fragment)] = (fragment, self._template(fragment), {})
-        template = hit[1] if moved is None else _relabel(hit[1], hit[2], *moved)
         items, left = template
         pending, out, u3 = self.pending, self.gates, self._u3
         for _ in range(times):
@@ -180,7 +174,7 @@ class _Lowerer:
             for q, mats in left:
                 pending[q] = _fold(pending.get(q), mats)
 
-    def _template(self, fragment: tuple):
+    def _template(self, fragment):
         """Lower ``fragment`` from no pending matrices in one pass over its
         tapes, keeping per wire the matrices taken since its last flush.
         Returns the output as runs of gates with, in place of each wire's
@@ -239,34 +233,22 @@ def _fold(m, mats):
     return m
 
 
-def _relabel(template, spots: dict, old: int, new: int):
-    """A ``_Lowerer._template`` with wire ``old`` renamed ``new``.  Only the
-    slots and gates on ``old`` change.  The template's first move of ``old``
-    scans it once for them and keeps in ``spots`` where they are, each slot
-    as (item, None) and each gate as (item, place in its run); each move
-    then copies only the runs that hold one, swaps those gates, and reuses
-    every other item as it is."""
-    was, left = template
-    where = spots.get(old)
-    if where is None:
-        where = spots[old] = []
-        for i, item in enumerate(was):
-            if item.__class__ is tuple:
-                if item[0] == old:
-                    where.append((i, None))
-            else:
-                where += [(i, j) for j, g in enumerate(item)
-                          if g.target == old or old in g.controls]
-    items = list(was)
-    for i, j in where:
-        item = items[i]
-        if j is None:
-            items[i] = new, item[1]
-            continue
-        if item is was[i]:
-            item = items[i] = item.copy()
-        item[j], = rewired((item[j],), old, new)
-    return items, [(new if q == old else q, mats) for q, mats in left]
+def _relabel(template, old: int, new: int):
+    """A new template: ``template``, which ``transpile`` keeps unchanged for
+    the fragment's other spans, with wire ``old`` renamed ``new``.  Only the
+    slots and gates on ``old`` change: one scan rebuilds each slot on
+    ``old`` and each run that holds a gate on it, and reuses every other
+    item as it is."""
+    items, left = template
+    renamed = []
+    for item in items:
+        if item.__class__ is tuple:
+            renamed.append((new, item[1]) if item[0] == old else item)
+        elif any(g.target == old or old in g.controls for g in item):
+            renamed.append(rewired(item, old, new))
+        else:
+            renamed.append(item)
+    return renamed, [(new if q == old else q, mats) for q, mats in left]
 
 
 def _phase(a):
@@ -276,20 +258,25 @@ def _phase(a):
 def transpile(circuit: Circuit) -> Circuit:
     """Rewrite into {U3, CX}; equal to the input up to global phase.  Each
     span in ``circuit.repeats`` whose gates still match its record is
-    lowered as its fragment's copies; the gates before, between and after
-    those spans are each lowered as a fragment of one copy."""
+    lowered as copies of its fragment's template, built once per call for
+    each fragment; the gates before, between and after those spans are
+    each lowered as a fragment of one copy."""
     lw = _Lowerer()
     gates = circuit.gates
+    templates = {}      # id(fragment) -> template; circuit.repeats keeps each fragment alive
     done = 0
     for start, fragment, times, moved in circuit.repeats:
         copy = list(fragment) if moved is None else rewired(fragment, *moved)
         end = start + len(copy) * times
         if start < done or gates[start:end] != copy * times:
             continue
-        lw.splice(tuple(gates[done:start]), 1, None)
-        lw.splice(fragment, times, moved)
+        lw.splice(lw._template(gates[done:start]), 1)
+        template = templates.get(id(fragment))
+        if template is None:
+            template = templates[id(fragment)] = lw._template(fragment)
+        lw.splice(template if moved is None else _relabel(template, *moved), times)
         done = end
-    lw.splice(tuple(gates[done:]), 1, None)
+    lw.splice(lw._template(gates[done:]), 1)
     out = Circuit(circuit.num_qubits)
     out.gates = lw.finish()     # built from checked gates on the input's wires
     return out

@@ -305,7 +305,8 @@ def test_criterion_8_property_suite():
             assert not (sst.probability(acc, 1) > 0.5 and sst.probability(rej, 1) > 0.5)
     hc = stree.new_circuit()
     stree.init_node(hc, (1,))
-    hc.within(lambda: stree.reject_builder(stree, hc), lambda _: None)
+    hc.within(lambda: stree.reject_builder(stree, hc), hc.t)     # a diagonal action
+    assert hc.num_qubits > stree.num_tree_qubits
     hst = apply(SparseState.zero(hc.num_qubits), hc, debug=True)
     for q in range(stree.num_tree_qubits, hc.num_qubits):
         assert hst.probability(q, 1) <= 1e-12

@@ -309,27 +309,31 @@ def test_only_x_and_mcz_take_controls(kind):
 
 def test_within_whose_action_emits_nothing_emits_nothing():
     # compute followed by its adjoint is the identity, so the call leaves the
-    # gates, the pool and the allocation events as they were: the wires the
-    # compute allocated, one recycled and one new, are free again.
+    # gates, the pool, the allocation events and the recorded repeats as they
+    # were: the wires the compute allocated, one recycled and one new, are
+    # free again, and the span it recorded is gone with its gates.
     c = Circuit(3)
     c.h(0)
     c.deallocate(c.allocate())
     before = (list(c.gates), c.num_qubits, c.free_pool, list(c.alloc_events),
-              list(c.dealloc_events))
+              list(c.dealloc_events), list(c.repeats))
 
     def compute():
         a, b = c.allocate(), c.allocate()
         c.mcx([0, 1], a)
         c.within(lambda: c.cx(a, b) or b, c.t)
+        c.repeat((Gate(GateKind.H, 1),), 2)
         return a
 
     c.within(compute, lambda _: None)
-    assert (c.gates, c.num_qubits, c.free_pool, c.alloc_events, c.dealloc_events) == before
+    assert (c.gates, c.num_qubits, c.free_pool, c.alloc_events, c.dealloc_events,
+            c.repeats) == before
     # With an action the same call emits all three parts.  A debug run checks
     # every freed wire for |0>, so an event left from the dropped compute
     # (wire 3 freed while it holds q0 AND q1) would fail it.
     c.within(compute, lambda a: c.cx(a, 2))
-    assert (len(c.gates), c.free_pool) == (10, {3, 4})
+    assert (len(c.gates), c.free_pool) == (14, {3, 4})
+    assert c.repeats == [(5, (Gate(GateKind.H, 1),), 2, None)]
     apply(SparseState.from_dict(5, {0b000: 0.6, 0b011: 0.8}), c, debug=True)
 
 

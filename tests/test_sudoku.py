@@ -263,14 +263,17 @@ def test_reject_ignores_unassigned_fields():
 def test_uncomputation_hygiene_and_pool_reuse():
     board = restrict_board(parse_board(FIG1_BOARD), 3)
     tree, plan = tree_for_board(board)
-    # Five comparisons: the reject oracle aggregates them with a
-    # balauca_logdepth MCX, a within nested inside the ones below.
+    # Five comparisons: the reject oracle ORs them with an MCX on the last
+    # layer of an and_ladder, which stays computed until the within below
+    # undoes it.
     assert len(plan.cq_batches) + len(plan.qq_pairs) >= 4
     circ = tree.new_circuit()
     tree.init_node(circ, (1, 0))
 
     def run_pair():
-        circ.within(lambda: tree.reject_builder(tree, circ), lambda _: None)
+        # A phase on the reject result is diagonal, so the pair is emitted
+        # (an empty action would make ``within`` emit nothing).
+        circ.within(lambda: tree.reject_builder(tree, circ), circ.t)
         return circ.free_pool, circ.num_qubits
 
     pool1, qubits1 = run_pair()
@@ -278,6 +281,7 @@ def test_uncomputation_hygiene_and_pool_reuse():
     # a compute/uncompute pair returns every wire it allocated to the pool,
     # and a second invocation recycles the same wires without growing the
     # circuit
+    assert qubits1 > tree.num_tree_qubits
     assert pool1 == frozenset(range(tree.num_tree_qubits, qubits1))
     assert (pool2, qubits2) == (pool1, qubits1)
     # nested: the reject pair runs inside an accept pair

@@ -159,7 +159,12 @@ def test_psi_prep_inverse_round_trip():
     rng = np.random.default_rng(40)
     tree = BacktrackingTree(3, 1, trivial_oracle, trivial_oracle)
     circ = tree.new_circuit()
-    circ.within(lambda: tree.psi_prep(circ, even=True), lambda _: None)
+    # psi_prep keeps the height register one-hot, so an MCZ on two height
+    # wires is the identity in between; with an empty action ``within``
+    # would emit nothing at all.
+    circ.within(lambda: tree.psi_prep(circ, even=True),
+                lambda _: circ.mcz((tree.h[0], tree.h[1])))
+    assert circ.gates
     st = _random_tree_superposition(tree, rng)
     out = apply(st, circ, debug=True)
     for k, v in st.amplitudes.items():
