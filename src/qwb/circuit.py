@@ -4,8 +4,9 @@ Conventions (fixed throughout the package):
   * Qubit 0 is the least-significant bit of a basis index.
   * Every gate is one 2x2 operation on one target wire under zero or more
     controls.
-  * Only X and MCZ take controls: every controlled operation is built from
-    CX, MCX and MCZ, each of which the transpiler lowers with its own network.
+  * Only X, H and MCZ take controls: every controlled operation is built from
+    CX, MCX, controlled H and MCZ, each of which the transpiler lowers with
+    its own network.
   * A controlled X with one activate-on-1 control is the CX gate; more controls
     (or open controls) make it an MCX.  MCZ stores one participating qubit as
     the target and the remaining ones as controls; it is symmetric under
@@ -67,7 +68,7 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
 
     ``target`` is the qubit the base operation acts on; ``controls`` carry
     an explicit per-qubit ``control_state`` (1 = activate on |1>, 0 = open
-    circle / activate on |0>; no other value).  Only X and MCZ may have
+    circle / activate on |0>; no other value).  Only X, H and MCZ may have
     controls, and params must be finite.
     """
 
@@ -78,7 +79,7 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
         if controls or control_state:
             if len(controls) != len(control_state):
                 raise UsageError("controls and control_state lengths differ")
-            if kind is not _X and kind is not _MCZ:
+            if kind is not _X and kind is not _H and kind is not _MCZ:
                 raise UsageError(f"{kind.value} takes no controls")
             control_state = check_control_state(control_state)
         if params or kind is _RY or kind is _U3:
@@ -118,16 +119,12 @@ class Gate(NamedTuple("Gate", [("kind", GateKind), ("target", int),
         return _derive(Gate, (kind, self.target, params, self.controls, self.control_state))
 
     def display_name(self) -> str:
-        """Conventional name: CX/MCX for controlled X, CZ for two-qubit MCZ."""
-        if self.kind is GateKind.X and self.controls:
-            if len(self.controls) == 1 and self.control_state == (1,):
-                return "CX"
-            return "MCX"
-        if self.kind is GateKind.MCZ:
-            if len(self.controls) == 1 and self.control_state == (1,):
-                return "CZ"
-            return "MCZ"
-        return self.kind.value
+        """Conventional name: CX, CH and CZ (a two-qubit MCZ) under one
+        activate-on-1 control, MCX, MCH and MCZ under any other controls."""
+        if not self.controls:
+            return self.kind.value
+        base = "Z" if self.kind is _MCZ else self.kind.value
+        return ("C" if self.control_state == (1,) else "MC") + base
 
 
 class Circuit:
@@ -207,6 +204,10 @@ class Circuit:
 
     def cx(self, ctrl, target):
         self._emit(_X, target, controls=(ctrl,), control_state=(1,))
+
+    def ch(self, ctrl, target):
+        """Controlled H: H on ``target`` when ``ctrl`` is |1>."""
+        self._emit(_H, target, controls=(ctrl,), control_state=(1,))
 
     def mcx(self, controls, target, control_state=None):
         """Atomic multi-controlled X; lowered by the transpiler."""

@@ -13,15 +13,17 @@ as the labels on the wires above the program's can tell apart
 (``dense_unitary``, the walk step's matrix).
 The kernel works on the pairs of basis states that differ only in the
 target bit: a diagonal matrix scales the amplitudes it selects, X flips the
-target bit of the keys in place (no sort), and any other matrix (H, RY, U3,
-which never carry controls) finds each key's partner by binary search and
-mixes each pair once, appending the partners that were absent.  Keys are
-sorted only before a mixing gate that follows a permutation and once at
-the end.
+target bit of the keys in place (no sort), and any other matrix (H, RY, U3)
+finds each key's partner by binary search and mixes each pair once,
+appending the partners that were absent.  Under controls (only H's, among
+mixing gates) it does so among the keys whose controls match, leaves the
+others alone and skips the gate when none matches.  Keys are sorted only
+before a mixing gate that follows a permutation and once at the end.
 
-Amplitudes below ``PRUNE_EPSILON`` are dropped after every mixing gate, the
-only kind that can shrink a magnitude: a diagonal gate's entries have
-modulus 1 and a flip moves amplitudes without changing them.
+Amplitudes below ``PRUNE_EPSILON`` are dropped after every mixing gate,
+among the keys it mixed: it is the only kind that can shrink a magnitude,
+as a diagonal gate's entries have modulus 1 and a flip moves amplitudes
+without changing them.
 """
 
 from __future__ import annotations
@@ -246,6 +248,17 @@ def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False
                     sel = (keys & (cmask | bit)) == (cval | half)
                     amps[sel] = amps[sel] * factor
             continue
+        rest = None
+        if cmask:
+            sel = (keys & cmask) == cval
+            hit = np.count_nonzero(sel)
+            if not hit:
+                continue
+            if hit < len(keys):
+                # A key's partner matches the controls when the key does.
+                off = ~sel
+                rest = keys[off], amps[off]
+                keys, amps = keys[sel], amps[sel]
         if unsorted:
             keys, amps = _sort(keys, amps)
             unsorted = False
@@ -267,6 +280,9 @@ def apply(state: SparseState, circuit: Circuit | Program, *, debug: bool = False
                                     + np.where(lo_m, m11, m00) * other[miss]))
             unsorted = True
         keys, amps = _prune(keys, mixed, prune_epsilon)
+        if rest is not None:
+            keys, amps = np.concatenate((keys, rest[0])), np.concatenate((amps, rest[1]))
+            unsorted = True
         max_seen = max(max_seen, len(keys))
         _check_cap(len(keys), max_support, n)
     if len(ops) in deallocs:

@@ -2,7 +2,7 @@
 
 Multi-controlled X methods, truth-table logic synthesis (exact and phase-tolerant,
 with controlled variants), the XX+YY interaction used to shift one-hot
-registers, controlled-H, custom-controlled swap, and equality comparators.
+registers, custom-controlled swap, and equality comparators.
 
 Phase conventions for the synthesis walks
 -----------------------------------------
@@ -284,18 +284,7 @@ def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> N
 
 
 # ---------------------------------------------------------------------------
-# XX+YY, controlled H, Fredkin
-
-
-def controlled_h(circ: Circuit, ctrl, target) -> None:
-    """Exact controlled-H with a single CX."""
-    circ.s(target)
-    circ.h(target)
-    circ.t(target)
-    circ.cx(ctrl, target)
-    circ.tdg(target)
-    circ.h(target)
-    circ.sdg(target)
+# XX+YY, Fredkin
 
 
 def xx_plus_yy(circ: Circuit, phi, q0, q1, ctrl_qubits=None, ctrl_state=None) -> None:
@@ -330,8 +319,8 @@ def xx_plus_yy(circ: Circuit, phi, q0, q1, ctrl_qubits=None, ctrl_state=None) ->
     circ.ry(gamma, q0)
     circ.ry(gamma, q1)
     if len(ctrl_qubits) == 1:
-        controlled_h(circ, ctrl_qubits[0], q0)
-        controlled_h(circ, ctrl_qubits[0], q1)
+        circ.ch(ctrl_qubits[0], q0)
+        circ.ch(ctrl_qubits[0], q1)
     else:
         # One multi-controlled X instead of two multi-controlled H gates.
         for q in (q0, q1):

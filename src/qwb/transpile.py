@@ -1,9 +1,10 @@
 """Transpilation to the {U3, CX} basis and resource metrics.
 
-Lowering and fusion are one routine, exact up to a global phase.  Only X and
-MCZ carry controls (an invariant of ``Gate``), so every controlled gate has
-its own network: the MCZ phase network (``_mcz``) and the MCX as one CX or
-an H-conjugated MCZ (``_mcx``), open controls conjugated with X.  A network
+Lowering and fusion are one routine, exact up to a global phase.  Only X, H
+and MCZ carry controls (an invariant of ``Gate``), so every controlled gate
+has its own network: the MCZ phase network (``_mcz``), the MCX as one CX or
+an H-conjugated MCZ (``_mcx``), open controls conjugated with X, and the
+controlled H as that MCX between S·H·T and T†·H·S† (``_ch``).  A network
 yields ops: ``(wire, matrix)`` multiplies a row-major 2x2, a 4-tuple of
 complex as ``gate_matrix`` returns it, into the wire's pending matrix, and
 ``(target, ctrl)`` is a CX.  A CX first flushes its target, then its
@@ -38,12 +39,12 @@ from .circuit import Circuit, Gate, GateKind, UsageError, _derive, rewired
 from .sim import gate_matrix
 from .synthesis import gray_transitions
 
-_X = gate_matrix(Gate(GateKind.X, 0))
-_H = gate_matrix(Gate(GateKind.H, 0))
+_X, _H, _S, _SDG, _T, _TDG = (gate_matrix(Gate(kind, 0)) for kind in (
+    GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG))
 
 # Members read once: a GateKind member lookup costs more than the test it
 # feeds in per-gate code.
-_KIND_X, _KIND_MCZ, _KIND_U3 = GateKind.X, GateKind.MCZ, GateKind.U3
+_KIND_X, _KIND_H, _KIND_MCZ, _KIND_U3 = GateKind.X, GateKind.H, GateKind.MCZ, GateKind.U3
 _UNSEEN = object()     # a flush not memoised yet
 
 
@@ -80,6 +81,8 @@ def _network(gate: Gate):
     kind = gate.kind
     if kind is _KIND_X and gate.controls:
         yield from _mcx(gate.controls, gate.control_state, gate.target)
+    elif kind is _KIND_H and gate.controls:
+        yield from _ch(gate.controls, gate.control_state, gate.target)
     elif kind is _KIND_MCZ:
         yield from _mcz(gate.qubits, (1,) + gate.control_state)
     else:
@@ -104,6 +107,17 @@ def _mcx(controls, state, target: int):
     yield from _flip(controls, state)
     yield target, controls[0]
     yield from _flip(controls, state)
+
+
+def _ch(controls, state, target: int):
+    """Exact multi-controlled H: S·H·T, the controls' X on the target
+    (``_mcx``), then T†·H·S†.  The two halves cancel where the X does not
+    fire and make H where it does, so one control costs one CX."""
+    for m in (_S, _H, _T):
+        yield target, m
+    yield from _mcx(controls, state, target)
+    for m in (_TDG, _H, _SDG):
+        yield target, m
 
 
 def _mcz(qubits, state):

@@ -81,7 +81,7 @@ import numpy as np
 from .circuit import Circuit, UsageError, adjoint
 from .sim import (MAX_SHOTS, PRUNE_EPSILON, ResourceLimitError, SparseState,
                   apply, check_key, compile as compile_circuit, run_columns, sample)
-from .synthesis import controlled_h, fredkin, xx_plus_yy
+from .synthesis import fredkin, xx_plus_yy
 
 # Gate-level phase estimation (``estimate_phase``) refuses to build a circuit
 # larger than this; the 2^p - 1 replayed steps grow it exponentially.
@@ -278,7 +278,7 @@ class BacktrackingTree:
             xx_plus_yy(circ, -angle, self.h[i], self.h[i + 1],
                        ctrl_qubits=reg, ctrl_state=(0,) * len(reg))
             for q in reg:
-                controlled_h(circ, self.h[i], q)
+                circ.ch(self.h[i], q)
 
         if n % 2 != ev and n >= 1:
             pair(root_phi, n - 1)

@@ -95,12 +95,12 @@ _SINGLE_QUBIT = [(GateKind.H, 0), (GateKind.S, 0), (GateKind.SDG, 0), (GateKind.
 
 def random_circuit(rng, num_qubits: int, num_gates: int,
                    mixing_only: bool = False) -> Circuit:
-    """Random gates of every kind, including open-controlled MCX and MCZ and
-    ``Circuit.phase``.  A "cu" draw is a single-qubit gate followed by an MCX
-    on the same target."""
+    """Random gates of every kind, including open-controlled MCX, MCZ and
+    controlled H, and ``Circuit.phase``.  A "cu" draw is a single-qubit gate
+    followed by an MCX on the same target."""
     circ = Circuit(num_qubits)
     kinds = ["x", "h", "s", "sdg", "t", "tdg", "ry", "u3", "cx", "swap",
-             "xxyy", "mcz", "mcx", "phase", "cu"]
+             "xxyy", "mcz", "mcx", "phase", "cu", "ch"]
     if mixing_only:
         kinds = ["h", "ry", "u3", "cx"]
     for _ in range(num_gates):
@@ -148,6 +148,10 @@ def random_circuit(rng, num_qubits: int, num_gates: int,
             state = [int(b) for b in rng.integers(0, 2, w)]
             circ.extend([Gate(base, int(qs[w]), params)])
             circ.mcx(controls, int(qs[w]), state)
+        elif kind == "ch":
+            w = int(rng.integers(1, min(3, num_qubits - 1) + 1))
+            circ.extend([Gate(GateKind.H, int(qs[w]), (), tuple(int(q) for q in qs[:w]),
+                              tuple(int(b) for b in rng.integers(0, 2, w)))])
     return circ
 
 

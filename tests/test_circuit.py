@@ -105,9 +105,12 @@ def test_gate_validation():
     with pytest.raises(UsageError):
         Gate(GateKind.X, 0, controls=(0,), control_state=(1,))
     with pytest.raises(UsageError):
-        Gate(GateKind.H, 1, controls=(0,), control_state=(1,))
+        Gate(GateKind.T, 1, controls=(0,), control_state=(1,))
     with pytest.raises(UsageError):
         Gate(GateKind.RY, 1, params=(0.7,), controls=(0,), control_state=(1,))
+    with pytest.raises(UsageError):
+        Gate(GateKind.H, 1, controls=(1,), control_state=(1,))
+    assert Gate(GateKind.H, 1, controls=(0,), control_state=(0,)).display_name() == "MCH"
     c = Circuit(1)
     with pytest.raises(UsageError):
         c.cx(0, 1)
@@ -147,7 +150,7 @@ def _first_violation(kind, target, params, controls, state):
     want = {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
     if len(controls) != len(state):
         return "controls and control_state lengths differ"
-    if controls and kind not in (GateKind.X, GateKind.MCZ):
+    if controls and kind not in (GateKind.X, GateKind.H, GateKind.MCZ):
         return f"{kind.value} takes no controls"
     if not set(state) <= {0, 1}:
         return f"control states must be 0 or 1, got {state}"
@@ -194,7 +197,7 @@ def test_gate_raises_exactly_when_invalid_with_the_first_rule_broken(data):
 def valid_gates(draw):
     """A gate that passes ``Gate``'s checks, on wires 0..5."""
     kind = draw(st.sampled_from(list(GateKind)))
-    size = 4 if kind in (GateKind.X, GateKind.MCZ) else 1
+    size = 4 if kind in (GateKind.X, GateKind.H, GateKind.MCZ) else 1
     wires = draw(st.lists(st.integers(0, 5), min_size=1, max_size=size, unique=True))
     want = {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
     params = draw(st.lists(st.floats(-7, 7), min_size=want, max_size=want))
@@ -292,19 +295,22 @@ def test_rejected_repeat_appends_and_records_nothing():
         assert (c.gates, c.repeats, c.alloc_events) == ([], [], [])
 
 
-@pytest.mark.parametrize("kind", [GateKind.H, GateKind.S, GateKind.SDG, GateKind.T,
+@pytest.mark.parametrize("kind", [GateKind.S, GateKind.SDG, GateKind.T,
                                   GateKind.TDG, GateKind.RY, GateKind.U3])
-def test_only_x_and_mcz_take_controls(kind):
+def test_only_x_h_and_mcz_take_controls(kind):
     params = (0.5,) * {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=f"^{kind.value} takes no controls$"):
         Gate(kind, 1, params, controls=(0,), control_state=(0,))
     c = Circuit(3)
     with pytest.raises(UsageError):
         c._emit(kind, 2, params, (0, 1), (1, 1))
     assert c.gates == []
     c._emit(GateKind.X, 2, (), (0, 1), (1, 0))
+    c._emit(GateKind.H, 2, (), (0, 1), (1, 0))
+    c.ch(1, 0)
     c._emit(GateKind.MCZ, 2, (), (0, 1), (0, 1))
-    assert [g.display_name() for g in c.gates] == ["MCX", "MCZ"]
+    assert [g.display_name() for g in c.gates] == ["MCX", "MCH", "CH", "MCZ"]
+    assert c.gates[2] == Gate(GateKind.H, 0, (), (1,), (1,))
 
 
 def test_within_whose_action_emits_nothing_emits_nothing():
@@ -358,6 +364,16 @@ def test_serialization_round_trip():
     assert to_text(back) == text
 
 
+def test_controlled_h_with_an_open_control_round_trips_through_text():
+    c = Circuit(4)
+    c._emit(GateKind.H, 3, (), (0, 2), (1, 0))
+    c.ch(1, 0)
+    text = to_text(c)
+    assert text == "QUBITS 4\nGATE H - 3 0,2 1,0\nGATE H - 0 1 1\n"
+    back = from_text(text)
+    assert back.gates == c.gates and to_text(back) == text
+
+
 def test_serialization_rejects_garbage():
     for text in ("GATE X - 0 - -", "QUBITS 2\nnot a gate line at all", "QUBITS x", "QUBITS ",
                  "QUBITS 2\nGATE FOO - 0 - -", "QUBITS 2\nGATE X a 0 - -",
@@ -389,7 +405,7 @@ def test_from_text_rejects_qubits_off_the_register(line):
                                   "QUBITS 2\nGATE SWAP - 0,1 - -",
                                   "QUBITS 2\nGATE XXPLUSYY 1.0,1.5707963267948966 0,1 - -",
                                   "QUBITS 2\nGATE BARRIER - - - -",
-                                  "QUBITS 3\nGATE H - 2 0,1 1,1", "QUBITS 2\nGATE RY 0.7 1 0 1",
+                                  "QUBITS 3\nGATE T - 2 0,1 1,1", "QUBITS 2\nGATE RY 0.7 1 0 1",
                                   "QUBITS 2\nGATE U3 1.0,2.0,3.0 1 0 0",
                                   "QUBITS 1\nGATE U3 nan,0.0,0.0 0 - -", "QUBITS 1\nGATE RY inf 0 - -",
                                   "QUBITS 2 junk"])

@@ -12,9 +12,10 @@ from qwb.sim import (PRUNE_EPSILON, ResourceLimitError, SparseState, apply,
                      sample)
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
 from qwb.synthesis import xx_plus_yy
+from qwb.transpile import transpile
 
-from helpers import (definitional_unitary, every_check, random_circuit, random_sparse_dict,
-                     xxyy_matrix)
+from helpers import (definitional_unitary, equal_up_to_global_phase, every_check,
+                     random_circuit, random_sparse_dict, xxyy_matrix)
 
 
 def test_x_on_zero():
@@ -264,6 +265,94 @@ def test_controls_with_polarity():
     assert st.amplitude(0b10) == pytest.approx(1)
 
 
+def _controlled_h_circuit():
+    """H on wire 3 under controls 0 (|1>), 2 (|0>) and 4 (|0>); wire 4 is
+    freed after it, so ``debug`` checks that it is back at |0>."""
+    c = Circuit(5)
+    c.extend([Gate(GateKind.H, 3, (), (0, 2, 4), (1, 0, 0))])
+    c.deallocate(4)
+    return c
+
+
+@pytest.mark.parametrize("keys", [
+    [0b0000, 0b1000, 0b0101, 0b1111],           # bit 0 clear or bit 2 set
+    [0b0001, 0b1000, 0b1011, 0b0101, 0b0011],   # 0b1001 absent, 0b0011 and 0b1011 both there
+    [0b0001, 0b1001, 0b0011],
+], ids=["no-key-matches", "some-keys-match", "every-key-matches"])
+@pytest.mark.parametrize("kwargs", [{}, {"debug": True}, {"prune_epsilon": 0.0}],
+                         ids=["default", "debug", "unpruned"])
+def test_controlled_h_mixes_only_the_keys_its_controls_match(keys, kwargs):
+    c = _controlled_h_circuit()
+    rng = np.random.default_rng(len(keys))
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    state = SparseState.from_dict(5, dict(zip(keys, amps / np.linalg.norm(amps))))
+    got = apply(state, c, **kwargs)
+    want = definitional_unitary(c) @ _vector(state.amplitudes, 5)
+    assert np.max(np.abs(_vector(got.amplitudes, 5) - want)) < 1e-12
+    if keys[0] == 0:    # no key matches: the gate is skipped, every amplitude kept
+        assert got.keys.tolist() == sorted(keys)
+        assert got.amps.tolist() == state.amps.tolist()
+    else:
+        assert got.support() == len(np.flatnonzero(np.abs(want) > 1e-12))
+
+
+def test_controlled_h_columns_split_under_a_support_cap_match_the_definition():
+    c = Circuit(4)
+    c.ry(0.4, 0)
+    c.h(1)
+    c.extend([Gate(GateKind.H, 3, (), (0, 1), (0, 1))])
+    c.ch(3, 2)
+    # The cap is the largest support of any one state's run.
+    cap = max(apply(SparseState.basis_state(4, key), c).max_support_seen for key in range(16))
+    labels, rows, amps, runs = run_columns(sim.compile(c), np.arange(16), max_support=cap)
+    assert len(runs) > 1 and max(largest for _, largest in runs) <= cap
+    got = np.zeros((16, 16), dtype=complex)
+    got[rows, labels] = amps
+    assert np.max(np.abs(got - definitional_unitary(c))) < 1e-12
+    assert np.max(np.abs(dense_unitary(c) - definitional_unitary(c))) < 1e-12
+
+
+@st.composite
+def controlled_h_circuits(draw):
+    """A random circuit on at most 5 wires of X, CX, MCX, H, controlled H
+    (1 to 3 controls, any states), MCZ, T and RY."""
+    n = draw(st.integers(1, 5))
+    c = Circuit(n)
+    kinds = ["x", "h", "t", "ry"] + (["cx", "mcx", "ch", "mcz"] if n > 1 else [])
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(kinds))
+        size = {"cx": 2, "mcx": (2, 4), "ch": (2, 4), "mcz": (2, 4)}.get(kind, 1)
+        if isinstance(size, tuple):
+            size = draw(st.integers(size[0], min(size[1], n)))
+        wires = draw(st.permutations(range(n)))[:size]
+        state = tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+        if kind == "x":
+            c.x(wires[0])
+        elif kind == "h":
+            c.h(wires[0])
+        elif kind == "t":
+            c.t(wires[0])
+        elif kind == "ry":
+            c.ry(draw(st.floats(-7, 7)), wires[0])
+        elif kind == "cx":
+            c.cx(wires[1], wires[0])
+        elif kind == "mcx":
+            c.mcx(wires[1:], wires[0], state[1:])
+        elif kind == "ch":
+            c.extend([Gate(GateKind.H, wires[0], (), tuple(wires[1:]), state[1:])])
+        else:
+            c.mcz(wires, state)
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(controlled_h_circuits())
+def test_property_controlled_h_circuits_equal_their_gate_product(c):
+    want = definitional_unitary(c)
+    assert np.max(np.abs(dense_unitary(c) - want)) < 1e-10
+    assert equal_up_to_global_phase(dense_unitary(transpile(c)), want, 1e-9)
+
+
 def test_gate_out_of_range_is_error():
     c = Circuit(3)
     c.x(2)
@@ -475,33 +564,35 @@ def test_run_columns_of_no_keys_is_empty():
 
 # SHA-256 of the walk step's node order and W per (k, subspace_opt).
 FIG1_STEP_DIGESTS = {
-    (1, False): "f5f970905c4a63b4fbeb22dc3c5e287a7edafce6edf9f0808abca92d9d04c520",
-    (1, True): "f5f970905c4a63b4fbeb22dc3c5e287a7edafce6edf9f0808abca92d9d04c520",
-    (2, False): "8c30397371479819b413778835ebad62f864fa2479dbcf4478e3a59b7fdac96f",
-    (2, True): "8c30397371479819b413778835ebad62f864fa2479dbcf4478e3a59b7fdac96f",
-    (3, False): "c2d6e0dd8189e00a743f243491499b017f25072fe4304a88d08cf187b636f0f8",
-    (3, True): "dba3fde6ecaf6738d11b9796beca6942c3818609f4a8342c8b0a792e11931c09",
-    (4, False): "65e83696af2310e92b05fd5de51fdd8834a6f7e8d3ba7408ea243c0bc257ca51",
-    (4, True): "8a74bfb649cb5a03f93d1302e0bfddb3f116337c244d613ed4ff19adf895ad29",
-    (5, False): "169166df7d334fe23318e0d254a9a3bc0b45c2aa81788aeb4c3e52502be4a2e4",
-    (5, True): "8d8dcdaa6c936125e1d8cc08708bb87939fdbd13aa28759e6d7221ff2bde21ad",
+    (1, False): "c2e3402ba4608b1a216d832f02a6e3e449a92e3593bdac2011d29a2fd28c8fdc",
+    (1, True): "c2e3402ba4608b1a216d832f02a6e3e449a92e3593bdac2011d29a2fd28c8fdc",
+    (2, False): "85f3e5f2729d8ffd2b0afafa7c45eb7fd8aaddf79e72c4cc49edd4e715faf0dd",
+    (2, True): "85f3e5f2729d8ffd2b0afafa7c45eb7fd8aaddf79e72c4cc49edd4e715faf0dd",
+    (3, False): "65a88be65ca01ba285f06afde81bac7b4127edc5f7b2acea57977126a4c659a3",
+    (3, True): "2b64df7377d6890e9bc00a7917ce68c5c52cf45cd9f0b7c9cfe3fe344a187c2f",
+    (4, False): "d2997c9375e57da62bf3cf08dbdcefa662292c70b8258573a2442ce5bc6b963f",
+    (4, True): "9bb425a88b54ded167dddd0be2c9b5dba2374b6d2f724630dc562fc19508adf6",
+    (5, False): "06e1aa8c48aee0aee5e7ea2ee4270180cccdeee287d1fdae4fabc03af23c099d",
+    (5, True): "35f6e04761dedebadbcf5ff9f8537ab39599ed849a82f84b169789525ea55798",
+}
+
+# The same SHA-256 with every reject check kept (``every_check``).
+FIG1_EVERY_CHECK_STEP_DIGESTS = {
+    (1, False): "75adf44012219967564364085420a24f28263da1d0017f89ea1126d43db13b20",
+    (1, True): "d8feee5c297d7f976ab68fff6fdd8892ff09f6f9e77c6431a6da2e416c90f446",
+    (2, False): "44f3c9a873dce2d55e352fa4f446ceba0dceed7e3c2ed182698759ed2b254a0a",
+    (2, True): "8e33a44724bbbcc433da0623454dfc832fe691dac3c4955ca405b749e46fe377",
+    (3, False): "d5d986852407c858c15cfb3c2d9ffdef176043fb00cf77dfcefdcb4e2a49a400",
+    (3, True): "4b67ae20e7cf9afb556e9dc7804ec961dd5b2d02dd448a08404bcf4d22a34c88",
+    (4, False): "de2ea562b1079b295c5b1ff5f082987b6063003a925aa8e658bcb6d0ba7ba47f",
+    (4, True): "6f06ac445a2599fb86a5921e8689e3debfefa9627665e1608ce34557ebbd0d05",
+    (5, False): "a2e4efbd954ac5eac7e88a6a5d645ecd4bec9f5cb8838773aebbe3b1f0c0953b",
+    (5, True): "cf57be0fbf560450f89f2348beac103cbb6caa39ee41da683aaeec341464c665",
 }
 
 
-# ``digest`` is the same SHA-256 with every reject check kept (``every_check``).
-@pytest.mark.parametrize("k, subspace_opt, digest", [
-    (1, False, "1397254aed9253f3b0ae8fd4eb56c0dee17756d1d02e349adf2ccb1542bd3f65"),
-    (1, True, "39753beb1e0222dbcd5b9b66a3e7120ac3a962fa3a3f3bbd05a76bab51efc9b9"),
-    (2, False, "0924e8f35dee1a7debeeb911130cc930a28b82be27e9e85f977d5d0577fcce37"),
-    (2, True, "9205d4cbd904201174a4cff54973f499bb1a4542e2ab266cad6c7f919754c503"),
-    (3, False, "653f7691d97e50be5f332b8849a1461c8196cd271be109d62b456ff4399dd565"),
-    (3, True, "9dd1cd46145619a19f9a38de5c39aa61a0eabd70c05c97e3cb423fc0dd4ad234"),
-    (4, False, "6a13ab98cab8a94d3106aef02f8ca758d2d92c6b8fee1d58a93c889961ba49a1"),
-    (4, True, "87507fb2b005c059c8fb2e9b9893fcea0022aecd034cefd2b369038454e2f552"),
-    (5, False, "e2b4b8b51ecbda3d644fcdf492dc111b91ea1912427c5f244663666cdcb08bf3"),
-    (5, True, "e38d37746a5f08182612f707aa3e9d397a773c2e1e75241f2442449bd5947769"),
-])
-def test_fig1_step_matrix_bytes_are_pinned(monkeypatch, k, subspace_opt, digest):
+@pytest.mark.parametrize("k, subspace_opt", sorted(FIG1_STEP_DIGESTS))
+def test_fig1_step_matrix_bytes_are_pinned(monkeypatch, k, subspace_opt):
     # The walk step's node order and W, built from ``run_columns``, byte for
     # byte; ``test_fig1_step_matrix_is_the_definitional_walk_step`` checks
     # these W against the operator's definition.  With every check kept,
@@ -514,7 +605,8 @@ def test_fig1_step_matrix_bytes_are_pinned(monkeypatch, k, subspace_opt, digest)
             == FIG1_STEP_DIGESTS[k, subspace_opt])
     every_check(monkeypatch)
     reach_all, w_all, _ = walk._step_matrix(tree, None)
-    assert hashlib.sha256(reach_all.nodes.tobytes() + w_all.tobytes()).hexdigest() == digest
+    assert (hashlib.sha256(reach_all.nodes.tobytes() + w_all.tobytes()).hexdigest()
+            == FIG1_EVERY_CHECK_STEP_DIGESTS[k, subspace_opt])
     assert np.array_equal(reach.nodes, reach_all.nodes)
     assert np.abs(w - w_all).max() <= 1e-13
 

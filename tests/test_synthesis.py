@@ -6,7 +6,7 @@ import pytest
 
 from qwb.circuit import Circuit, UsageError, invert
 from qwb.sim import SparseState, apply, dense_unitary
-from qwb.synthesis import (TruthTable, cq_in_set, controlled_h, fredkin, mcx,
+from qwb.synthesis import (TruthTable, cq_in_set, fredkin, mcx,
                            qq_equal, synth_truth_table, xx_plus_yy)
 from qwb.transpile import metrics, transpile
 
@@ -263,7 +263,7 @@ def test_controlled_xxyy_multi_control():
 
 def test_controlled_h_blocks_and_count():
     c = Circuit(2)
-    controlled_h(c, 0, 1)
+    c.ch(0, 1)
     u = dense_unitary(c)
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     assert np.allclose(u[np.ix_([0, 2], [0, 2])], np.eye(2), atol=1e-12)

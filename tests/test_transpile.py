@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qwb.circuit import Circuit, Gate, GateKind, UsageError, adjoint, rewired, to_text
 from qwb.sim import dense_unitary, gate_matrix
 from qwb.sudoku import FIG1_BOARD, parse_board, restrict_board, tree_for_board
-from qwb.transpile import ResourceMetrics, _Lowerer, _relabel, metrics, transpile
+from qwb.transpile import ResourceMetrics, _Lowerer, _network, _relabel, metrics, transpile
 
 from helpers import copied_accept, equal_up_to_global_phase, every_check, random_circuit
 from reference import clocked_metrics, lowered_gate_by_gate
@@ -198,6 +199,80 @@ def test_mcz_lowering_matches():
         assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
 
 
+def _on_wire(m, q, n):
+    """The 2x2 ``m`` on wire ``q`` of ``n`` (wire 0 the low bit of an index)."""
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), m), np.eye(2 ** q))
+
+
+def _cx_matrix(ctrl, target, n):
+    u = np.zeros((2 ** n, 2 ** n))
+    for j in range(2 ** n):
+        u[j ^ (1 << target) if j >> ctrl & 1 else j, j] = 1
+    return u
+
+
+def _network_product(gate, n):
+    """The operator of ``gate``'s lowering network, multiplied out op by op:
+    a ``(wire, matrix)`` op is its 2x2 on that wire, a ``(target, ctrl)`` op
+    a CX."""
+    u = np.eye(2 ** n, dtype=complex)
+    for q, m in _network(gate):
+        op = _cx_matrix(m, q, n) if isinstance(m, int) else _on_wire(
+            np.array(m).reshape(2, 2), q, n)
+        u = op @ u
+    return u
+
+
+def _gate_definition(gate, n):
+    """``gate`` from its definition: its base 2x2 on the target where every
+    control holds its state, the identity elsewhere."""
+    base = {GateKind.X: [[0, 1], [1, 0]], GateKind.H: np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+            GateKind.MCZ: [[1, 0], [0, -1]]}[gate.kind]
+    match = np.ones(1)
+    for q in range(n - 1, -1, -1):      # kron order: wire n - 1 first
+        held = dict(zip(gate.controls, gate.control_state)).get(q)
+        match = np.kron(match, np.ones(2) if held is None else np.eye(2)[held])
+    on = np.diag(match)
+    return on @ _on_wire(np.array(base, dtype=complex), gate.target, n) + np.eye(2 ** n) - on
+
+
+@pytest.mark.parametrize("kind, wires", [(GateKind.X, w) for w in (2, 3, 4)]
+                         + [(GateKind.MCZ, w) for w in (2, 3, 4)]
+                         + [(GateKind.H, w) for w in (2, 3, 4)])
+def test_each_lowering_network_multiplies_out_to_its_gate(kind, wires):
+    # Checks ``_network`` itself, which ``lowered_gate_by_gate`` reuses: the
+    # target sits between the controls, and every control state is tried.
+    target = wires // 2
+    controls = tuple(q for q in reversed(range(wires)) if q != target)
+    for state in itertools.product((0, 1), repeat=len(controls)):
+        gate = Gate(kind, target, (), controls, state)
+        want = _gate_definition(gate, wires)
+        assert equal_up_to_global_phase(_network_product(gate, wires), want, 1e-12), state
+
+
+def test_controlled_h_lowers_like_its_single_cx_sequence():
+    # One control: the S·H·T, CX, T†·H·S† sequence the gate replaced, and
+    # the same output once transpiled.  More controls cost the MCX's CX.
+    c = Circuit(3)
+    c.ch(0, 2)
+    seq = Circuit(3)
+    seq.s(2)
+    seq.h(2)
+    seq.t(2)
+    seq.cx(0, 2)
+    seq.tdg(2)
+    seq.h(2)
+    seq.sdg(2)
+    assert to_text(transpile(c)) == to_text(transpile(seq))
+    for state, want in (((1, 1), 6), ((0, 1), 6), ((1, 0, 1), 14)):
+        c = Circuit(len(state) + 1)
+        c.extend([Gate(GateKind.H, len(state), (), tuple(range(len(state))), state)])
+        t = transpile(c)
+        _only_basis(t)
+        assert metrics(t).cx_count == want
+        assert equal_up_to_global_phase(dense_unitary(c), dense_unitary(t), 1e-9)
+
+
 def test_metrics_depth_parallel_vs_chained():
     c = Circuit(4)
     c.cx(0, 1)
@@ -220,7 +295,7 @@ def test_metrics_counts_u3_cx_and_depth():
 
 def test_metrics_rejects_untranspiled():
     for emit in (lambda c: c.h(0), lambda c: c.mcz((0, 1)), lambda c: c.mcx([0, 1], 2),
-                 lambda c: c.mcx([0], 1, (0,))):
+                 lambda c: c.mcx([0], 1, (0,)), lambda c: c.ch(0, 1)):
         c = Circuit(3)
         emit(c)
         with pytest.raises(UsageError):
