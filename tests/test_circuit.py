@@ -297,7 +297,8 @@ def test_rejected_repeat_appends_and_records_nothing():
 
 @pytest.mark.parametrize("kind", [GateKind.S, GateKind.SDG, GateKind.T,
                                   GateKind.TDG, GateKind.RY, GateKind.U3])
-def test_only_x_h_and_mcz_take_controls(kind):
+def test_only_x_and_mcz_take_controls(kind):
+    # H takes controls too; test_h_takes_controls_like_x_and_mcz covers it.
     params = (0.5,) * {GateKind.RY: 1, GateKind.U3: 3}.get(kind, 0)
     with pytest.raises(UsageError, match=f"^{kind.value} takes no controls$"):
         Gate(kind, 1, params, controls=(0,), control_state=(0,))
@@ -305,6 +306,13 @@ def test_only_x_h_and_mcz_take_controls(kind):
     with pytest.raises(UsageError):
         c._emit(kind, 2, params, (0, 1), (1, 1))
     assert c.gates == []
+    c._emit(GateKind.X, 2, (), (0, 1), (1, 0))
+    c._emit(GateKind.MCZ, 2, (), (0, 1), (0, 1))
+    assert [g.display_name() for g in c.gates] == ["MCX", "MCZ"]
+
+
+def test_h_takes_controls_like_x_and_mcz():
+    c = Circuit(3)
     c._emit(GateKind.X, 2, (), (0, 1), (1, 0))
     c._emit(GateKind.H, 2, (), (0, 1), (1, 0))
     c.ch(1, 0)
