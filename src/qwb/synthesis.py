@@ -1,8 +1,9 @@
 """Reusable gate constructions.
 
-Multi-controlled X methods, truth-table logic synthesis (exact and phase-tolerant,
-with controlled variants), the XX+YY interaction used to shift one-hot
-registers, custom-controlled swap, and equality comparators.
+The relative-phase multi-controlled X and the log-depth AND ladder,
+truth-table logic synthesis (exact and phase-tolerant, with controlled
+variants), the XX+YY interaction used to shift one-hot registers,
+custom-controlled swap, and equality comparators.
 
 Phase conventions for the synthesis walks
 -----------------------------------------
@@ -23,10 +24,11 @@ which keeps CX counts independent of the table:
   * controlled phase-tolerant (conjugated half-angle double walk):
                                       2^(n+1) + 2 CX
 
-``gray_pt`` multi-controlled X uses the 3-CX and 6-CX relative-phase
-constructions for 2 and 3 controls; such gates equal the exact MCX up to a
-diagonal of garbage phases and are legal only inside compute/uncompute pairs
-(caller contract).
+``rmcx`` uses the 3-CX and 6-CX relative-phase constructions for 2 and 3
+controls, and ``and_ladder`` pairs controls with the 3-CX one.  Both are exact
+only up to a diagonal of garbage phases and are legal only inside
+compute/uncompute pairs (caller contract).  The exact multi-controlled X is
+``Circuit.mcx``.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ class TruthTable:
         for v in self.rows:
             if not 0 <= v < 2 ** self.output_bits:
                 raise UsageError(f"table output {v} exceeds {self.output_bits} bits")
-
-    @classmethod
-    def from_dict(cls, input_bits: int, output_bits: int, rows: dict[int, int]):
-        if sorted(rows) != list(range(2 ** input_bits)):
-            raise UsageError("truth table must be total")
-        return cls(input_bits, output_bits, tuple(rows[x] for x in range(2 ** input_bits)))
 
     def output_column(self, bit: int) -> np.ndarray:
         return np.array([(v >> bit) & 1 for v in self.rows], dtype=float)
@@ -236,51 +232,31 @@ def and_ladder(circ: Circuit, controls, control_state) -> list[int]:
     return layer
 
 
-def mcx(circ: Circuit, controls, target, control_state=None, method="gray") -> None:
-    """X on ``target`` iff the controls match ``control_state``.
+def rmcx(circ: Circuit, controls, target, control_state=None) -> None:
+    """X on ``target`` iff the controls match ``control_state``, up to a
+    diagonal of relative phases.
 
-    Methods: ``gray`` (exact, 2^(k+1)-2 CX, no ancillae), ``gray_pt``
-    (relative-phase for 2-3 controls: 3 / 6 CX; exact fallback above),
-    ``balauca_logdepth`` (``and_ladder`` computed, the target flipped on
-    its last layer, then the ladder undone: logarithmic depth, and every
-    ancilla back in the pool).
+    One control is the exact gate, 2 and 3 controls the 3-CX and 6-CX
+    relative-phase forms, and 4 or more the exact gate, which meets the
+    phase-tolerance contract trivially.  Open controls are folded with X.
     """
     controls = list(controls)
     if not controls:
-        raise UsageError("mcx needs at least one control")
+        raise UsageError("rmcx needs at least one control")
     if control_state is None:
         control_state = (1,) * len(controls)
-
-    if method == "gray":
+    if len(controls) == 1:
         circ.mcx(controls, target, control_state)
         return
-
-    if method == "gray_pt":
-        if len(controls) == 1:
-            circ.mcx(controls, target, control_state)
-            return
-        flipped = _fold_polarity(circ, controls, control_state)
-        if len(controls) == 2:
-            _rccx(circ, controls[0], controls[1], target)
-        elif len(controls) == 3:
-            _rc3x(circ, controls[0], controls[1], controls[2], target)
-        else:
-            # No dedicated relative-phase form pinned beyond 3 controls; the
-            # exact gate satisfies the phase-tolerance contract trivially.
-            circ.mcx(controls, target)
-        for c in flipped:
-            circ.x(c)
-        return
-
-    if method == "balauca_logdepth":
-        if len(controls) <= 2:
-            circ.mcx(controls, target, control_state)
-            return
-        circ.within(lambda: and_ladder(circ, controls, control_state),
-                    lambda layer: circ.mcx(layer, target))
-        return
-
-    raise UsageError(f"unknown mcx method {method!r}")
+    flipped = _fold_polarity(circ, controls, control_state)
+    if len(controls) == 2:
+        _rccx(circ, controls[0], controls[1], target)
+    elif len(controls) == 3:
+        _rc3x(circ, controls[0], controls[1], controls[2], target)
+    else:
+        circ.mcx(controls, target)
+    for c in flipped:
+        circ.x(c)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +335,27 @@ def fredkin(circ: Circuit, a, b, ctrl=None) -> None:
 
 def qq_equal(circ: Circuit, reg_a, reg_b, result, ctrl=None,
              phase_tolerant=False) -> None:
-    """result = [reg_a == reg_b] (AND ctrl).  CX fanout, all-zero MCX, undo."""
+    """result = [reg_a == reg_b] (AND ctrl).  CX fanout, all-zero MCX, undo.
+
+    The MCX is ``Circuit.mcx``, or ``rmcx`` if ``phase_tolerant``: the result
+    then carries relative phases, and only its uncompute removes them.
+    """
     reg_a, reg_b = list(reg_a), list(reg_b)
     if len(reg_a) != len(reg_b):
         raise UsageError("qq_equal registers must have equal width")
-    for x, y in zip(reg_a, reg_b):
-        circ.cx(x, y)
     controls = list(reg_b)
     state = [0] * len(reg_b)
     if ctrl is not None:
         controls.append(ctrl)
         state.append(1)
-    mcx(circ, controls, result, state, method="gray_pt" if phase_tolerant else "gray")
+    if not controls:
+        raise UsageError("qq_equal needs a wire to compare or a ctrl")
+    for x, y in zip(reg_a, reg_b):
+        circ.cx(x, y)
+    if phase_tolerant:
+        rmcx(circ, controls, result, state)
+    else:
+        circ.mcx(controls, result, state)
     for x, y in zip(reg_a, reg_b):
         circ.cx(x, y)
 

@@ -21,7 +21,7 @@ from qwb.sim import ResourceLimitError, SparseState, apply, dense_unitary, sampl
 from qwb.sudoku import (FIG1_BOARD, board_with_path, classical_solve,
                         format_board, parse_board, restrict_board,
                         tree_for_board)
-from qwb.synthesis import cq_in_set, fredkin, mcx, synth_truth_table, TruthTable
+from qwb.synthesis import cq_in_set, fredkin, rmcx, synth_truth_table, TruthTable
 from qwb.transpile import metrics, transpile
 from qwb.walk import (BacktrackingTree, SearchStats, WalkConfig,
                       decode_tree_state, demo_tree, find_solution,
@@ -288,7 +288,7 @@ def test_criterion_8_property_suite():
 
     # phase-tolerant cancellation
     c = Circuit(4)
-    mcx(c, [0, 1, 2], 3, method="gray_pt")
+    rmcx(c, [0, 1, 2], 3)
     c.extend(invert(c).gates)
     assert np.allclose(dense_unitary(c), np.eye(16), atol=1e-9)
 
@@ -334,7 +334,7 @@ def test_criterion_8_property_suite():
     fredkin(fr, 0, 1, ctrl=2)
     assert metrics(transpile(fr)).cx_count == 8
     pt3 = Circuit(4)
-    mcx(pt3, [0, 1, 2], 3, method="gray_pt")
+    rmcx(pt3, [0, 1, 2], 3)
     assert metrics(transpile(pt3)).cx_count == 6
     exact_eval = Circuit(4)
     cq_in_set(exact_eval, [0, 1], {1, 2, 3}, 3, ctrl=2)

@@ -505,6 +505,14 @@ COPIED_ACCEPT_BENCH_ROWS = [
     (46, 6370, 6208, 4294), (53, 7273, 7160, 4567), (64, 8773, 8658, 5050),
 ]
 
+# The same rows with ``--subspace-opt``.  Depth is not monotone in k: 1,865
+# at k = 4, 1,802 at k = 5.
+FIG1_SUBSPACE_BENCH_ROWS = [
+    (13, 751, 678, 920), (17, 1410, 1266, 1305), (21, 2042, 1910, 1690),
+    (29, 2634, 2638, 1865), (32, 2970, 2932, 1802), (39, 3552, 3478, 1907),
+    (44, 4508, 4388, 2481), (51, 5187, 5116, 2496), (62, 6505, 6390, 2831),
+]
+
 
 BENCH_FIELDS = ("qubit_count", "u3_count", "cx_count", "depth")
 
@@ -517,11 +525,11 @@ def test_readme_quotes_the_pinned_first_bench_row():
     assert [tuple(int(x.replace(",", "")) for x in row) for row in quoted] == [FIG1_BENCH_ROWS[0]]
 
 
-def _bench_rows(capsys, board):
+def _bench_rows(capsys, board, *flags):
     rows = []
     for k in range(1, 10):
         code, _, report = run_main(capsys, ["bench", board, "--missing", str(k),
-                                            "--precision", "3"])
+                                            "--precision", "3", *flags])
         assert code == 0, k
         rows.append(tuple(report["outcome"]["row"][f] for f in BENCH_FIELDS))
     return rows
@@ -531,12 +539,19 @@ def test_bench_rows_at_precision_3_equal_the_recorded_rows(capsys, fig1_board, m
     # The gate cap leaves every benchmarked row buildable; each row equals
     # its pin and lies at or below the row the benchmark recorded, and the
     # rows pinned while the accept oracle copied h[0] are still reproduced.
+    # Both pins are built before either is compared, so a failure shows both.
     recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "fig1_rows.json").read_text())
-    assert _bench_rows(capsys, fig1_board) == FIG1_BENCH_ROWS
+    rows = _bench_rows(capsys, fig1_board)
+    copied_accept(monkeypatch)
+    copied = _bench_rows(capsys, fig1_board)
+    assert (rows, copied) == (FIG1_BENCH_ROWS, COPIED_ACCEPT_BENCH_ROWS)
     for k, pinned in enumerate(FIG1_BENCH_ROWS, 1):
         assert all(got <= recorded["rows"][str(k)][f] for f, got in zip(BENCH_FIELDS, pinned)), k
-    copied_accept(monkeypatch)
-    assert _bench_rows(capsys, fig1_board) == COPIED_ACCEPT_BENCH_ROWS
+
+
+def test_subspace_bench_rows_at_precision_3_equal_their_pin(capsys, fig1_board):
+    # ``--subspace-opt`` rows may only go down (or stay) from this pin.
+    assert _bench_rows(capsys, fig1_board, "--subspace-opt") == FIG1_SUBSPACE_BENCH_ROWS
 
 
 @pytest.mark.parametrize("case", ["solve", "solve unsolvable", "detect", "bench", "viz board",

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qwb.circuit import Circuit, UsageError, invert
+from qwb.circuit import Circuit, UsageError, adjoint, invert
 from qwb.sim import SparseState, apply, dense_unitary
-from qwb.synthesis import (TruthTable, cq_in_set, fredkin, mcx,
-                           qq_equal, synth_truth_table, xx_plus_yy)
+from qwb.synthesis import (TruthTable, and_ladder, cq_in_set, fredkin, qq_equal,
+                           rmcx, synth_truth_table, xx_plus_yy)
 from qwb.transpile import metrics, transpile
 
 from helpers import xxyy_matrix
@@ -37,27 +37,27 @@ def mcx_permutation(k, control_state, dim_qubits):
 def test_mcx_gray_matches_analytic_permutation(k):
     for control_state in itertools.product((0, 1), repeat=k):
         c = Circuit(k + 1)
-        mcx(c, list(range(k)), k, control_state, method="gray")
+        c.mcx(list(range(k)), k, control_state)
         u = dense_unitary(c)
         assert np.allclose(u, mcx_permutation(k, control_state, k + 1), atol=1e-9)
 
 
 def test_mcx_gray_pt_counts():
     c = Circuit(4)
-    mcx(c, [0, 1, 2], 3, method="gray_pt")
+    rmcx(c, [0, 1, 2], 3)
     assert cx_count(c) == 6
     c = Circuit(4)
-    mcx(c, [0, 1, 2], 3, method="gray")
+    c.mcx([0, 1, 2], 3)
     assert cx_count(c) == 14
     c = Circuit(3)
-    mcx(c, [0, 1], 2, method="gray_pt")
+    rmcx(c, [0, 1], 2)
     assert cx_count(c) == 3
 
 
 def test_mcx_gray_pt_is_mcx_up_to_diagonal_phases():
     for k in (2, 3):
         c = Circuit(k + 1)
-        mcx(c, list(range(k)), k, method="gray_pt")
+        rmcx(c, list(range(k)), k)
         u = np.abs(dense_unitary(c))
         assert np.allclose(u, mcx_permutation(k, (1,) * k, k + 1), atol=1e-9)
 
@@ -65,7 +65,7 @@ def test_mcx_gray_pt_is_mcx_up_to_diagonal_phases():
 def test_gray_pt_followed_by_inverse_is_identity():
     for k in (2, 3):
         c = Circuit(k + 1)
-        mcx(c, list(range(k)), k, method="gray_pt")
+        rmcx(c, list(range(k)), k)
         c.extend(invert(c).gates)
         assert np.allclose(dense_unitary(c), np.eye(2 ** (k + 1)), atol=1e-9)
 
@@ -73,7 +73,8 @@ def test_gray_pt_followed_by_inverse_is_identity():
 def test_mcx_balauca_correctness_and_ancilla_return():
     for k in (4, 6, 8):
         c = Circuit(k + 1)
-        mcx(c, list(range(k)), k, method="balauca_logdepth")
+        c.within(lambda: and_ladder(c, list(range(k)), (1,) * k),
+                 lambda layer: c.mcx(layer, k))
         assert c.free_pool == frozenset(range(k + 1, c.num_qubits))
         if c.num_qubits <= 12:
             u = dense_unitary(c)
@@ -86,14 +87,27 @@ def test_balauca_depth_sublinear():
     depths = {}
     for k in (4, 8):
         c = Circuit(k + 1)
-        mcx(c, list(range(k)), k, method="balauca_logdepth")
+        c.within(lambda: and_ladder(c, list(range(k)), (1,) * k),
+                 lambda layer: c.mcx(layer, k))
         depths[k] = depth_of(c)
     assert depths[8] < 2 * depths[4]
 
 
 def test_mcx_needs_controls():
     with pytest.raises(UsageError):
-        mcx(Circuit(2), [], 0)
+        rmcx(Circuit(2), [], 0)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_rmcx_at_one_and_four_controls_is_the_exact_gate(k):
+    # One control, and 4 or more (9x9 boards' qq_equal), carry no relative
+    # phase: the same unitary as Circuit.mcx at every control state.
+    for control_state in itertools.product((0, 1), repeat=k):
+        c = Circuit(k + 1)
+        rmcx(c, list(range(k)), k, control_state)
+        ref = Circuit(k + 1)
+        ref.mcx(list(range(k)), k, control_state)
+        assert np.allclose(dense_unitary(c), dense_unitary(ref), atol=1e-12)
 
 
 # -- mcz ----------------------------------------------------------------------
@@ -189,7 +203,7 @@ def test_truth_table_constant_zero_emits_nothing():
 
 def test_truth_table_partial_is_error():
     with pytest.raises(UsageError):
-        TruthTable.from_dict(2, 1, {0: 1, 1: 0, 3: 1})
+        TruthTable(2, 1, (1, 0, 1))
 
 
 def test_controlled_synthesis_overhead_factor():
@@ -313,6 +327,32 @@ def test_qq_equal_width_mismatch():
         qq_equal(Circuit(5), [0, 1], [2, 3, 4], 4)
 
 
+@pytest.mark.parametrize("phase_tolerant", [False, True])
+def test_qq_equal_refuses_empty_registers_without_ctrl(phase_tolerant):
+    # With nothing to compare and no ctrl there is no control for the MCX;
+    # Circuit.mcx would emit a bare X.
+    c = Circuit(1)
+    with pytest.raises(UsageError):
+        qq_equal(c, [], [], 0, phase_tolerant=phase_tolerant)
+    assert c.gates == []
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_qq_equal_phase_tolerant_controlled_is_exact_on_basis_inputs(width):
+    # The reject oracle's form: rmcx takes width + 1 controls (2, 3 and 5).
+    a, b = list(range(width)), list(range(width, 2 * width))
+    ctrl, result = 2 * width, 2 * width + 1
+    c = Circuit(2 * width + 2)
+    qq_equal(c, a, b, result, ctrl=ctrl, phase_tolerant=True)
+    u = dense_unitary(c)
+    for x, y, on in itertools.product(range(2 ** width), range(2 ** width), (0, 1)):
+        idx = x | (y << width) | (on << ctrl)
+        want = int(on and x == y)
+        assert abs(u[idx | (want << result), idx]) == pytest.approx(1.0, abs=1e-9)
+    c.extend(adjoint(c.gates))
+    assert np.allclose(dense_unitary(c), np.eye(2 ** c.num_qubits), atol=1e-9)
+
+
 def test_cq_in_set_superposition_example():
     c = Circuit(3)
     c.h(1)              # (|0> + |2>)/sqrt(2) on the 2-bit register {q0,q1}
@@ -352,9 +392,9 @@ def test_cq_in_set_pt_controlled_correct():
 
 
 @pytest.mark.parametrize("emit", [
-    lambda c: mcx(c, [0, 1, 2], 3, [0], method="gray_pt"),
-    lambda c: mcx(c, [0, 1, 2], 3, [0], method="balauca_logdepth"),
-    lambda c: mcx(c, [0, 1, 2], 3, [0, 1, 1, 0], method="balauca_logdepth"),
+    lambda c: rmcx(c, [0, 1, 2], 3, [0]),
+    lambda c: and_ladder(c, [0, 1, 2], [0]),
+    lambda c: and_ladder(c, [0, 1, 2], [0, 1, 1, 0]),
     lambda c: xx_plus_yy(c, 0.3, 0, 1, [2, 3], [0]),
     lambda c: xx_plus_yy(c, 0.3, 0, 1, [2], [1, 0]),
 ], ids=["gray_pt", "balauca_logdepth", "balauca_logdepth-long", "xx_plus_yy",
@@ -370,14 +410,14 @@ def test_folded_open_controls_refuse_a_control_state_of_another_length(emit):
 
 @pytest.mark.parametrize("state", [(2, 1, 1), (1, 0.7, 1), (1, 1, -1)])
 def test_folded_open_controls_refuse_what_gate_refuses(state):
-    # mcx's relative-phase and ladder forms and the controlled XX+YY fold
+    # The relative-phase MCX, the AND ladder and the controlled XX+YY fold
     # open controls before any gate is built; they refuse the same control
     # states as Gate, with its message, and emit nothing.
     with pytest.raises(UsageError) as want:
         Circuit(4).mcx([0, 1, 2], 3, state)
-    emitters = [lambda c, m=m: mcx(c, [0, 1, 2], 3, state, method=m)
-                for m in ("gray", "gray_pt", "balauca_logdepth")]
-    emitters.append(lambda c: xx_plus_yy(c, 0.3, 3, 4, [0, 1, 2], state))
+    emitters = [lambda c: rmcx(c, [0, 1, 2], 3, state),
+                lambda c: and_ladder(c, [0, 1, 2], state),
+                lambda c: xx_plus_yy(c, 0.3, 3, 4, [0, 1, 2], state)]
     for emit in emitters:
         c = Circuit(5)
         with pytest.raises(UsageError) as err:

@@ -365,6 +365,14 @@ COPIED_ACCEPT_QPE_GATE_ORDER = {
 }
 
 
+# The same pin with the accept result copied and every reject check kept
+# (``copied_accept``, ``every_check``).
+EVERY_CHECK_QPE_GATE_ORDER = {
+    1: (2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
+    2: (5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
+}
+
+
 def _gate_order(circ):
     gates = transpile(circ).gates
     text = "\n".join(f"{g.kind.value} {g.target} {','.join(map(str, g.controls))}"
@@ -372,13 +380,8 @@ def _gate_order(circ):
     return len(gates), hashlib.sha256(text.encode()).hexdigest()
 
 
-# ``count`` and ``digest`` are the same pin with the accept result copied
-# and every reject check kept (``copied_accept``, ``every_check``).
-@pytest.mark.parametrize("k, count, digest", [
-    (1, 2752, "9f930dc389ae49185303aabb46daa7b8f7c15f3473843c672e69730ee2201dc0"),
-    (2, 5431, "a9007ef7667a7af1319a0a05d1ee051b21afa1807f2fa4f4d7f07b517dfd46c6"),
-])
-def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k, count, digest):
+@pytest.mark.parametrize("k", sorted(FIG1_QPE_GATE_ORDER))
+def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k):
     # The bench rows pin only counts; this pins every output gate's kind,
     # target and controls, in order, for the precision-3 QPE circuit, the
     # circuit pinned while the accept oracle copied h[0], and the one pinned
@@ -387,7 +390,7 @@ def test_transpiled_fig1_qpe_gate_order_and_wires_are_pinned(monkeypatch, k, cou
     copied_accept(monkeypatch)
     assert _gate_order(_fig1_qpe(k, False)) == COPIED_ACCEPT_QPE_GATE_ORDER[k]
     every_check(monkeypatch)
-    assert _gate_order(_fig1_qpe(k, False)) == (count, digest)
+    assert _gate_order(_fig1_qpe(k, False)) == EVERY_CHECK_QPE_GATE_ORDER[k]
 
 
 def _fig1_qpe(k, subspace_opt, precision=3):
@@ -425,24 +428,27 @@ COPIED_ACCEPT_QPE_TEXT_DIGESTS = {
 }
 
 
+# The same SHA-256 with the accept result copied and every reject check kept
+# (``copied_accept``, ``every_check``).
+EVERY_CHECK_QPE_TEXT_DIGESTS = {
+    (1, False): "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9",
+    (3, False): "008faec5a66e26dd60c8a23e243c32a926c1ca0c0e0765cf017ed680a5a63169",
+    (5, False): "2d9c5c788ee7f68edcd223eac82b957186686afb6d8d63bec8b79032f5cd4155",
+    (9, False): "ae8e614b10e5def0cc6a64baf873ee56d35506ce5ed0392c204a802f122a7fa8",
+    (1, True): "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80",
+    (3, True): "879abec60219be30fea8e9a7aa5c70e2e9e9b80adca33348ad52b964fb384c81",
+    (5, True): "d762d2aad012d32772ec1a636a74db3be6a3994853c0eed97e80cc4754b17ab9",
+    (9, True): "613a0781ff6585d4c507815cc2db132635d858217f65398328016cf69003498e",
+}
+
+
 def _text_digest(k, subspace_opt):
     text = to_text(transpile(_fig1_qpe(k, subspace_opt)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# ``digest`` is the same SHA-256 with the accept result copied and every
-# reject check kept (``copied_accept``, ``every_check``).
-@pytest.mark.parametrize("k, subspace_opt, digest", [
-    (1, False, "a728bad45e035167c7430f803657e361df7015d7dc248afd2e351eedf0a10ee9"),
-    (3, False, "008faec5a66e26dd60c8a23e243c32a926c1ca0c0e0765cf017ed680a5a63169"),
-    (5, False, "2d9c5c788ee7f68edcd223eac82b957186686afb6d8d63bec8b79032f5cd4155"),
-    (9, False, "ae8e614b10e5def0cc6a64baf873ee56d35506ce5ed0392c204a802f122a7fa8"),
-    (1, True, "97a29668b86ab98d83b50ed52fb41ed24aa4053b00fcda33dc6c7d287d455d80"),
-    (3, True, "879abec60219be30fea8e9a7aa5c70e2e9e9b80adca33348ad52b964fb384c81"),
-    (5, True, "d762d2aad012d32772ec1a636a74db3be6a3994853c0eed97e80cc4754b17ab9"),
-    (9, True, "613a0781ff6585d4c507815cc2db132635d858217f65398328016cf69003498e"),
-])
-def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt, digest):
+@pytest.mark.parametrize("k, subspace_opt", list(FIG1_QPE_TEXT_DIGESTS))
+def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt):
     # The whole serialized output, U3 parameters included, for the
     # precision-3 QPE circuit, the one pinned while the accept oracle copied
     # h[0], and the one pinned before each diffuser held only its own
@@ -451,4 +457,4 @@ def test_transpiled_fig1_qpe_text_is_pinned(monkeypatch, k, subspace_opt, digest
     copied_accept(monkeypatch)
     assert _text_digest(k, subspace_opt) == COPIED_ACCEPT_QPE_TEXT_DIGESTS[k, subspace_opt]
     every_check(monkeypatch)
-    assert _text_digest(k, subspace_opt) == digest
+    assert _text_digest(k, subspace_opt) == EVERY_CHECK_QPE_TEXT_DIGESTS[k, subspace_opt]
